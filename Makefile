@@ -3,16 +3,17 @@
 GO ?= go
 CHAOS_SEED ?= 1
 
-.PHONY: all build vet test race bench bench-hot bench-smoke bench-compare bench-frontend check chaos replica-chaos proc-chaos linear expiry loadtest fuzz trace figures ablations coverage clean
+.PHONY: all build vet test race bench bench-hot bench-smoke bench-e2e-smoke bench-compare bench-frontend check chaos replica-chaos proc-chaos linear expiry loadtest fuzz trace figures ablations coverage clean
 
 all: build vet test
 
 # The pre-merge gate: vet, full build, race-enabled tests of the hot-path
 # packages, the linearizability suite (single-server and replicated), the
 # multi-process kill -9 matrix, the trace pipeline end to end, the serving
-# loadtest smoke, and one full-iteration pass of the core microbenches
+# loadtest smoke, a two-second pass of every end-to-end benchmark workload
+# (bench-e2e-smoke), and one full-iteration pass of the core microbenches
 # (bench-hot).
-check: linear expiry replica-chaos proc-chaos trace loadtest
+check: linear expiry replica-chaos proc-chaos trace loadtest bench-e2e-smoke
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race ./internal/core/... ./internal/delegated/...
@@ -39,7 +40,8 @@ chaos:
 # Replica chaos: the seeded kill/partition matrix over the replicated
 # delegation shard, under the race detector — leader kills mid-flush,
 # partition bursts, slow followers, wiped-member revival with snapshot
-# catch-up — with every recorded history checked for linearizability.
+# catch-up, single-op and batched (group-commit) clients side by side —
+# with every recorded history checked for linearizability.
 # Each seed derives its own fault plan (see fault.ReplicaFromSeed);
 # override the matrix with `make replica-chaos REPLICA_SEEDS="5"`.
 REPLICA_SEEDS ?= 5 9 13
@@ -53,8 +55,10 @@ replica-chaos:
 # Process-kill chaos: spawn a durable pinned leader plus two follower
 # processes from the real ffwdserve binary, SIGKILL them mid-commit-burst
 # (randomized per seed, plus deterministic torn-WAL-write and
-# mid-snapshot-install crash points), restart from the surviving on-disk
-# state, and check every recorded client history for linearizability.
+# mid-snapshot-install crash points, on leader and follower, including a
+# torn write in the middle of a multi-record group commit), restart from
+# the surviving on-disk state, and check every recorded client history
+# for linearizability.
 # Failed runs preserve their process logs and WAL/snapshot dirs under
 # FFWD_PROC_ARTIFACTS (or the system temp dir) for postmortem.
 proc-chaos:
@@ -141,6 +145,21 @@ bench-compare:
 bench-smoke:
 	$(GO) test -race -count=1 -run 'TestRunSmoke|TestSimGrid' -v ./internal/runtimebench/
 	$(GO) run ./cmd/ffwdbench -layer runtime -goroutines 2 -measure 5ms -format json > /dev/null
+
+# End-to-end benchmark smoke: vet ./benchmark and run each of its six
+# workloads for two seconds against this checkout. The benchmark exits
+# nonzero when an operation fails, is refused, breaks the oracle or is
+# lost across the closing kill -9, and when a workload completes nothing
+# — so a change to an internal API the benchmark calls, or to a log line
+# it parses, breaks the build here and not at the next measurement. The
+# numbers it prints are not compared with anything.
+BENCH_WORKLOADS ?= lib-sync lib-pipelined-churn serve-binary-sat serve-binary-unloaded serve-text-sat serve-durable-write
+bench-e2e-smoke:
+	$(GO) vet ./benchmark
+	@set -e; for w in $(BENCH_WORKLOADS); do \
+		echo "== benchmark smoke: $$w =="; \
+		$(GO) run ./benchmark --workload $$w --seed 1 --seconds 2 --trace 0; \
+	done
 
 # Regenerate every table and figure as text tables (see also -format csv).
 figures:

@@ -159,6 +159,32 @@ func TestLoadSmoke(t *testing.T) {
 	}
 }
 
+// TestLoadReplicatedBinarySmoke pins that -proto binary (here: both)
+// starts with -replicas and serves: the replicated backend is an
+// executor like the others, so the binary dataplane runs over it, each
+// shard batch's writes committing as one quorum round.
+func TestLoadReplicatedBinarySmoke(t *testing.T) {
+	_, binAddr := startServer(t, "-replicas", "3")
+	res, err := runLoad(loadConfig{
+		addr:        binAddr,
+		proto:       "binary",
+		conns:       2,
+		rate:        4000,
+		duration:    1200 * time.Millisecond,
+		warmup:      200 * time.Millisecond,
+		getPct:      50,
+		keys:        1024,
+		outstanding: 32,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Ops == 0 || res.Errors != 0 {
+		t.Fatalf("replicated binary run: ops=%d errors=%d, want >0 and 0", res.Ops, res.Errors)
+	}
+	t.Logf("binary over -replicas 3: %.0f ops/s p50=%.1fµs p99=%.1fµs", res.OpsPerSec, res.quantileUS(0.5), res.quantileUS(0.99))
+}
+
 // TestLoadBinarySmoke runs the real ffwdload binary end to end: exit 0
 // with a parseable report against a live server, nonzero against a dead
 // port.

@@ -3,187 +3,266 @@ package main
 import (
 	"fmt"
 	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
 
 	"ffwd/internal/apps"
+	"ffwd/internal/frontend"
+	"ffwd/internal/wireproto"
 )
 
-// This file is the protocol-independent core of ffwdserve: the backend
-// abstraction over the two store configurations, the pooled delegation
-// handles, and the text command dispatcher both the text frontend and
-// the parity tests share. The wire frontends (textfront.go,
-// binaryfront.go) sit on top of it.
+// This file is the protocol-independent core of ffwdserve. Every store
+// configuration is a frontend.Exec — typed Op batches in, typed Result
+// batches out — and both wire frontends sit on that one interface: the
+// binary dataplane (internal/frontend) hands its shard batches to an
+// Exec directly, and the text frontend (textfront.go) is a parser and a
+// formatter around the same call. The mutex exec is here; the ffwd exec
+// is in binaryfront.go and the replicated one in replicated.go.
 
 // mgetMax bounds the number of keys per mget so one command line cannot
-// monopolize the pooled pipeline client. It equals wireproto.MGetMax so
-// the two frontends admit identical batches (pinned by test).
-const mgetMax = 64
+// monopolize an executor. It equals wireproto.MGetMax so the two
+// frontends admit identical batches (pinned by test).
+const mgetMax = wireproto.MGetMax
 
-// backend abstracts the two store configurations.
-type backend interface {
-	handle(line string) string
-}
-
-// ffwdConn is one pooled delegation handle: a synchronous channel for
-// single-key commands plus a pipelined window for mget.
-type ffwdConn struct {
-	kv   *apps.KVClient
-	pipe *apps.KVPipeClient
-	// mget scratch, reused so a command allocates only the response
-	// string.
-	vals  []uint64
-	found []bool
-}
-
-type ffwdBackend struct {
-	d *apps.DelegatedKV
-	// Delegation client slots are a bounded resource, so they live in a
-	// fixed channel-based pool: a command borrows one and returns it.
-	// (sync.Pool is wrong here — it may drop items, leaking slots.)
-	clients chan *ffwdConn
-
-	// shedAfter bounds how long a command waits for a pooled handle when
-	// the pool is saturated before being answered BUSY (0 = wait
-	// forever). sheds counts the commands shed that way.
+// execPool lends executors to text connections. Delegation client slots
+// are a bounded resource, so they live in a fixed channel-based pool: a
+// connection borrows an executor for one batch and returns it.
+// (sync.Pool is wrong here — it may drop items, leaking slots.)
+type execPool struct {
+	execs chan frontend.Exec
+	// shedAfter bounds how long a batch waits for an executor when the
+	// pool is saturated before being answered BUSY (0 = wait forever).
+	// sheds counts the batches shed that way.
 	shedAfter time.Duration
 	sheds     atomic.Uint64
-
-	// defaultTTL, when nonzero, is applied to plain set commands (ticks
-	// from the server clock at apply time) — the -default-ttl flag.
-	defaultTTL uint64
 }
 
-// newFFWDBackendPool preallocates every client slot: n pooled handles,
-// each owning one synchronous channel and a pipeline of depth pipeDepth.
-func newFFWDBackendPool(d *apps.DelegatedKV, n, pipeDepth int) (*ffwdBackend, error) {
-	fb := &ffwdBackend{d: d, clients: make(chan *ffwdConn, n)}
-	for i := 0; i < n; i++ {
-		kv, err := d.NewClient()
-		if err != nil {
-			return nil, err
-		}
-		pipe, err := d.NewPipelinedClient(pipeDepth)
-		if err != nil {
-			return nil, err
-		}
-		fb.clients <- &ffwdConn{
-			kv:    kv,
-			pipe:  pipe,
-			vals:  make([]uint64, mgetMax),
-			found: make([]bool, mgetMax),
-		}
+func newExecPool(execs []frontend.Exec) *execPool {
+	p := &execPool{execs: make(chan frontend.Exec, len(execs))}
+	for _, e := range execs {
+		p.execs <- e
 	}
-	return fb, nil
+	return p
 }
 
-type mutexBackend struct {
+// get borrows an executor, or returns nil once the shed timeout passes
+// with the pool still saturated.
+func (p *execPool) get() frontend.Exec {
+	if p.shedAfter <= 0 {
+		return <-p.execs
+	}
+	select {
+	case e := <-p.execs:
+		return e
+	default:
+	}
+	t := time.NewTimer(p.shedAfter)
+	defer t.Stop()
+	select {
+	case e := <-p.execs:
+		return e
+	case <-t.C:
+		p.sheds.Add(1)
+		return nil
+	}
+}
+
+func (p *execPool) put(e frontend.Exec) { p.execs <- e }
+
+// found picks the response type of an op that either hit its key or did
+// not.
+func found(ok bool, hit uint8) uint8 {
+	if ok {
+		return hit
+	}
+	return wireproto.RespNotFound
+}
+
+// mutexExec is the global-lock baseline behind either frontend: every
+// executor funnels into the one LockedKV, so an A/B against -backend
+// mutex measures the frontend and the lock separately. It runs a batch
+// one op at a time, each complete before the next starts.
+type mutexExec struct {
 	kv *apps.LockedKV
-	// tick is the logical clock source for TTL commands; nil freezes the
-	// clock (TTL'd entries then only die by capacity eviction).
+	// tick supplies the logical clock for TTL ops; the executor advances
+	// the store clock (sweeping due entries inline) because no server
+	// goroutine owns the lock-based store's time. nil freezes the clock.
 	tick func() uint64
-	// defaultTTL mirrors ffwdBackend.defaultTTL for plain sets.
-	defaultTTL uint64
+	// defTTL mirrors ffwdExec.defTTL for plain OpSet.
+	defTTL uint64
 }
 
-func (f *ffwdBackend) handle(line string) string {
-	var c *ffwdConn
-	if f.shedAfter <= 0 {
-		c = <-f.clients
-	} else {
-		select {
-		case c = <-f.clients:
-		default:
-			// Saturated pool: wait a bounded while for a handle, then
-			// shed the command rather than queue without limit.
-			t := time.NewTimer(f.shedAfter)
-			select {
-			case c = <-f.clients:
-				t.Stop()
-			case <-t.C:
-				f.sheds.Add(1)
-				return "BUSY delegation pool saturated"
-			}
-		}
+func newMutexExecs(kv *apps.LockedKV, n int, tick func() uint64, defTTL uint64) []frontend.Exec {
+	execs := make([]frontend.Exec, n)
+	for i := range execs {
+		execs[i] = &mutexExec{kv: kv, tick: tick, defTTL: defTTL}
 	}
-	defer func() { f.clients <- c }()
-	return dispatchStats(line,
-		func(k uint64) (uint64, bool) { return c.kv.Get(k) },
-		func(k, v uint64) {
-			if f.defaultTTL > 0 {
-				c.kv.SetTTLNow(k, v, f.defaultTTL)
+	return execs
+}
+
+func (e *mutexExec) now() uint64 {
+	if e.tick == nil {
+		return e.kv.Clock()
+	}
+	return e.kv.AdvanceClock(e.tick())
+}
+
+// get reads key, advancing the clock first when a tick source exists:
+// without it a pure-read workload never moves time forward and TTL'd
+// entries read back forever (GetAt does both under one lock
+// acquisition).
+func (e *mutexExec) get(k uint64) (uint64, bool) {
+	if e.tick == nil {
+		return e.kv.Get(k)
+	}
+	return e.kv.GetAt(k, e.tick())
+}
+
+func (e *mutexExec) ExecBatch(ops []frontend.Op, results []frontend.Result) {
+	for i := range ops {
+		op, res := &ops[i], &results[i]
+		switch op.Kind {
+		case wireproto.OpGet:
+			if v, ok := e.get(op.Key); ok {
+				res.Status, res.Val = wireproto.RespValue, v
 			} else {
-				c.kv.Set(k, v)
+				res.Status = wireproto.RespNotFound
 			}
-		},
-		func(k uint64) bool { return c.kv.Delete(k) },
-		func() int { return c.kv.Len() },
-		c.kv.Stats,
-		func(keys []uint64) ([]uint64, []bool) {
-			c.pipe.MultiGet(keys, c.vals, c.found)
-			return c.vals[:len(keys)], c.found[:len(keys)]
-		},
-		func(k, v, ttl uint64) { c.kv.SetTTLNow(k, v, ttl) },
-		func(k, ttl uint64) bool { return c.kv.Touch(k, ttl) },
-	)
+		case wireproto.OpSet:
+			if e.defTTL > 0 {
+				e.kv.SetTTL(op.Key, op.Val, e.now(), e.defTTL)
+			} else {
+				e.kv.Set(op.Key, op.Val)
+			}
+			res.Status = wireproto.RespStored
+		case wireproto.OpSetTTL:
+			e.kv.SetTTL(op.Key, op.Val, e.now(), op.TTL)
+			res.Status = wireproto.RespStored
+		case wireproto.OpTouch:
+			res.Status = found(e.kv.Touch(op.Key, e.now(), op.TTL), wireproto.RespTouched)
+		case wireproto.OpDel:
+			res.Status = found(e.kv.Delete(op.Key), wireproto.RespDeleted)
+		case wireproto.OpMGet:
+			for j, k := range op.Keys {
+				if v, ok := e.get(k); ok {
+					res.Vals[j] = v
+				} else {
+					res.Vals[j] = wireproto.MissValue
+				}
+			}
+			res.Status = wireproto.RespValues
+		case wireproto.OpLen:
+			res.Status, res.Val = wireproto.RespLen, uint64(e.kv.Len())
+		case wireproto.OpStats:
+			h, m, ev, exp := e.kv.Stats()
+			res.Status = wireproto.RespStats
+			res.Hits, res.Misses, res.Evictions, res.Expired = h, m, ev, exp
+		}
+	}
 }
 
-func (m *mutexBackend) handle(line string) string {
-	// The lock-based store has no owning goroutine to advance its clock,
-	// so the command path does it: every TTL-bearing command samples the
-	// tick source and sweeps due entries inline (the client-driven expiry
-	// model the server-owned wheel replaces on the ffwd backend).
-	tickNow := func() uint64 {
-		if m.tick == nil {
-			return m.kv.Clock()
-		}
-		return m.kv.AdvanceClock(m.tick())
-	}
-	// Reads carry a tick too: with no owning goroutine, a pure-read
-	// workload would otherwise never advance the clock and TTL'd entries
-	// would read back forever. GetAt advances+reads under one lock
-	// acquisition.
-	get := m.kv.Get
-	if m.tick != nil {
-		get = func(k uint64) (uint64, bool) { return m.kv.GetAt(k, m.tick()) }
-	}
-	set := m.kv.Set
-	if m.defaultTTL > 0 {
-		set = func(k, v uint64) { m.kv.SetTTL(k, v, tickNow(), m.defaultTTL) }
-	}
-	return dispatchStats(line, get, set, m.kv.Delete, m.kv.Len, m.kv.Stats,
-		func(keys []uint64) ([]uint64, []bool) {
-			// No pipelining behind a lock: the multi-get is just a loop.
-			vals := make([]uint64, len(keys))
-			found := make([]bool, len(keys))
-			for i, k := range keys {
-				vals[i], found[i] = get(k)
-			}
-			return vals, found
-		},
-		func(k, v, ttl uint64) { m.kv.SetTTL(k, v, tickNow(), ttl) },
-		func(k, ttl uint64) bool { return m.kv.Touch(k, tickNow(), ttl) })
-}
-
-// parse splits a command into op and numeric arguments.
-func parse(line string) (op string, args []uint64, err error) {
-	fields := strings.Fields(line)
-	if len(fields) == 0 {
-		return "", nil, fmt.Errorf("empty command")
-	}
-	op = strings.ToLower(fields[0])
-	for _, f := range fields[1:] {
-		v, perr := strconv.ParseUint(f, 10, 64)
-		if perr != nil {
-			return "", nil, fmt.Errorf("bad number %q", f)
-		}
-		args = append(args, v)
-	}
-	return op, args, nil
-}
+// The text protocol: a command line parses to one frontend.Op (or to an
+// immediate reply when it is malformed), and one Result formats to one
+// reply line. Both frontends therefore answer from the same executor
+// results; the parity test pins that the renderings agree.
 
 const usageMsg = "ERROR usage: get k | mget k... | set k v | setx k v ttl | touch k ttl | del k | len | stats | quit"
+
+const (
+	busyPool  = "BUSY delegation pool saturated"
+	busyShard = "BUSY replicated shard unavailable"
+)
+
+// textCmd is what one command line asks for.
+type textCmd uint8
+
+const (
+	cmdOp    textCmd = iota // run the parsed Op
+	cmdReply                // answer with the reply parse produced
+	cmdStats                // the stats verb (answered by the executor, or by the frontend's override)
+	cmdQuit
+	cmdNone // a blank line: no command, no reply
+)
+
+// isWord reports whether tok spells the lower-case ASCII word w in any
+// case.
+func isWord(tok []byte, w string) bool {
+	if len(tok) != len(w) {
+		return false
+	}
+	for i := range tok {
+		if tok[i]|0x20 != w[i] {
+			return false
+		}
+	}
+	return true
+}
+
+func isSpace(c byte) bool { return c == ' ' || (c >= '\t' && c <= '\r') }
+
+// parse splits a command line into its verb and numeric arguments and
+// maps it to an Op. args is scratch for the numbers (returned regrown);
+// an mget Op's Keys alias it, so the Op is good until the next parse
+// into the same scratch. cmdReply carries the reply line.
+func parse(line []byte, op *frontend.Op, args []uint64) (textCmd, string, []uint64) {
+	var verb []byte
+	args = args[:0]
+	for i := 0; i < len(line); {
+		if isSpace(line[i]) {
+			i++
+			continue
+		}
+		j := i
+		for j < len(line) && !isSpace(line[j]) {
+			j++
+		}
+		if verb == nil {
+			verb = line[i:j]
+		} else {
+			v, err := strconv.ParseUint(string(line[i:j]), 10, 64)
+			if err != nil {
+				return cmdReply, fmt.Sprintf("ERROR bad number %q", line[i:j]), args
+			}
+			args = append(args, v)
+		}
+		i = j
+	}
+	if verb == nil {
+		return cmdNone, "", args
+	}
+	*op = frontend.Op{}
+	n := len(args)
+	switch {
+	case isWord(verb, "get") && n == 1:
+		op.Kind, op.Key = wireproto.OpGet, args[0]
+	case isWord(verb, "mget") && n >= 1:
+		if n > mgetMax {
+			return cmdReply, fmt.Sprintf("ERROR mget limited to %d keys", mgetMax), args
+		}
+		op.Kind, op.Keys = wireproto.OpMGet, args
+	case isWord(verb, "set") && n == 2:
+		op.Kind, op.Key, op.Val = wireproto.OpSet, args[0], args[1]
+	case isWord(verb, "setx") && n == 3:
+		op.Kind, op.Key, op.Val, op.TTL = wireproto.OpSetTTL, args[0], args[1], args[2]
+	case isWord(verb, "touch") && n == 2:
+		op.Kind, op.Key, op.TTL = wireproto.OpTouch, args[0], args[1]
+	case isWord(verb, "del") && n == 1:
+		op.Kind, op.Key = wireproto.OpDel, args[0]
+	case isWord(verb, "len") && n == 0:
+		op.Kind = wireproto.OpLen
+	case isWord(verb, "stats") && n == 0:
+		op.Kind = wireproto.OpStats
+		return cmdStats, "", args
+	case isWord(verb, "quit") && n == 0:
+		return cmdQuit, "", args
+	default:
+		return cmdReply, usageMsg, args
+	}
+	if (op.Kind == wireproto.OpSet || op.Kind == wireproto.OpSetTTL) && op.Val == wireproto.MissValue {
+		return cmdReply, "ERROR value reserved", args
+	}
+	return cmdOp, "", args
+}
 
 // statsLine formats the stats reply. Both frontends answer the stats
 // command through this one formatter so their fields can never drift
@@ -192,63 +271,43 @@ func statsLine(h, m, e, exp uint64) string {
 	return fmt.Sprintf("STATS hits=%d misses=%d evictions=%d expired=%d", h, m, e, exp)
 }
 
-func dispatchStats(line string, get func(uint64) (uint64, bool), set func(uint64, uint64),
-	del func(uint64) bool, length func() int, stats func() (h, m, e, exp uint64),
-	mget func([]uint64) ([]uint64, []bool),
-	setTTL func(k, v, ttl uint64), touch func(k, ttl uint64) bool) string {
-	op, args, err := parse(line)
-	if err != nil {
-		return "ERROR " + err.Error()
-	}
-	switch {
-	case op == "get" && len(args) == 1:
-		if v, ok := get(args[0]); ok {
-			return fmt.Sprintf("VALUE %d", v)
-		}
-		return "NOT_FOUND"
-	case op == "mget" && len(args) >= 1 && mget != nil:
-		if len(args) > mgetMax {
-			return fmt.Sprintf("ERROR mget limited to %d keys", mgetMax)
-		}
-		vals, found := mget(args)
-		var sb strings.Builder
-		sb.WriteString("VALUES")
-		for i := range args {
-			if found[i] {
-				fmt.Fprintf(&sb, " %d", vals[i])
+// appendReply renders one executor result as a reply line (no newline).
+func appendReply(out []byte, res *frontend.Result) []byte {
+	switch res.Status {
+	case wireproto.RespValue:
+		return strconv.AppendUint(append(out, "VALUE "...), res.Val, 10)
+	case wireproto.RespNotFound:
+		return append(out, "NOT_FOUND"...)
+	case wireproto.RespStored:
+		return append(out, "STORED"...)
+	case wireproto.RespDeleted:
+		return append(out, "DELETED"...)
+	case wireproto.RespTouched:
+		return append(out, "TOUCHED"...)
+	case wireproto.RespValues:
+		out = append(out, "VALUES"...)
+		for _, v := range res.Vals {
+			if v == wireproto.MissValue {
+				out = append(out, " -"...)
 			} else {
-				sb.WriteString(" -")
+				out = strconv.AppendUint(append(out, ' '), v, 10)
 			}
 		}
-		return sb.String()
-	case op == "set" && len(args) == 2:
-		if args[1] == ^uint64(0) {
-			return "ERROR value reserved"
+		return out
+	case wireproto.RespLen:
+		return strconv.AppendUint(append(out, "LEN "...), res.Val, 10)
+	case wireproto.RespStats:
+		return append(out, statsLine(res.Hits, res.Misses, res.Evictions, res.Expired)...)
+	case wireproto.RespBusy:
+		return append(out, busyShard...)
+	case wireproto.RespError:
+		switch res.Code {
+		case wireproto.CodeValueReserved:
+			return append(out, "ERROR value reserved"...)
+		case wireproto.CodeBadOp:
+			// A command this backend does not serve is an unknown command.
+			return append(out, usageMsg...)
 		}
-		set(args[0], args[1])
-		return "STORED"
-	case op == "setx" && len(args) == 3 && setTTL != nil:
-		if args[1] == ^uint64(0) {
-			return "ERROR value reserved"
-		}
-		setTTL(args[0], args[1], args[2])
-		return "STORED"
-	case op == "touch" && len(args) == 2 && touch != nil:
-		if touch(args[0], args[1]) {
-			return "TOUCHED"
-		}
-		return "NOT_FOUND"
-	case op == "del" && len(args) == 1:
-		if del(args[0]) {
-			return "DELETED"
-		}
-		return "NOT_FOUND"
-	case op == "len" && len(args) == 0:
-		return fmt.Sprintf("LEN %d", length())
-	case op == "stats" && len(args) == 0 && stats != nil:
-		h, m, e, exp := stats()
-		return statsLine(h, m, e, exp)
-	default:
-		return usageMsg
 	}
+	return append(out, "ERROR internal"...)
 }

@@ -6,18 +6,20 @@ import (
 	"ffwd/internal/wireproto"
 )
 
-// This file adapts the two store configurations to the binary dataplane
-// (internal/frontend): each shard executor owns its own delegation
-// handles — a KVBatchClient window for pipelined singles, a
+// This file is the ffwd backend's executor: each one owns its own
+// delegation handles — a KVBatchClient window for pipelined singles, a
 // KVPipeClient for mget, a KVClient for the synchronous stats reads —
 // all against the one shared DelegatedKV, so the store stays globally
-// consistent across shards while every executor pipelines
-// independently.
+// consistent while every executor pipelines independently. The binary
+// dataplane's shard executors run a deep window; the text frontend's
+// pooled executors run a window of one, which keeps a connection's
+// commands in program order because a single slot cannot reorder (the
+// deep window can: ROADMAP item 1b).
 
-// ffwdExec executes one shard's batches against the delegated KV.
-// Singles flow through the batch client's async window; mget and stats
-// are synchronous, so pending singles are flushed first to preserve
-// within-shard submission order.
+// ffwdExec executes batches against the delegated KV. Singles flow
+// through the batch client's async window; mget and stats are
+// synchronous, so pending singles are flushed first to preserve
+// submission order.
 type ffwdExec struct {
 	batch *apps.KVBatchClient
 	pipe  *apps.KVPipeClient
@@ -36,17 +38,18 @@ type ffwdExec struct {
 	found      [wireproto.MGetMax]bool
 }
 
-// ffwdExecWindow is each shard's pipelined-singles depth: deep enough
-// to overlap a full executor batch through the delegation server's
-// sweeps, small enough that per-shard slot cost stays trivial.
+// ffwdExecWindow is each binary shard's pipelined-singles depth: deep
+// enough to overlap a full executor batch through the delegation
+// server's sweeps, small enough that per-shard slot cost stays trivial.
 const ffwdExecWindow = 16
 
-// newFFWDExecs builds one executor per shard. Slot budget per shard:
-// ffwdExecWindow async + 1 synchronous + pipeDepth pipelined.
-func newFFWDExecs(d *apps.DelegatedKV, shards, pipeDepth int, defTTL uint64) ([]frontend.Exec, error) {
-	execs := make([]frontend.Exec, 0, shards)
-	for i := 0; i < shards; i++ {
-		batch, err := d.NewBatchClient(ffwdExecWindow)
+// newFFWDExecs builds n executors of the given singles window. Slot
+// budget per executor: window async + 1 synchronous + pipeDepth
+// pipelined.
+func newFFWDExecs(d *apps.DelegatedKV, n, window, pipeDepth int, defTTL uint64) ([]frontend.Exec, error) {
+	execs := make([]frontend.Exec, 0, n)
+	for i := 0; i < n; i++ {
+		batch, err := d.NewBatchClient(window)
 		if err != nil {
 			return nil, err
 		}
@@ -67,8 +70,8 @@ func newFFWDExecs(d *apps.DelegatedKV, shards, pipeDepth int, defTTL uint64) ([]
 
 // ffwdExecSlots is the delegation-slot budget newFFWDExecs consumes,
 // for sizing core.Config.MaxClients.
-func ffwdExecSlots(shards, pipeDepth int) int {
-	return shards * (ffwdExecWindow + 1 + pipeDepth)
+func ffwdExecSlots(n, window, pipeDepth int) int {
+	return n * (window + 1 + pipeDepth)
 }
 
 // onDone maps one completed single back to its result slot. ret is the
@@ -86,17 +89,9 @@ func (e *ffwdExec) onDone(seq int, ret uint64) {
 	case wireproto.OpSet, wireproto.OpSetTTL:
 		res.Status = wireproto.RespStored
 	case wireproto.OpDel:
-		if ret == 1 {
-			res.Status = wireproto.RespDeleted
-		} else {
-			res.Status = wireproto.RespNotFound
-		}
+		res.Status = found(ret == 1, wireproto.RespDeleted)
 	case wireproto.OpTouch:
-		if ret == 1 {
-			res.Status = wireproto.RespTouched
-		} else {
-			res.Status = wireproto.RespNotFound
-		}
+		res.Status = found(ret == 1, wireproto.RespTouched)
 	case wireproto.OpLen:
 		res.Status, res.Val = wireproto.RespLen, ret
 	}
@@ -158,94 +153,4 @@ func (e *ffwdExec) ExecBatch(ops []frontend.Op, results []frontend.Result) {
 	}
 	e.flushPend()
 	e.curOps, e.curResults = nil, nil
-}
-
-// mutexExec is the global-lock baseline behind the binary frontend:
-// every shard funnels into the one LockedKV, so the binary A/B against
-// -backend mutex measures the frontend and the lock separately.
-type mutexExec struct {
-	kv *apps.LockedKV
-	// tick supplies the logical clock for TTL ops; the executor advances
-	// the store clock (sweeping due entries inline) because no server
-	// goroutine owns the lock-based store's time. nil freezes the clock.
-	tick func() uint64
-	// defTTL mirrors ffwdExec.defTTL for plain OpSet.
-	defTTL uint64
-}
-
-func newMutexExecs(kv *apps.LockedKV, shards int, tick func() uint64, defTTL uint64) []frontend.Exec {
-	execs := make([]frontend.Exec, shards)
-	for i := range execs {
-		execs[i] = &mutexExec{kv: kv, tick: tick, defTTL: defTTL}
-	}
-	return execs
-}
-
-func (e *mutexExec) now() uint64 {
-	if e.tick == nil {
-		return e.kv.Clock()
-	}
-	return e.kv.AdvanceClock(e.tick())
-}
-
-// get reads key, advancing the clock first when a tick source exists:
-// without it a pure-read workload never moves time forward and TTL'd
-// entries read back forever (GetAt does both under one lock
-// acquisition).
-func (e *mutexExec) get(k uint64) (uint64, bool) {
-	if e.tick == nil {
-		return e.kv.Get(k)
-	}
-	return e.kv.GetAt(k, e.tick())
-}
-
-func (e *mutexExec) ExecBatch(ops []frontend.Op, results []frontend.Result) {
-	for i := range ops {
-		op, res := &ops[i], &results[i]
-		switch op.Kind {
-		case wireproto.OpGet:
-			if v, ok := e.get(op.Key); ok {
-				res.Status, res.Val = wireproto.RespValue, v
-			} else {
-				res.Status = wireproto.RespNotFound
-			}
-		case wireproto.OpSet:
-			if e.defTTL > 0 {
-				e.kv.SetTTL(op.Key, op.Val, e.now(), e.defTTL)
-			} else {
-				e.kv.Set(op.Key, op.Val)
-			}
-			res.Status = wireproto.RespStored
-		case wireproto.OpSetTTL:
-			e.kv.SetTTL(op.Key, op.Val, e.now(), op.TTL)
-			res.Status = wireproto.RespStored
-		case wireproto.OpTouch:
-			if e.kv.Touch(op.Key, e.now(), op.TTL) {
-				res.Status = wireproto.RespTouched
-			} else {
-				res.Status = wireproto.RespNotFound
-			}
-		case wireproto.OpDel:
-			if e.kv.Delete(op.Key) {
-				res.Status = wireproto.RespDeleted
-			} else {
-				res.Status = wireproto.RespNotFound
-			}
-		case wireproto.OpMGet:
-			for j, k := range op.Keys {
-				if v, ok := e.get(k); ok {
-					res.Vals[j] = v
-				} else {
-					res.Vals[j] = wireproto.MissValue
-				}
-			}
-			res.Status = wireproto.RespValues
-		case wireproto.OpLen:
-			res.Status, res.Val = wireproto.RespLen, uint64(e.kv.Len())
-		case wireproto.OpStats:
-			h, m, ev, exp := e.kv.Stats()
-			res.Status = wireproto.RespStats
-			res.Hits, res.Misses, res.Evictions, res.Expired = h, m, ev, exp
-		}
-	}
 }

@@ -2,15 +2,15 @@ package main
 
 import (
 	"strings"
-	"sync"
 	"testing"
 
-	"ffwd/internal/apps"
+	"ffwd/internal/frontend"
 )
 
-// FuzzDispatch throws arbitrary command lines at the protocol handler:
-// it must never panic and must answer every line with exactly one
-// well-formed response.
+// FuzzDispatch throws arbitrary command lines at the text protocol's
+// parse → ExecBatch → format path: it must never panic and must answer
+// every line with exactly one well-formed response (none for a blank
+// line or a bare quit, which have no reply).
 func FuzzDispatch(f *testing.F) {
 	for _, seed := range []string{
 		"get 1", "set 1 2", "del 1", "len", "", " ", "get", "set 1",
@@ -21,12 +21,15 @@ func FuzzDispatch(f *testing.F) {
 	} {
 		f.Add(seed)
 	}
-	kv := apps.NewLockedKV(1024, func() sync.Locker { return &sync.Mutex{} })
-	b := &mutexBackend{kv: kv}
+	fe := newMutexBackend(1024, nil)
 	f.Fuzz(func(t *testing.T, line string) {
-		out := b.handle(line)
+		out := handle(fe, line)
 		if out == "" {
-			t.Fatalf("empty response for %q", line)
+			var op frontend.Op
+			if cmd, _, _ := parse([]byte(line), &op, nil); cmd != cmdNone && cmd != cmdQuit {
+				t.Fatalf("empty response for %q", line)
+			}
+			return
 		}
 		if strings.ContainsRune(out, '\n') {
 			t.Fatalf("multi-line response for %q: %q", line, out)

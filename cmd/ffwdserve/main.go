@@ -54,8 +54,8 @@
 //   - -write-timeout bounds response flushes so a non-reading peer cannot
 //     wedge a serving goroutine.
 //   - Saturation sheds instead of queueing without bound: the text path
-//     waits up to -shed-timeout for a pooled delegation client, the
-//     binary path answers BUSY when a shard queue is full.
+//     waits up to -shed-timeout for a pooled executor, the binary path
+//     answers BUSY when a shard queue is full.
 //   - -stats-addr exposes the serving counters, the delegation server's
 //     stats, and the binary frontend's queue/batch gauges at /metrics
 //     and /debug/vars.
@@ -77,13 +77,14 @@
 // group (internal/replica): every write is quorum-acknowledged before
 // STORED goes back on the wire, and a leader crash promotes a follower
 // instead of replaying a restarted server — acknowledged writes survive
-// losing the whole leader. `stats` then reports the group's term, commit
-// index, and failover counters; /metrics grows ffwd_replica_* gauges;
-// and the shutdown report separates in-flight replicated writes from
-// leader-local reads. With -chaos-seed, replicated mode injects the
-// replication fault mix (leader kills, partition bursts, slow
-// followers) instead of the single-server mix. Replicated modes speak
-// the text protocol only.
+// losing the whole leader. A connection's pipelined burst of writes
+// commits as one unit — one WAL write, one wire frame per follower, one
+// quorum wait — on either protocol. The text `stats` verb then reports
+// the group's term, commit index, and failover counters; /metrics grows
+// ffwd_replica_* gauges; and the shutdown report separates replicated
+// writes from leader-local reads. With -chaos-seed, replicated mode
+// injects the replication fault mix (leader kills, partition bursts,
+// slow followers) instead of the single-server mix.
 //
 // Usage:
 //
@@ -142,12 +143,12 @@ func main() {
 		binAddr   = flag.String("binary-addr", "127.0.0.1:11212", "binary frontend listen address for -proto both")
 		shards    = flag.Int("shards", 0, "binary frontend shard executors (0 = one per two cores)")
 		queueLen  = flag.Int("frontend-queue", 0, "binary frontend per-shard queue depth (0 = default 1024)")
-		batchMax  = flag.Int("frontend-batch", 0, "binary frontend max ops per executor batch (0 = default 64)")
+		batchMax  = flag.Int("frontend-batch", 0, "max ops per executor batch, either frontend (0 = default 64)")
 		capacity  = flag.Int("capacity", 1<<16, "store capacity (entries)")
 		maxEnts   = flag.Int("max-entries", 0, "cap on resident entries before scan-resistant eviction kicks in (0 = -capacity); overrides -capacity when set")
 		defTTLDur = flag.Duration("default-ttl", 0, "expiry applied to plain set commands, rounded to ms ticks (0 = never expire)")
 		kind      = flag.String("backend", "ffwd", "ffwd or mutex")
-		clients   = flag.Int("clients", 64, "max concurrent delegation clients (ffwd backend, text frontend)")
+		clients   = flag.Int("clients", 64, "pooled executors (and their delegation clients) behind the text frontend")
 		replicas  = flag.Int("replicas", 1, "replica group size for the ffwd backend; >1 quorum-replicates writes with failover")
 		pipeDepth = flag.Int("pipeline", 8, "pipelined requests in flight per mget (ffwd backend)")
 		parkAfter = flag.Int("idle-park-after", 0, "empty sweeps before the idle server parks (0 = default, negative = never park)")
@@ -156,13 +157,13 @@ func main() {
 		maxConns  = flag.Int("max-conns", 256, "max concurrent connections per frontend; beyond it new arrivals are rejected BUSY (0 = unlimited)")
 		readWait  = flag.Duration("read-timeout", 2*time.Minute, "idle bound between commands before a connection is dropped (0 = none)")
 		writeWait = flag.Duration("write-timeout", 10*time.Second, "bound on flushing one response (0 = none)")
-		shedWait  = flag.Duration("shed-timeout", 100*time.Millisecond, "how long a command waits for a pooled delegation client before BUSY (ffwd backend; 0 = forever)")
+		shedWait  = flag.Duration("shed-timeout", 100*time.Millisecond, "how long a text command batch waits for a pooled executor before BUSY (0 = forever)")
 		statsAddr = flag.String("stats-addr", "", "expose serving stats over HTTP at this address: /metrics (Prometheus), /debug/vars (expvar), /debug/pprof, /debug/delegation-trace (empty = off)")
 		tracePath = flag.String("trace", "", "capture the delegation lifecycle trace and write it as Chrome trace JSON here on shutdown (ffwd backend)")
 		dataDir   = flag.String("data-dir", "", "durable replication: WAL + snapshot directory; selects pinned-leader mode with -peers (or a follower store with -replica-member)")
 		fsyncPol  = flag.String("fsync", "always", "WAL sync policy with -data-dir: always, batch, or none")
 		peersCSV  = flag.String("peers", "", "comma-separated follower transport addresses (host:port) for durable pinned-leader mode")
-		snapEvery = flag.Uint64("snapshot-every", 0, "applied-entry cadence of replica snapshots (0 = library default; replicated modes)")
+		snapEvery = flag.Uint64("snapshot-every", 0, "applied-entry cadence of replica snapshots (0 = when the live log outweighs the last snapshot, never before 64 entries; replicated modes and -replica-member)")
 		memberAt  = flag.String("replica-member", "", "run as a durable replication follower listening on this address (requires -data-dir); serves no client protocol")
 	)
 	flag.Parse()
@@ -180,7 +181,7 @@ func main() {
 	}
 
 	if *memberAt != "" {
-		runReplicaMember(*memberAt, *dataDir, *fsyncPol, *capacity)
+		runReplicaMember(*memberAt, *dataDir, *fsyncPol, *capacity, *snapEvery)
 		return
 	}
 
@@ -190,89 +191,82 @@ func main() {
 		log.Fatalf("unknown -proto %q (want text, binary, or both)", *proto)
 	}
 	replicated := *replicas > 1 || *dataDir != ""
-	if needBin && replicated {
-		log.Fatal("the binary frontend does not serve replicated modes yet; use -proto text with -replicas/-data-dir")
-	}
 	if *shards <= 0 {
 		*shards = defaultShards()
 	}
+	// A frontend that is not served needs no executors.
+	if !needText {
+		*clients = 0
+	}
+	if !needBin {
+		*shards = 0
+	}
 
 	var (
-		b     backend
+		pool  *execPool       // the text frontend's executors
+		execs []frontend.Exec // the binary frontend's, one per shard
 		d     *apps.DelegatedKV
-		fb    *ffwdBackend
-		lkv   *apps.LockedKV
 		rkv   *apps.ReplicatedKV
-		rb    *repBackend
+		rcnt  *repCounters
 		sv    *core.Supervisor
 		sink  *obs.TraceSink
-		execs []frontend.Exec
 		// storeStats samples the store's hit/miss/eviction/expiry counters
 		// for /metrics and /debug/vars. On the ffwd backend it goes through
 		// a dedicated delegation client (scrapes are requests like any
 		// other); on mutex it reads under the lock.
 		storeStats func() (h, m, e, exp uint64)
 	)
-	switch *kind {
-	case "ffwd":
-		if replicated {
-			cfg := core.Config{MaxClients: *clients, IdleParkAfter: *parkAfter}
-			rcfg := apps.ReplicatedConfig{
-				Replicas:      *replicas,
-				SnapshotEvery: *snapEvery,
-				// The supervisor cadence mirrors the unreplicated path:
-				// crash repair within ~5ms, near-zero idle cost.
-				Supervisor: core.SupervisorConfig{Interval: 5 * time.Millisecond, KickAfter: 20},
-				// Durable pinned-leader mode: -data-dir selects it, -peers
-				// names the follower processes, -fsync the WAL policy.
-				DataDir: *dataDir,
-				Fsync:   *fsyncPol,
-			}
-			if *peersCSV != "" {
-				rcfg.Peers = strings.Split(*peersCSV, ",")
-			}
-			if *chaosSeed != 0 {
-				inj := fault.ReplicaFromSeed(*chaosSeed)
-				cfg.Hooks = inj
-				rcfg.Hooks = inj
-				log.Printf("ffwdserve: replica chaos injection on: %v", inj)
-			}
-			if *tracePath != "" || *statsAddr != "" {
-				sink = obs.NewTraceSink(obs.SinkConfig{Clients: cfg.MaxClients})
-				cfg.Trace = sink
-			}
-			rcfg.Core = cfg
-			var rerr error
-			rkv, rerr = apps.NewReplicatedKV(*capacity, rcfg)
-			if rerr != nil {
-				log.Fatal(rerr)
-			}
-			if err := rkv.Start(); err != nil {
-				log.Fatal(err)
-			}
-			if *dataDir != "" {
-				ws := rkv.Store().Stats()
-				log.Printf("ffwdserve: durable pinned leader: dir=%s fsync=%s peers=%v term=%d torn=%d/%dB",
-					*dataDir, *fsyncPol, rcfg.Peers, rkv.Group().Stats().Term, ws.TornRecords, ws.TornBytes)
-			}
-			rb = newRepBackendPool(rkv, *clients)
-			rb.shedAfter = *shedWait
-			b = rb
-			break
+	switch {
+	case *kind == "ffwd" && replicated:
+		cfg := core.Config{MaxClients: *clients + *shards, IdleParkAfter: *parkAfter}
+		rcfg := apps.ReplicatedConfig{
+			Replicas:      *replicas,
+			SnapshotEvery: *snapEvery,
+			// The supervisor cadence mirrors the unreplicated path:
+			// crash repair within ~5ms, near-zero idle cost.
+			Supervisor: core.SupervisorConfig{Interval: 5 * time.Millisecond, KickAfter: 20},
+			// Durable pinned-leader mode: -data-dir selects it, -peers
+			// names the follower processes, -fsync the WAL policy.
+			DataDir: *dataDir,
+			Fsync:   *fsyncPol,
 		}
+		if *peersCSV != "" {
+			rcfg.Peers = strings.Split(*peersCSV, ",")
+		}
+		if *chaosSeed != 0 {
+			inj := fault.ReplicaFromSeed(*chaosSeed)
+			cfg.Hooks = inj
+			rcfg.Hooks = inj
+			log.Printf("ffwdserve: replica chaos injection on: %v", inj)
+		}
+		if *tracePath != "" || *statsAddr != "" {
+			sink = obs.NewTraceSink(obs.SinkConfig{Clients: cfg.MaxClients})
+			cfg.Trace = sink
+		}
+		rcfg.Core = cfg
+		var err error
+		if rkv, err = apps.NewReplicatedKV(*capacity, rcfg); err != nil {
+			log.Fatal(err)
+		}
+		if err := rkv.Start(); err != nil {
+			log.Fatal(err)
+		}
+		if *dataDir != "" {
+			ws := rkv.Store().Stats()
+			log.Printf("ffwdserve: durable pinned leader: dir=%s fsync=%s peers=%v term=%d torn=%d/%dB",
+				*dataDir, *fsyncPol, rcfg.Peers, rkv.Group().Stats().Term, ws.TornRecords, ws.TornBytes)
+		}
+		rcnt = &repCounters{}
+		pool = newExecPool(newRepExecs(rkv, *clients, rcnt))
+		execs = newRepExecs(rkv, *shards, rcnt)
+	case *kind == "ffwd":
 		if *pipeDepth < 1 {
 			*pipeDepth = 1
 		}
-		// Slot budget: each text pooled handle owns 1 synchronous slot +
-		// pipeDepth pipelined slots; each binary shard executor owns its
-		// async window + 1 synchronous + pipeDepth pipelined.
-		slots := 0
-		if needText {
-			slots += *clients * (1 + *pipeDepth)
-		}
-		if needBin {
-			slots += ffwdExecSlots(*shards, *pipeDepth)
-		}
+		// Slot budget: every executor owns its singles window (one slot
+		// behind the text frontend, see binaryfront.go) + 1 synchronous
+		// slot + pipeDepth pipelined slots.
+		slots := ffwdExecSlots(*clients, 1, *pipeDepth) + ffwdExecSlots(*shards, ffwdExecWindow, *pipeDepth)
 		if *statsAddr != "" {
 			slots++ // the metrics scrape client
 		}
@@ -303,22 +297,13 @@ func main() {
 		if err := d.Start(); err != nil {
 			log.Fatal(err)
 		}
-		if needText {
-			var err error
-			fb, err = newFFWDBackendPool(d, *clients, *pipeDepth)
-			if err != nil {
-				log.Fatal(err)
-			}
-			fb.shedAfter = *shedWait
-			fb.defaultTTL = defTTL
-			b = fb
+		te, err := newFFWDExecs(d, *clients, 1, *pipeDepth, defTTL)
+		if err != nil {
+			log.Fatal(err)
 		}
-		if needBin {
-			var err error
-			execs, err = newFFWDExecs(d, *shards, *pipeDepth, defTTL)
-			if err != nil {
-				log.Fatal(err)
-			}
+		pool = newExecPool(te)
+		if execs, err = newFFWDExecs(d, *shards, ffwdExecWindow, *pipeDepth, defTTL); err != nil {
+			log.Fatal(err)
 		}
 		if *statsAddr != "" {
 			mc, err := d.NewClient()
@@ -344,25 +329,28 @@ func main() {
 			KickAfter: 20,
 		})
 		sv.Start()
-	case "mutex":
-		lkv = apps.NewLockedKV(*capacity, func() sync.Locker { return &sync.Mutex{} })
-		if needText {
-			b = &mutexBackend{kv: lkv, tick: tick, defaultTTL: defTTL}
-		}
-		if needBin {
-			execs = newMutexExecs(lkv, *shards, tick, defTTL)
-		}
+	case *kind == "mutex":
+		lkv := apps.NewLockedKV(*capacity, func() sync.Locker { return &sync.Mutex{} })
+		pool = newExecPool(newMutexExecs(lkv, *clients, tick, defTTL))
+		execs = newMutexExecs(lkv, *shards, tick, defTTL)
 		storeStats = lkv.Stats
 	default:
 		log.Fatalf("unknown backend %q", *kind)
 	}
+	pool.shedAfter = *shedWait
 
 	var fe *textFrontend
 	if needText {
-		fe = newTextFrontend(b)
+		fe = newTextFrontend(pool)
+		if *batchMax > 0 {
+			fe.maxBatch = *batchMax
+		}
 		fe.maxConns = *maxConns
 		fe.readTimeout = *readWait
 		fe.writeTimeout = *writeWait
+		if rkv != nil {
+			fe.statsReply = func() string { return repStatsLine(rkv.Group()) }
+		}
 	}
 
 	var bsrv *frontend.Server
@@ -391,9 +379,7 @@ func main() {
 				m["read_timeouts"] = fe.stats.readTimeouts.Load()
 				m["long_lines"] = fe.stats.longLines.Load()
 			}
-			if fb != nil {
-				m["busy_sheds"] = fb.sheds.Load()
-			}
+			m["busy_sheds"] = pool.sheds.Load()
 			if bsrv != nil {
 				bm := bsrv.Metrics()
 				m["bin_accepted"] = bm.Accepted.Load()
@@ -423,10 +409,9 @@ func main() {
 				m["store_evictions"] = ev
 				m["store_expired"] = exp
 			}
-			if rb != nil {
-				m["busy_sheds"] = rb.sheds.Load()
-				m["local_ops"] = rb.localOps.Load()
-				m["replicated_ops"] = rb.repOps.Load()
+			if rkv != nil {
+				m["local_ops"] = rcnt.localOps.Load()
+				m["replicated_ops"] = rcnt.repOps.Load()
 				gs := rkv.Group().Stats()
 				m["replica_term"] = gs.Term
 				m["replica_commit_index"] = gs.CommitIndex
@@ -449,7 +434,7 @@ func main() {
 		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		mux.Handle("/metrics", metricsRegistry(fe, fb, d, rkv, rb, bsrv, storeStats).Handler())
+		mux.Handle("/metrics", metricsRegistry(fe, pool, d, rkv, rcnt, bsrv, storeStats).Handler())
 		if sink != nil {
 			// Live capture download: the snapshot is race-free against
 			// the serving hot path, so this works on a loaded server.
@@ -532,32 +517,34 @@ func main() {
 	if sv != nil {
 		sv.Stop()
 	}
-	var sheds uint64
-	if fb != nil {
-		sheds = fb.sheds.Load()
-	}
-	if rb != nil {
-		sheds = rb.sheds.Load()
-	}
 	if fe != nil {
 		log.Printf("ffwdserve: conn stats: accepted=%d rejected=%d read-timeouts=%d long-lines=%d busy-sheds=%d",
 			fe.stats.accepted.Load(), fe.stats.rejected.Load(),
-			fe.stats.readTimeouts.Load(), fe.stats.longLines.Load(), sheds)
+			fe.stats.readTimeouts.Load(), fe.stats.longLines.Load(), pool.sheds.Load())
 	}
-	if rb != nil {
+	if rkv != nil {
 		// The drain report keeps replicated writes separate from
 		// leader-local reads: an in-flight replicated op at this point
 		// was force-closed mid-commit and may still have landed on the
 		// group, which is exactly what the replicated ledger disambiguates
 		// for a retrying client.
-		log.Printf("ffwdserve: op stats: local=%d (in-flight %d) replicated=%d (in-flight %d)",
-			rb.localOps.Load(), rb.localInFlight.Load(),
-			rb.repOps.Load(), rb.repInFlight.Load())
+		log.Printf("ffwdserve: op stats: local=%d replicated=%d (in-flight %d)",
+			rcnt.localOps.Load(), rcnt.repOps.Load(), rcnt.repInFlight.Load())
 		gs := rkv.Group().Stats()
 		log.Printf("ffwdserve: replica stats: term=%d leader=%d alive=%d/%d commit-index=%d commits=%d ledger-hits=%d apply-dups=%d no-quorum=%d snapshots=%d installs=%d truncated=%d failovers=%d restarts=%d",
 			gs.Term, gs.LeaderID, gs.AliveReplicas, gs.Replicas, gs.CommitIndex,
 			gs.Commits, gs.LedgerHits, gs.ApplyDups, gs.NoQuorum,
 			gs.Snapshots, gs.SnapshotInstalls, gs.EntriesTruncated, gs.Failovers, gs.Restarts)
+		if st := rkv.Store(); st != nil {
+			// Group commit's receipts: records per write(2), entries per
+			// wire frame (heartbeats count as frames).
+			ws, frames := st.Stats(), uint64(0)
+			for _, p := range rkv.Peers() {
+				frames += p.Stats().Frames
+			}
+			log.Printf("ffwdserve: durable stats: wal-appends=%d wal-writes=%d wal-syncs=%d wal-snapshots=%d peer-frames=%d log-len=%d",
+				ws.Appends, ws.Writes, ws.Syncs, ws.Snapshots, frames, gs.LogLast-gs.LogBase)
+		}
 		if srv := rkv.Server(); srv != nil {
 			st := srv.Stats()
 			log.Printf("ffwdserve: leader server stats: requests=%d sweeps=%d batches=%d panics=%d crashes=%d ledger-skips=%d",
@@ -610,7 +597,7 @@ func writeTrace(path string, sink *obs.TraceSink) {
 // server's stats into a Prometheus /metrics endpoint. Everything is a
 // scrape-time sampling func: the counters already exist as atomics and
 // core.Stats is a consistent snapshot, so the registry owns no state.
-func metricsRegistry(fe *textFrontend, fb *ffwdBackend, d *apps.DelegatedKV, rkv *apps.ReplicatedKV, rb *repBackend, bsrv *frontend.Server, storeStats func() (h, m, e, exp uint64)) *obs.Registry {
+func metricsRegistry(fe *textFrontend, pool *execPool, d *apps.DelegatedKV, rkv *apps.ReplicatedKV, rcnt *repCounters, bsrv *frontend.Server, storeStats func() (h, m, e, exp uint64)) *obs.Registry {
 	reg := obs.NewRegistry()
 	u := func(load func() uint64) func() float64 {
 		return func() float64 { return float64(load()) }
@@ -631,10 +618,8 @@ func metricsRegistry(fe *textFrontend, fb *ffwdBackend, d *apps.DelegatedKV, rkv
 	if bsrv != nil {
 		bsrv.RegisterMetrics(reg)
 	}
-	if fb != nil {
-		reg.CounterFunc("ffwdserve_busy_sheds_total",
-			"Commands shed BUSY waiting for a pooled delegation client.", u(fb.sheds.Load))
-	}
+	reg.CounterFunc("ffwdserve_busy_sheds_total",
+		"Text command batches shed BUSY waiting for a pooled executor.", u(pool.sheds.Load))
 	if d != nil {
 		srv := d.Server()
 		stat := func(field func(core.Stats) uint64) func() float64 {
@@ -711,6 +696,9 @@ func metricsRegistry(fe *textFrontend, fb *ffwdBackend, d *apps.DelegatedKV, rkv
 			reg.CounterFunc("ffwd_wal_appends_total",
 				"Entry records appended to the durable WAL.",
 				wstat(func(s replog.Stats) uint64 { return s.Appends }))
+			reg.CounterFunc("ffwd_wal_writes_total",
+				"write(2) calls that carried those records (one per committed batch).",
+				wstat(func(s replog.Stats) uint64 { return s.Writes }))
 			reg.CounterFunc("ffwd_wal_syncs_total",
 				"fsyncs issued for WAL record durability.",
 				wstat(func(s replog.Stats) uint64 { return s.Syncs }))
@@ -733,19 +721,14 @@ func metricsRegistry(fe *textFrontend, fb *ffwdBackend, d *apps.DelegatedKV, rkv
 				return 0
 			})
 	}
-	if rb != nil {
-		reg.CounterFunc("ffwdserve_busy_sheds_total",
-			"Commands shed BUSY waiting for a pooled delegation client.",
-			func() float64 { return float64(rb.sheds.Load()) })
+	if rcnt != nil {
 		reg.CounterFunc("ffwdserve_local_ops_total",
-			"Completed leader-local read commands (get/mget/len).",
-			func() float64 { return float64(rb.localOps.Load()) })
+			"Completed leader-local read commands (get/mget/len).", u(rcnt.localOps.Load))
 		reg.CounterFunc("ffwdserve_replicated_ops_total",
-			"Completed replicated write commands (set/del).",
-			func() float64 { return float64(rb.repOps.Load()) })
+			"Completed replicated write commands (set/del).", u(rcnt.repOps.Load))
 		reg.GaugeFunc("ffwdserve_replicated_ops_in_flight",
 			"Replicated write commands currently executing.",
-			func() float64 { return float64(rb.repInFlight.Load()) })
+			func() float64 { return float64(rcnt.repInFlight.Load()) })
 	}
 	return reg
 }

@@ -4,53 +4,82 @@ import (
 	"bufio"
 	"fmt"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"ffwd/internal/apps"
+	"ffwd/internal/frontend"
+	"ffwd/internal/wireproto"
 )
 
-func newFFWDBackend(t *testing.T, capacity, clients int) *ffwdBackend {
+// newFFWDBackend builds a text frontend over a pool of `clients`
+// program-order executors on a fresh delegated store.
+func newFFWDBackend(t *testing.T, capacity, clients int) *textFrontend {
 	t.Helper()
 	const depth = 2
-	d := apps.NewDelegatedKV(capacity, clients*(1+depth))
+	d := apps.NewDelegatedKV(capacity, ffwdExecSlots(clients, 1, depth))
 	if err := d.Start(); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(d.Stop)
-	fb, err := newFFWDBackendPool(d, clients, depth)
+	execs, err := newFFWDExecs(d, clients, 1, depth, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return fb
+	return newTextFrontend(newExecPool(execs))
+}
+
+func newMutexBackend(capacity int, tick func() uint64) *textFrontend {
+	kv := apps.NewLockedKV(capacity, func() sync.Locker { return &sync.Mutex{} })
+	return newTextFrontend(newExecPool(newMutexExecs(kv, 1, tick, 0)))
+}
+
+// handle runs one command line the way a connection would — parse, one
+// ExecBatch on a pooled executor, format — as a batch of one, and returns
+// the reply line ("" for a blank line or quit, which have none).
+func handle(fe *textFrontend, line string) string {
+	var b textBatch
+	if b.add([]byte(line)) {
+		return ""
+	}
+	fe.run(&b)
+	return strings.TrimSuffix(string(b.out), "\n")
 }
 
 func TestParse(t *testing.T) {
-	op, args, err := parse("set 1 42")
-	if err != nil || op != "set" || len(args) != 2 || args[0] != 1 || args[1] != 42 {
-		t.Fatalf("parse = %q %v %v", op, args, err)
+	var op frontend.Op
+	cmd, _, _ := parse([]byte("set 1 42"), &op, nil)
+	if cmd != cmdOp || op.Kind != wireproto.OpSet || op.Key != 1 || op.Val != 42 {
+		t.Fatalf("parse(set 1 42) = %v %+v", cmd, op)
 	}
-	if _, _, err := parse(""); err == nil {
-		t.Fatal("empty command parsed")
+	if cmd, _, _ := parse([]byte(" \t"), &op, nil); cmd != cmdNone {
+		t.Fatalf("blank line parsed as %v", cmd)
 	}
-	if _, _, err := parse("get abc"); err == nil {
-		t.Fatal("non-numeric arg parsed")
+	if cmd, reply, _ := parse([]byte("get abc"), &op, nil); cmd != cmdReply || reply != `ERROR bad number "abc"` {
+		t.Fatalf("non-numeric arg: %v %q", cmd, reply)
 	}
-	op, _, err = parse("GET 1")
-	if err != nil || op != "get" {
-		t.Fatalf("case-insensitive op broken: %q %v", op, err)
+	if cmd, _, _ := parse([]byte("GET 1"), &op, nil); cmd != cmdOp || op.Kind != wireproto.OpGet {
+		t.Fatalf("case-insensitive op broken: %v %+v", cmd, op)
+	}
+	cmd, _, keys := parse([]byte("mget 3 4 5"), &op, make([]uint64, 0, 8))
+	if cmd != cmdOp || op.Kind != wireproto.OpMGet || len(op.Keys) != 3 || &op.Keys[0] != &keys[0] {
+		t.Fatalf("mget keys must alias the scratch: %v %+v", cmd, op)
+	}
+	if cmd, _, _ := parse([]byte("QUIT"), &op, nil); cmd != cmdQuit {
+		t.Fatalf("quit parsed as %v", cmd)
 	}
 }
 
 func TestDispatchProtocol(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		b    backend
+		fe   *textFrontend
 	}{
 		{"ffwd", newFFWDBackend(t, 128, 4)},
-		{"mutex", &mutexBackend{kv: apps.NewLockedKV(128, func() sync.Locker { return &sync.Mutex{} })}},
+		{"mutex", newMutexBackend(128, nil)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			steps := []struct{ in, want string }{
@@ -81,7 +110,7 @@ func TestDispatchProtocol(t *testing.T) {
 				{"stats", "STATS hits=6 misses=4 evictions=0 expired=0"},
 			}
 			for _, s := range steps {
-				if got := tc.b.handle(s.in); got != s.want {
+				if got := handle(tc.fe, s.in); got != s.want {
 					t.Fatalf("handle(%q) = %q, want %q", s.in, got, s.want)
 				}
 			}
@@ -96,25 +125,22 @@ func TestDispatchProtocol(t *testing.T) {
 // anything.
 func TestMutexBackendReadExpiry(t *testing.T) {
 	var now atomic.Uint64
-	b := &mutexBackend{
-		kv:   apps.NewLockedKV(128, func() sync.Locker { return &sync.Mutex{} }),
-		tick: now.Load,
-	}
-	if got := b.handle("setx 1 10 5"); got != "STORED" {
+	b := newMutexBackend(128, now.Load)
+	if got := handle(b, "setx 1 10 5"); got != "STORED" {
 		t.Fatalf("setx = %q", got)
 	}
-	if got := b.handle("get 1"); got != "VALUE 10" {
+	if got := handle(b, "get 1"); got != "VALUE 10" {
 		t.Fatalf("get before expiry = %q", got)
 	}
 	now.Store(6)
 	// Pure reads from here on: only get/mget may advance the clock.
-	if got := b.handle("get 1"); got != "NOT_FOUND" {
+	if got := handle(b, "get 1"); got != "NOT_FOUND" {
 		t.Fatalf("get after expiry = %q", got)
 	}
-	if got := b.handle("mget 1 2"); got != "VALUES - -" {
+	if got := handle(b, "mget 1 2"); got != "VALUES - -" {
 		t.Fatalf("mget after expiry = %q", got)
 	}
-	if got := b.handle("stats"); !strings.Contains(got, "expired=1") {
+	if got := handle(b, "stats"); !strings.Contains(got, "expired=1") {
 		t.Fatalf("stats = %q, want expired=1", got)
 	}
 }
@@ -133,8 +159,7 @@ func listen(t *testing.T, fe *textFrontend) string {
 }
 
 func TestServeOverTCP(t *testing.T) {
-	b := newFFWDBackend(t, 1024, 8)
-	addr := listen(t, newTextFrontend(b))
+	addr := listen(t, newFFWDBackend(t, 1024, 8))
 
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -168,8 +193,7 @@ func TestServeOverTCP(t *testing.T) {
 }
 
 func TestServeConcurrentConnections(t *testing.T) {
-	b := newFFWDBackend(t, 1<<12, 16)
-	addr := listen(t, newTextFrontend(b))
+	addr := listen(t, newFFWDBackend(t, 1<<12, 16))
 
 	const conns, opsEach = 8, 200
 	var wg sync.WaitGroup
@@ -201,4 +225,42 @@ func TestServeConcurrentConnections(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestPipelinedBurstProgramOrder: one TCP write carrying a burst of
+// commands on one key must be answered as if they ran one after another
+// — a read sees the write pipelined ahead of it, on every backend and at
+// every GOMAXPROCS. This is the per-connection order the text frontend
+// promises; it holds because each backend's text executor is structurally
+// in-order (a one-slot window, a lock, or a run flushed before each
+// read), not because a single core happens to serialize things.
+func TestPipelinedBurstProgramOrder(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		for _, tc := range []struct {
+			name string
+			fe   func() *textFrontend
+		}{
+			{"ffwd", func() *textFrontend { return newFFWDBackend(t, 1024, 4) }},
+			{"mutex", func() *textFrontend { return newMutexBackend(1024, nil) }},
+			{"replicated", func() *textFrontend { return newRepBackend(t, 1024, 4, nil).fe }},
+		} {
+			t.Run(fmt.Sprintf("%s/procs=%d", tc.name, procs), func(t *testing.T) {
+				conn, r, _ := dialText(t, listen(t, tc.fe()))
+				for k := 0; k < 200; k++ {
+					burst := fmt.Sprintf("set %d 1\nset %d 2\nget %d\ndel %d\nget %d\n", k, k, k, k, k)
+					if _, err := conn.Write([]byte(burst)); err != nil {
+						t.Fatal(err)
+					}
+					for i, want := range []string{"STORED", "STORED", "VALUE 2", "DELETED", "NOT_FOUND"} {
+						line, err := r.ReadString('\n')
+						if err != nil || strings.TrimSuffix(line, "\n") != want {
+							t.Fatalf("key %d reply %d = %q, %v; want %q", k, i, line, err, want)
+						}
+					}
+				}
+			})
+		}
+	}
 }

@@ -17,11 +17,12 @@ import (
 // delegation server — just a durable replication endpoint. It recovers
 // its state from -data-dir (torn WAL tails truncated, snapshot
 // restored), serves the leader's session over -replica-member's listen
-// address, fsyncs every accepted append before acking, and exits on
-// SIGINT/SIGTERM. The process-kill chaos harness SIGKILLs it at will;
+// address, fsyncs every accepted append before acking, snapshots and
+// truncates its own log by the leader's rule (-snapshot-every), and
+// exits on SIGINT/SIGTERM. The process-kill chaos harness SIGKILLs it at will;
 // FFWD_CRASH_POINT arms deterministic self-kills inside WAL writes and
 // snapshot installs for the torn-write legs.
-func runReplicaMember(listenAddr, dataDir, fsyncPol string, capacity int) {
+func runReplicaMember(listenAddr, dataDir, fsyncPol string, capacity int, snapEvery uint64) {
 	if dataDir == "" {
 		log.Fatal("ffwdserve: -replica-member requires -data-dir")
 	}
@@ -37,7 +38,7 @@ func runReplicaMember(listenAddr, dataDir, fsyncPol string, capacity int) {
 	if err != nil {
 		log.Fatalf("ffwdserve: open member store: %v", err)
 	}
-	m := replica.NewMember(apps.NewKVMachine(capacity), 0, st)
+	m := replica.NewMember(apps.NewKVMachine(capacity), snapEvery, st)
 	if err := m.Recover(rec.Snap, rec.Entries); err != nil {
 		log.Fatalf("ffwdserve: recover member state: %v", err)
 	}
@@ -54,11 +55,12 @@ func runReplicaMember(listenAddr, dataDir, fsyncPol string, capacity int) {
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	sig := <-sigc
+	srv.Close() // handlers drained: the member is ours to read
 	last, commit, applied := srv.MemberState()
-	sst := srv.Stats()
-	log.Printf("ffwdserve: replica member %v: log=%d commit=%d applied=%d sessions=%d appends=%d nacks=%d snap_installs=%d",
-		sig, last, commit, applied, sst.Sessions, sst.Appends, sst.AppendNacks, sst.SnapInstalls)
-	srv.Close()
+	sst, wst := srv.Stats(), st.Stats()
+	log.Printf("ffwdserve: replica member %v: log=%d commit=%d applied=%d sessions=%d appends=%d nacks=%d snap_installs=%d log_len=%d wal_appends=%d wal_writes=%d wal_snapshots=%d",
+		sig, last, commit, applied, sst.Sessions, sst.Appends, sst.AppendNacks, sst.SnapInstalls,
+		m.LogLen(), wst.Appends, wst.Writes, wst.Snapshots)
 	if err := st.Close(); err != nil {
 		log.Printf("ffwdserve: close member store: %v", err)
 	}

@@ -38,8 +38,7 @@ func dialText(t *testing.T, addr string) (net.Conn, *bufio.Reader, func(cmd stri
 // reply and leave the connection serving — no silent truncation, no
 // silent disconnect.
 func TestProtocolRobustness(t *testing.T) {
-	b := newFFWDBackend(t, 1024, 4)
-	addr := listen(t, newTextFrontend(b))
+	addr := listen(t, newFFWDBackend(t, 1024, 4))
 	_, _, send := dialText(t, addr)
 
 	long := "set 1 " + strings.Repeat("9", maxLine+100)
@@ -73,8 +72,7 @@ func TestProtocolRobustness(t *testing.T) {
 // deadline, not held open forever — and the frontend must keep serving
 // fresh connections afterwards.
 func TestStalledConnectionHitsReadDeadline(t *testing.T) {
-	b := newFFWDBackend(t, 64, 2)
-	fe := newTextFrontend(b)
+	fe := newFFWDBackend(t, 64, 2)
 	fe.readTimeout = 50 * time.Millisecond
 	addr := listen(t, fe)
 
@@ -105,8 +103,7 @@ func TestStalledConnectionHitsReadDeadline(t *testing.T) {
 // closed without a serving goroutine; when a slot frees, admission
 // resumes.
 func TestMaxConnsAdmission(t *testing.T) {
-	b := newFFWDBackend(t, 64, 2)
-	fe := newTextFrontend(b)
+	fe := newFFWDBackend(t, 64, 2)
 	fe.maxConns = 1
 	addr := listen(t, fe)
 
@@ -141,22 +138,31 @@ func TestMaxConnsAdmission(t *testing.T) {
 	}
 }
 
-// TestPoolSaturationSheds: with every pooled delegation handle borrowed,
-// a command must be answered BUSY within the shed timeout instead of
-// queueing indefinitely — and served again once a handle returns.
+// TestPoolSaturationSheds: with every pooled executor borrowed, a
+// command batch must be answered BUSY within the shed timeout instead of
+// queueing indefinitely — every command of it, and only those that
+// needed an executor — and served again once an executor returns.
 func TestPoolSaturationSheds(t *testing.T) {
-	fb := newFFWDBackend(t, 64, 1) // a single pooled handle
-	fb.shedAfter = time.Millisecond
+	fe := newFFWDBackend(t, 64, 1) // a single pooled executor
+	fe.pool.shedAfter = time.Millisecond
 
-	held := <-fb.clients // saturate the pool
-	if got := fb.handle("len"); got != "BUSY delegation pool saturated" {
+	held := fe.pool.get() // saturate the pool
+	if got := handle(fe, "len"); got != "BUSY delegation pool saturated" {
 		t.Fatalf("saturated handle = %q, want BUSY", got)
 	}
-	if got := fb.sheds.Load(); got != 1 {
+	if got := fe.pool.sheds.Load(); got != 1 {
 		t.Fatalf("sheds = %d, want 1", got)
 	}
-	fb.clients <- held
-	if got := fb.handle("len"); got != "LEN 0" {
+	var b textBatch
+	for _, line := range []string{"set 1 1", "bogus", "get 1"} {
+		b.add([]byte(line))
+	}
+	fe.run(&b)
+	if want := busyPool + "\n" + usageMsg + "\n" + busyPool + "\n"; string(b.out) != want {
+		t.Fatalf("saturated batch = %q, want %q", b.out, want)
+	}
+	fe.pool.put(held)
+	if got := handle(fe, "len"); got != "LEN 0" {
 		t.Fatalf("post-release handle = %q", got)
 	}
 }
@@ -167,18 +173,18 @@ func TestReadLineBounds(t *testing.T) {
 	fits := strings.Repeat("a", maxLine-1) + "\n"
 	over := strings.Repeat("b", maxLine) + "\n"
 	r := bufio.NewReaderSize(strings.NewReader(fits+over+"next\n"), maxLine)
-	if line, err := readLine(r); err != nil || line != fits {
+	if line, err := readLine(r); err != nil || string(line) != fits {
 		t.Fatalf("exact-fit line: %q, %v", line[:16], err)
 	}
 	if _, err := readLine(r); err != errLineTooLong {
 		t.Fatalf("over line: %v, want errLineTooLong", err)
 	}
-	if line, err := readLine(r); err != nil || line != "next\n" {
+	if line, err := readLine(r); err != nil || string(line) != "next\n" {
 		t.Fatalf("stream desynced after overlong line: %q, %v", line, err)
 	}
 	// A trailing line without a newline is still a command.
 	r = bufio.NewReaderSize(strings.NewReader("quit"), maxLine)
-	if line, err := readLine(r); err != nil || line != "quit" {
+	if line, err := readLine(r); err != nil || string(line) != "quit" {
 		t.Fatalf("unterminated final line: %q, %v", line, err)
 	}
 }

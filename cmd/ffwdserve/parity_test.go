@@ -2,9 +2,8 @@ package main
 
 import (
 	"errors"
-	"fmt"
 	"net"
-	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -70,80 +69,32 @@ func (b *binParityClient) roundTrip(req *wireproto.Request) wireproto.Response {
 }
 
 // handle runs one text-protocol command through the binary frontend and
-// renders the reply in the text reply format. Formatting the stats
-// response through statsLine is the point: the parity test fails if the
-// binary frontend's stats fields could not reproduce the text reply.
+// renders the reply in the text reply format: the command goes through
+// the text parser to a frontend.Op, the Op's fields ride a binary
+// request, and the binary response's fields come back through the text
+// formatter. Parity then says exactly that both frontends hand the
+// executor the same Op and get the same Result back.
 func (b *binParityClient) handle(line string) string {
 	b.t.Helper()
-	op, args, err := parse(line)
-	if err != nil {
-		b.t.Fatalf("parse(%q): %v", line, err)
+	var op frontend.Op
+	// (A reserved-value set parses to its Op and a refusal; send the Op
+	// anyway — the binary frontend must refuse it in the same words.)
+	if parse([]byte(line), &op, nil); op.Kind == wireproto.OpNop {
+		b.t.Fatalf("no binary equivalent for %q", line)
 	}
-	var req wireproto.Request
-	switch op {
-	case "get":
-		req.Op, req.Key = wireproto.OpGet, args[0]
-	case "set":
-		req.Op, req.Key, req.Val = wireproto.OpSet, args[0], args[1]
-	case "setx":
-		req.Op, req.Key, req.Val, req.TTL = wireproto.OpSetTTL, args[0], args[1], args[2]
-	case "touch":
-		req.Op, req.Key, req.TTL = wireproto.OpTouch, args[0], args[1]
-	case "del":
-		req.Op, req.Key = wireproto.OpDel, args[0]
-	case "mget":
-		req.Op, req.Keys = wireproto.OpMGet, args
-	case "len":
-		req.Op = wireproto.OpLen
-	case "stats":
-		req.Op = wireproto.OpStats
-	default:
-		b.t.Fatalf("no binary equivalent for %q", op)
-	}
-	resp := b.roundTrip(&req)
-	switch resp.Type {
-	case wireproto.RespValue:
-		return fmt.Sprintf("VALUE %d", resp.Val)
-	case wireproto.RespNotFound:
-		return "NOT_FOUND"
-	case wireproto.RespStored:
-		return "STORED"
-	case wireproto.RespDeleted:
-		return "DELETED"
-	case wireproto.RespTouched:
-		return "TOUCHED"
-	case wireproto.RespLen:
-		return fmt.Sprintf("LEN %d", resp.Val)
-	case wireproto.RespStats:
-		return statsLine(resp.Hits, resp.Misses, resp.Evictions, resp.Expired)
-	case wireproto.RespValues:
-		var sb strings.Builder
-		sb.WriteString("VALUES")
-		for _, v := range resp.Vals {
-			if v == wireproto.MissValue {
-				sb.WriteString(" -")
-			} else {
-				fmt.Fprintf(&sb, " %d", v)
-			}
-		}
-		return sb.String()
-	case wireproto.RespError:
-		if resp.Code == wireproto.CodeValueReserved {
-			return "ERROR value reserved"
-		}
-		return fmt.Sprintf("ERROR code %d", resp.Code)
-	default:
-		b.t.Fatalf("unexpected response type 0x%02x", resp.Type)
-		return ""
-	}
+	resp := b.roundTrip(&wireproto.Request{Op: op.Kind, Key: op.Key, Val: op.Val, TTL: op.TTL, Keys: op.Keys})
+	return string(appendReply(nil, &frontend.Result{
+		Status: resp.Type, Val: resp.Val, Code: resp.Code, Vals: resp.Vals,
+		Hits: resp.Hits, Misses: resp.Misses, Evictions: resp.Evictions, Expired: resp.Expired,
+	}))
 }
 
 // TestFrontendParity runs one op sequence through both frontends over
 // TCP — the text protocol against a textFrontend, the binary protocol
 // against the internal/frontend dataplane — each over its own
-// identically configured delegated store, and requires every reply to
-// match verbatim once the binary responses are rendered in text form.
-// The stats step pins the regression the shared statsLine formatter
+// identically configured store, for every backend, and requires every
+// reply to match verbatim once the binary responses are rendered in text
+// form. The stats step pins the regression the shared statsLine formatter
 // exists for: both frontends must report identical stats fields.
 func TestFrontendParity(t *testing.T) {
 	const (
@@ -151,60 +102,6 @@ func TestFrontendParity(t *testing.T) {
 		shards   = 2
 		depth    = 4
 	)
-
-	// Text frontend over its own store.
-	tb := newFFWDBackend(t, capacity, 4)
-	taddr := listen(t, newTextFrontend(tb))
-	tconn, err := net.Dial("tcp", taddr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tconn.Close()
-	trd := make([]byte, 0, 4096)
-	textHandle := func(line string) string {
-		t.Helper()
-		if _, err := fmt.Fprintln(tconn, line); err != nil {
-			t.Fatal(err)
-		}
-		tconn.SetReadDeadline(time.Now().Add(5 * time.Second))
-		for {
-			if i := strings.IndexByte(string(trd), '\n'); i >= 0 {
-				line := strings.TrimRight(string(trd[:i]), "\r\n")
-				trd = append(trd[:0], trd[i+1:]...)
-				return line
-			}
-			var buf [512]byte
-			n, err := tconn.Read(buf[:])
-			if err != nil {
-				t.Fatal(err)
-			}
-			trd = append(trd, buf[:n]...)
-		}
-	}
-
-	// Binary frontend over a second store with the same capacity.
-	d := apps.NewDelegatedKV(capacity, ffwdExecSlots(shards, depth))
-	if err := d.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(d.Stop)
-	execs, err := newFFWDExecs(d, shards, depth, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bsrv, err := frontend.NewServer(frontend.Config{Execs: execs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(bsrv.Close)
-	bln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { bln.Close() })
-	go bsrv.Serve(bln)
-	bc := dialBinary(t, bln.Addr().String())
-
 	steps := []string{
 		"get 1",
 		"set 1 42",
@@ -229,11 +126,64 @@ func TestFrontendParity(t *testing.T) {
 		"len",
 		"stats",
 	}
-	for _, cmd := range steps {
-		want := textHandle(cmd)
-		got := bc.handle(cmd)
-		if got != want {
-			t.Fatalf("parity break on %q: text=%q binary=%q", cmd, want, got)
-		}
+	for _, tc := range []struct {
+		name string
+		// build returns a text frontend and a shard executor list, each
+		// over a fresh store.
+		build func(t *testing.T) (*textFrontend, []frontend.Exec)
+		// skip names a step the two frontends answer differently by design.
+		skip string
+	}{
+		{name: "ffwd", build: func(t *testing.T) (*textFrontend, []frontend.Exec) {
+			d := apps.NewDelegatedKV(capacity, ffwdExecSlots(shards, ffwdExecWindow, depth))
+			if err := d.Start(); err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(d.Stop)
+			execs, err := newFFWDExecs(d, shards, ffwdExecWindow, depth, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return newFFWDBackend(t, capacity, 4), execs
+		}},
+		{name: "mutex", build: func(t *testing.T) (*textFrontend, []frontend.Exec) {
+			kv := apps.NewLockedKV(capacity, func() sync.Locker { return &sync.Mutex{} })
+			return newMutexBackend(capacity, nil), newMutexExecs(kv, shards, nil, 0)
+		}},
+		// The replicated text stats verb reports the group; the binary
+		// stats response has no fields for one and is refused.
+		{name: "replicated", skip: "stats", build: func(t *testing.T) (*textFrontend, []frontend.Exec) {
+			rb := newRepBackend(t, capacity, shards, nil)
+			return newRepBackend(t, capacity, 4, nil).fe, newRepExecs(rb.r, shards, rb.cnt)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fe, execs := tc.build(t)
+			_, _, textHandle := dialText(t, listen(t, fe))
+
+			bsrv, err := frontend.NewServer(frontend.Config{Execs: execs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(bsrv.Close)
+			bln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { bln.Close() })
+			go bsrv.Serve(bln)
+			bc := dialBinary(t, bln.Addr().String())
+
+			for _, cmd := range steps {
+				if cmd == tc.skip {
+					continue
+				}
+				want := textHandle(cmd)
+				got := bc.handle(cmd)
+				if got != want {
+					t.Fatalf("parity break on %q: text=%q binary=%q", cmd, want, got)
+				}
+			}
+		})
 	}
 }

@@ -2,174 +2,146 @@ package main
 
 import (
 	"fmt"
-	"strings"
 	"sync/atomic"
-	"time"
 
 	"ffwd/internal/apps"
+	"ffwd/internal/frontend"
+	"ffwd/internal/replica"
+	"ffwd/internal/wireproto"
 )
 
-// The replicated backend: -replicas N (N > 1) serves the same protocol
-// through an apps.ReplicatedKV, a raft-style replica group in which every
-// write is quorum-acknowledged before STORED/DELETED goes back on the
-// wire, and a crash of the serving leader promotes a follower instead of
-// losing the store. Reads stay leader-local; writes pay the replication
-// toll — `stats` reports the group's term, commit index, and failover
+// The replicated backend: -replicas N (N > 1) or -data-dir serves the
+// same protocols through an apps.ReplicatedKV, a raft-style replica
+// group in which every write is quorum-acknowledged before
+// STORED/DELETED goes back on the wire, and a crash of the serving
+// leader promotes a follower instead of losing the store. Reads stay
+// leader-local; writes pay the replication toll once per run: the text
+// `stats` verb reports the group's term, commit index, and failover
 // counters instead of the single store's hit/miss line.
 
-// repConn is one pooled replicated-delegation handle with its own
-// replication identity (clientID, seq) for exactly-once dedup.
-type repConn struct {
-	kv *apps.RKVClient
+// repCounters are the drain report's split of leader-local ops
+// (get/mget/len) from replicated ops (set/del), shared by every
+// executor: a replicated op force-closed mid-flight may still commit on
+// the group, so its in-flight count is the interesting number at
+// shutdown.
+type repCounters struct {
+	localOps    atomic.Uint64 // completed leader-local reads
+	repOps      atomic.Uint64 // completed replicated writes
+	repInFlight atomic.Int64
 }
 
-type repBackend struct {
-	r       *apps.ReplicatedKV
-	clients chan *repConn
+// repExec executes batches against the replicated store through its own
+// replication identity (clientID, seq). It walks a batch in order and
+// commits each run of consecutive writes as one group commit — one
+// delegated call, one leader WAL write, one append frame, one quorum
+// wait — so a connection's pipelined burst of SETs costs what one SET
+// used to. A read flushes the run pending before it, which is all that
+// per-connection order and read-your-writes need.
+type repExec struct {
+	kv  *apps.RKVClient
+	cnt *repCounters
 
-	// shedAfter/sheds mirror ffwdBackend's bounded pool wait.
-	shedAfter time.Duration
-	sheds     atomic.Uint64
-
-	// The drain report separates leader-local ops (get/mget/len) from
-	// replicated ops (set/del): a replicated op force-closed mid-flight
-	// may still commit on the group, so its in-flight count is the
-	// interesting number at shutdown.
-	localOps      atomic.Uint64 // completed leader-local reads
-	repOps        atomic.Uint64 // completed replicated writes
-	localInFlight atomic.Int64
-	repInFlight   atomic.Int64
+	ws   []replica.Write // the pending run
+	at   []int           // ws[j] answers results[at[j]]
+	rets []uint64
 }
 
-// newRepBackendPool preallocates n pooled replication handles.
-func newRepBackendPool(r *apps.ReplicatedKV, n int) *repBackend {
-	rb := &repBackend{r: r, clients: make(chan *repConn, n)}
-	for i := 0; i < n; i++ {
-		rb.clients <- &repConn{kv: r.NewClient()}
+// newRepExecs builds n executors, each with its own replication handle.
+func newRepExecs(r *apps.ReplicatedKV, n int, cnt *repCounters) []frontend.Exec {
+	execs := make([]frontend.Exec, n)
+	for i := range execs {
+		execs[i] = &repExec{kv: r.NewClient(), cnt: cnt}
 	}
-	return rb
+	return execs
 }
 
 // repValueMax is the first reserved value: the top of the value space
 // carries the replicated response sentinels.
 const repValueMax = ^uint64(2)
 
-func (rb *repBackend) handle(line string) string {
-	var c *repConn
-	if rb.shedAfter <= 0 {
-		c = <-rb.clients
-	} else {
-		select {
-		case c = <-rb.clients:
+// flush commits the pending run and answers its ops. A run that fails
+// (retries exhausted during a failover or quorum loss) answers BUSY from
+// the failed write on, never STORED.
+func (e *repExec) flush(results []frontend.Result) {
+	if len(e.ws) == 0 {
+		return
+	}
+	e.cnt.repInFlight.Add(int64(len(e.ws)))
+	e.rets = append(e.rets[:0], make([]uint64, len(e.ws))...)
+	done, _ := e.kv.WriteBatch(e.ws, e.rets)
+	for j, i := range e.at {
+		switch {
+		case j >= done:
+			results[i].Status = wireproto.RespBusy
+		case e.ws[j].Kind == replica.OpSet:
+			results[i].Status = wireproto.RespStored
 		default:
-			t := time.NewTimer(rb.shedAfter)
-			select {
-			case c = <-rb.clients:
-				t.Stop()
-			case <-t.C:
-				rb.sheds.Add(1)
-				return "BUSY delegation pool saturated"
-			}
+			results[i].Status = found(e.rets[j] == 1, wireproto.RespDeleted)
 		}
 	}
-	defer func() { rb.clients <- c }()
-	return rb.dispatch(c, line)
+	e.cnt.repInFlight.Add(-int64(len(e.ws)))
+	e.cnt.repOps.Add(uint64(len(e.ws)))
+	e.ws, e.at = e.ws[:0], e.at[:0]
 }
 
-// dispatch is the replicated protocol switch. It cannot reuse
-// dispatchStats: replicated ops can fail (retries exhausted during a
-// failover or quorum loss), and a failed write must answer BUSY, never
-// STORED.
-func (rb *repBackend) dispatch(c *repConn, line string) string {
-	op, args, err := parse(line)
+func (e *repExec) ExecBatch(ops []frontend.Op, results []frontend.Result) {
+	for i := range ops {
+		op, res := &ops[i], &results[i]
+		switch op.Kind {
+		case wireproto.OpSet:
+			if op.Val >= repValueMax {
+				res.Status, res.Code = wireproto.RespError, wireproto.CodeValueReserved
+			} else {
+				e.ws, e.at = append(e.ws, replica.Write{Kind: replica.OpSet, Key: op.Key, Val: op.Val}), append(e.at, i)
+			}
+		case wireproto.OpDel:
+			e.ws, e.at = append(e.ws, replica.Write{Kind: replica.OpDel, Key: op.Key}), append(e.at, i)
+		case wireproto.OpGet, wireproto.OpMGet, wireproto.OpLen:
+			e.flush(results)
+			e.read(op, res)
+			e.cnt.localOps.Add(1)
+		default:
+			// TTL ops are not in the replicated command set yet, and the
+			// typed stats result has no fields for a group.
+			res.Status, res.Code = wireproto.RespError, wireproto.CodeBadOp
+		}
+	}
+	e.flush(results)
+}
+
+// read answers one leader-local op.
+func (e *repExec) read(op *frontend.Op, res *frontend.Result) {
+	var err error
+	switch op.Kind {
+	case wireproto.OpGet:
+		var ok bool
+		res.Val, ok, err = e.kv.Get(op.Key)
+		res.Status = found(ok, wireproto.RespValue)
+	case wireproto.OpMGet:
+		for j, k := range op.Keys {
+			var ok bool
+			if res.Vals[j], ok, err = e.kv.Get(k); err != nil {
+				break
+			} else if !ok {
+				res.Vals[j] = wireproto.MissValue
+			}
+		}
+		res.Status = wireproto.RespValues
+	case wireproto.OpLen:
+		var n int
+		n, err = e.kv.Len()
+		res.Status, res.Val = wireproto.RespLen, uint64(n)
+	}
 	if err != nil {
-		return "ERROR " + err.Error()
+		*res = frontend.Result{Status: wireproto.RespBusy, Vals: res.Vals}
 	}
-	local := func(f func() string) string {
-		rb.localInFlight.Add(1)
-		defer rb.localInFlight.Add(-1)
-		resp := f()
-		rb.localOps.Add(1)
-		return resp
-	}
-	replicated := func(f func() string) string {
-		rb.repInFlight.Add(1)
-		defer rb.repInFlight.Add(-1)
-		resp := f()
-		rb.repOps.Add(1)
-		return resp
-	}
-	const busy = "BUSY replicated shard unavailable"
-	switch {
-	case op == "get" && len(args) == 1:
-		return local(func() string {
-			v, ok, err := c.kv.Get(args[0])
-			switch {
-			case err != nil:
-				return busy
-			case ok:
-				return fmt.Sprintf("VALUE %d", v)
-			default:
-				return "NOT_FOUND"
-			}
-		})
-	case op == "mget" && len(args) >= 1:
-		if len(args) > mgetMax {
-			return fmt.Sprintf("ERROR mget limited to %d keys", mgetMax)
-		}
-		return local(func() string {
-			var sb strings.Builder
-			sb.WriteString("VALUES")
-			for _, k := range args {
-				v, ok, err := c.kv.Get(k)
-				switch {
-				case err != nil:
-					return busy
-				case ok:
-					fmt.Fprintf(&sb, " %d", v)
-				default:
-					sb.WriteString(" -")
-				}
-			}
-			return sb.String()
-		})
-	case op == "set" && len(args) == 2:
-		if args[1] >= repValueMax {
-			return "ERROR value reserved"
-		}
-		return replicated(func() string {
-			if err := c.kv.Set(args[0], args[1]); err != nil {
-				return busy
-			}
-			return "STORED"
-		})
-	case op == "del" && len(args) == 1:
-		return replicated(func() string {
-			present, err := c.kv.Delete(args[0])
-			switch {
-			case err != nil:
-				return busy
-			case present:
-				return "DELETED"
-			default:
-				return "NOT_FOUND"
-			}
-		})
-	case op == "len" && len(args) == 0:
-		return local(func() string {
-			n, err := c.kv.Len()
-			if err != nil {
-				return busy
-			}
-			return fmt.Sprintf("LEN %d", n)
-		})
-	case op == "stats" && len(args) == 0:
-		st := rb.r.Group().Stats()
-		return fmt.Sprintf("STATS term=%d leader=%d alive=%d/%d commit_index=%d commits=%d ledger_hits=%d apply_dups=%d append_drops=%d failovers=%d snapshots=%d snapshot_installs=%d log_truncated=%d remote_acks=%d remote_nacks=%d",
-			st.Term, st.LeaderID, st.AliveReplicas, st.Replicas, st.CommitIndex,
-			st.Commits, st.LedgerHits, st.ApplyDups, st.AppendDrops, st.Failovers,
-			st.Snapshots, st.SnapshotInstalls, st.EntriesTruncated, st.RemoteAcks, st.RemoteNacks)
-	default:
-		return usageMsg
-	}
+}
+
+// repStatsLine is the replicated text frontend's stats reply.
+func repStatsLine(g *replica.Group) string {
+	st := g.Stats()
+	return fmt.Sprintf("STATS term=%d leader=%d alive=%d/%d commit_index=%d commits=%d ledger_hits=%d apply_dups=%d append_drops=%d failovers=%d snapshots=%d snapshot_installs=%d log_truncated=%d remote_acks=%d remote_nacks=%d",
+		st.Term, st.LeaderID, st.AliveReplicas, st.Replicas, st.CommitIndex,
+		st.Commits, st.LedgerHits, st.ApplyDups, st.AppendDrops, st.Failovers,
+		st.Snapshots, st.SnapshotInstalls, st.EntriesTruncated, st.RemoteAcks, st.RemoteNacks)
 }

@@ -11,6 +11,13 @@ import (
 	"ffwd/internal/fault"
 )
 
+// repBackend is a text frontend over a fresh 3-replica in-process group.
+type repBackend struct {
+	fe  *textFrontend
+	r   *apps.ReplicatedKV
+	cnt *repCounters
+}
+
 func newRepBackend(t *testing.T, capacity, clients int, hooks core.Hooks) *repBackend {
 	t.Helper()
 	r, err := apps.NewReplicatedKV(capacity, apps.ReplicatedConfig{
@@ -25,7 +32,10 @@ func newRepBackend(t *testing.T, capacity, clients int, hooks core.Hooks) *repBa
 		t.Fatal(err)
 	}
 	t.Cleanup(r.Stop)
-	return newRepBackendPool(r, clients)
+	rb := &repBackend{r: r, cnt: &repCounters{}}
+	rb.fe = newTextFrontend(newExecPool(newRepExecs(r, clients, rb.cnt)))
+	rb.fe.statsReply = func() string { return repStatsLine(r.Group()) }
+	return rb
 }
 
 // TestReplicatedServeOverTCP: the replicated backend speaks the same
@@ -33,7 +43,7 @@ func newRepBackend(t *testing.T, capacity, clients int, hooks core.Hooks) *repBa
 // replication counters.
 func TestReplicatedServeOverTCP(t *testing.T) {
 	rb := newRepBackend(t, 1024, 4, nil)
-	addr := listen(t, newTextFrontend(rb))
+	addr := listen(t, rb.fe)
 	_, _, send := dialText(t, addr)
 
 	if got := send("set 7 700"); got != "STORED" {
@@ -75,11 +85,11 @@ func TestReplicatedServeOverTCP(t *testing.T) {
 	if got := send("len"); got != "LEN 0" {
 		t.Fatalf("len: %q", got)
 	}
-	if lo, ro := rb.localOps.Load(), rb.repOps.Load(); lo != 5 || ro != 3 {
+	if lo, ro := rb.cnt.localOps.Load(), rb.cnt.repOps.Load(); lo != 5 || ro != 3 {
 		t.Fatalf("op split local=%d replicated=%d, want 5/3", lo, ro)
 	}
-	if lf, rf := rb.localInFlight.Load(), rb.repInFlight.Load(); lf != 0 || rf != 0 {
-		t.Fatalf("in-flight local=%d replicated=%d after quiesce, want 0/0", lf, rf)
+	if rf := rb.cnt.repInFlight.Load(); rf != 0 {
+		t.Fatalf("in-flight replicated=%d after quiesce, want 0", rf)
 	}
 }
 
@@ -89,7 +99,7 @@ func TestReplicatedServeOverTCP(t *testing.T) {
 func TestReplicatedServeFailover(t *testing.T) {
 	inj := fault.New(fault.Plan{KillAtOp: 4})
 	rb := newRepBackend(t, 1024, 2, inj)
-	addr := listen(t, newTextFrontend(rb))
+	addr := listen(t, rb.fe)
 	_, _, send := dialText(t, addr)
 
 	for i := 1; i <= 6; i++ {
@@ -112,3 +122,42 @@ func TestReplicatedServeFailover(t *testing.T) {
 }
 
 func itoa(n int) string { return strconv.Itoa(n) }
+
+// TestReplicatedBurstIsOneGroupCommit: a connection's pipelined burst of
+// SETs, sent in one TCP write, reaches the group as one proposal — one
+// delegated call, one append round per follower — and a read behind it
+// sees the burst's last write.
+func TestReplicatedBurstIsOneGroupCommit(t *testing.T) {
+	rb := newRepBackend(t, 1024, 2, nil)
+	conn, r, send := dialText(t, listen(t, rb.fe))
+	if got := send("set 1 1"); got != "STORED" { // binds the executor's handle
+		t.Fatalf("set: %q", got)
+	}
+	req0, st0 := rb.r.Server().Stats().Requests, rb.r.Group().Stats()
+
+	burst := ""
+	for i := 1; i <= 8; i++ {
+		burst += "set 5 " + itoa(i) + "\n"
+	}
+	if _, err := conn.Write([]byte(burst + "get 5\n")); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 9; i++ {
+		line, err := r.ReadString('\n')
+		want := "STORED\n"
+		if i == 9 {
+			want = "VALUE 8\n"
+		}
+		if err != nil || line != want {
+			t.Fatalf("reply %d = %q, %v; want %q", i, line, err, want)
+		}
+	}
+	st := rb.r.Group().Stats()
+	if got := rb.r.Server().Stats().Requests - req0; got != 2 {
+		t.Fatalf("%d delegated calls for a burst of 8 sets and a get, want 2", got)
+	}
+	if st.Commits-st0.Commits != 8 || st.AppendAttempts-st0.AppendAttempts != 2 {
+		t.Fatalf("commits +%d, follower appends +%d; want 8 entries in one round to each of 2 followers",
+			st.Commits-st0.Commits, st.AppendAttempts-st0.AppendAttempts)
+	}
+}

@@ -9,6 +9,7 @@ import (
 	"ffwd/internal/core"
 	"ffwd/internal/fault"
 	"ffwd/internal/linear"
+	"ffwd/internal/replica"
 )
 
 // The replicated chaos suite: a 3-member ReplicatedKV is driven by
@@ -57,6 +58,9 @@ func repairLoop(r *ReplicatedKV, stop <-chan struct{}, done *sync.WaitGroup) {
 // checks the full recorded history against the sequential KV model —
 // unique per-(worker,op) values make any lost or doubly-applied write
 // visible — then proves the checker bites by mutating one real read.
+// Half the workers write one op at a time; the other half commit bursts
+// through WriteBatch, so group commits — including runs closed at a
+// delete and bursts retried across a leader kill — are in every history.
 func TestReplicaChaosLinearizable(t *testing.T) {
 	const workers, opsEach, keys = 4, 200, 8
 	for _, seed := range rkvSeeds(t) {
@@ -97,14 +101,32 @@ func TestReplicaChaosLinearizable(t *testing.T) {
 					for i := 0; i < opsEach; i++ {
 						key := rkvSplitmix(&rng) % keys
 						v := uint64(w+1)<<32 | uint64(i+1)
-						switch rkvSplitmix(&rng) % 10 {
-						case 0, 1, 2, 3: // set
+						switch op := rkvSplitmix(&rng) % 10; {
+						case op < 5 && w%2 == 1: // a burst of writes, one WriteBatch
+							ws := make([]replica.Write, 2+rkvSplitmix(&rng)%4)
+							idx := make([]int, len(ws))
+							for j := range ws {
+								k := rkvSplitmix(&rng) % keys
+								if rkvSplitmix(&rng)%5 == 0 {
+									ws[j] = replica.Write{Kind: replica.OpDel, Key: k}
+									idx[j] = rec.Invoke(w, linear.KVDel, k, 0)
+								} else {
+									ws[j] = replica.Write{Kind: replica.OpSet, Key: k, Val: v<<4 | uint64(j)}
+									idx[j] = rec.Invoke(w, linear.KVSet, k, ws[j].Val)
+								}
+							}
+							rets := make([]uint64, len(ws))
+							done, _ := k.WriteBatch(ws, rets)
+							for j := 0; j < done; j++ { // the rest: fate unknown, stays pending
+								rec.Complete(idx[j], 0, ws[j].Kind == replica.OpDel && rets[j] == 1)
+							}
+						case op < 4: // set
 							idx := rec.Invoke(w, linear.KVSet, key, v)
 							if err := k.Set(key, v); err != nil {
 								continue // fate unknown: op stays pending
 							}
 							rec.Complete(idx, 0, false)
-						case 4: // delete
+						case op == 4: // delete
 							idx := rec.Invoke(w, linear.KVDel, key, 0)
 							present, err := k.Delete(key)
 							if err != nil {

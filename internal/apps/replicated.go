@@ -150,8 +150,7 @@ var ErrReplicatedDown = errors.New("apps: replicated KV unavailable (retries exh
 // clients need no synchronization to name them across failovers.
 const (
 	rfidGet core.FuncID = iota
-	rfidSet
-	rfidDel
+	rfidWrite
 	rfidLen
 )
 
@@ -218,6 +217,27 @@ type ReplicatedKV struct {
 	closeCh chan struct{}
 
 	nextClientID atomic.Uint64
+
+	// runs holds every live handle's write-run buffer by client ID: the
+	// delegated write function finds the batch it was asked to commit
+	// here, because a request carries six words, not a batch. A handle
+	// that gives up on a batch drops its entry (see RKVClient.retire), so
+	// a request of its still sitting in a slot finds nothing to read.
+	runMu sync.Mutex
+	runs  map[uint64]*writeRun
+}
+
+// writeRun is one handle's batch buffer. The handle fills it before it
+// delegates and leaves it alone until that delegation is answered, so
+// the server goroutine reads it race-free in between.
+type writeRun struct {
+	ws []replica.Write
+}
+
+func (r *ReplicatedKV) run(clientID uint64) *writeRun {
+	r.runMu.Lock()
+	defer r.runMu.Unlock()
+	return r.runs[clientID]
 }
 
 // NewReplicatedKV builds the group (capacity entries per replica) and
@@ -235,7 +255,7 @@ func NewReplicatedKV(capacity int, cfg ReplicatedConfig) (*ReplicatedKV, error) 
 	if cfg.Replicas <= 0 {
 		cfg.Replicas = 3
 	}
-	r := &ReplicatedKV{cfg: cfg, closeCh: make(chan struct{})}
+	r := &ReplicatedKV{cfg: cfg, closeCh: make(chan struct{}), runs: make(map[uint64]*writeRun)}
 	g, err := replica.NewGroup(replica.GroupConfig{
 		Replicas:      cfg.Replicas,
 		SnapshotEvery: cfg.SnapshotEvery,
@@ -277,7 +297,7 @@ func newDurableKV(capacity int, cfg ReplicatedConfig) (*ReplicatedKV, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &ReplicatedKV{cfg: cfg, pinned: true, store: st, closeCh: make(chan struct{})}
+	r := &ReplicatedKV{cfg: cfg, pinned: true, store: st, closeCh: make(chan struct{}), runs: make(map[uint64]*writeRun)}
 	// Client IDs key the replicated exactly-once ledger, and the ledger
 	// is recovered from disk: if a restarted process handed out the same
 	// IDs as its previous incarnation, a new client's first writes would
@@ -333,8 +353,9 @@ func (r *ReplicatedKV) Start() error {
 
 // buildLeaderLocked constructs a delegation server + supervisor bound to
 // the given leader replica and publishes it as generation epoch. The
-// delegated functions capture the replica; every write proposes through
-// the group, every read is leader-local through Peek.
+// delegated functions capture the replica; a run of writes proposes
+// through the group as one batch, every read is leader-local through
+// Peek.
 func (r *ReplicatedKV) buildLeaderLocked(rep *replica.Replica, epoch uint64) error {
 	g := r.g
 	srv := core.NewServer(r.cfg.Core)
@@ -348,11 +369,15 @@ func (r *ReplicatedKV) buildLeaderLocked(rep *replica.Replica, epoch uint64) err
 		}
 		return v
 	})
-	fidSet := srv.Register(func(a *[core.MaxArgs]uint64) uint64 {
-		return proposeRet(g.Propose(rep, a[0], a[1], replica.OpSet, a[2], a[3]))
-	})
-	fidDel := srv.Register(func(a *[core.MaxArgs]uint64) uint64 {
-		return proposeRet(g.Propose(rep, a[0], a[1], replica.OpDel, a[2], 0))
+	// (clientID, firstSeq, n): commit the first n writes of the client's
+	// run buffer as one batch. A missing buffer means the handle gave up
+	// on this request; nobody is waiting for the answer.
+	fidWrite := srv.Register(func(a *[core.MaxArgs]uint64) uint64 {
+		run := r.run(a[0])
+		if run == nil {
+			return repNotLeaderSentinel
+		}
+		return proposeRet(g.ProposeBatch(rep, a[0], a[1], run.ws[:a[2]]))
 	})
 	fidLen := srv.Register(func(*[core.MaxArgs]uint64) uint64 {
 		if !g.IsLeader(rep) {
@@ -360,7 +385,7 @@ func (r *ReplicatedKV) buildLeaderLocked(rep *replica.Replica, epoch uint64) err
 		}
 		return uint64(rep.SM().(*kvMachine).s.Len())
 	})
-	if fidGet != rfidGet || fidSet != rfidSet || fidDel != rfidDel || fidLen != rfidLen {
+	if fidGet != rfidGet || fidWrite != rfidWrite || fidLen != rfidLen {
 		panic("apps: replicated FuncID registration order drifted")
 	}
 	if err := srv.Start(); err != nil {
@@ -546,6 +571,7 @@ type RKVClient struct {
 	r      *ReplicatedKV
 	id     uint64
 	seq    uint64
+	run    *writeRun // this identity's batch buffer, registered in r.runs
 	epoch  uint64
 	c      *core.Client
 	policy RKVPolicy
@@ -563,12 +589,27 @@ func (r *ReplicatedKV) NewClient() *RKVClient {
 
 // NewClientPolicy returns a handle with an explicit retry policy.
 func (r *ReplicatedKV) NewClientPolicy(p RKVPolicy) *RKVClient {
-	return &RKVClient{
-		r:      r,
-		id:     r.nextClientID.Add(1),
-		policy: p.withDefaults(),
-		cancel: make(chan struct{}),
-	}
+	k := &RKVClient{r: r, policy: p.withDefaults(), cancel: make(chan struct{})}
+	k.enroll()
+	return k
+}
+
+// enroll gives the handle a fresh replication identity and registers its
+// run buffer under it.
+func (k *RKVClient) enroll() {
+	k.id, k.seq, k.run = k.r.nextClientID.Add(1), 0, &writeRun{}
+	k.r.runMu.Lock()
+	k.r.runs[k.id] = k.run
+	k.r.runMu.Unlock()
+}
+
+// retire withdraws the handle's identity: its run buffer leaves the
+// registry, so a request still parked in a delegation slot can no longer
+// reach it.
+func (k *RKVClient) retire() {
+	k.r.runMu.Lock()
+	delete(k.r.runs, k.id)
+	k.r.runMu.Unlock()
 }
 
 // Close releases the handle's delegation slot (if bound) and interrupts
@@ -576,6 +617,7 @@ func (r *ReplicatedKV) NewClientPolicy(p RKVPolicy) *RKVClient {
 // goroutine.
 func (k *RKVClient) Close() {
 	k.cancelOnce.Do(func() { close(k.cancel) })
+	k.retire()
 	if k.c != nil {
 		k.c.Close()
 		k.c = nil
@@ -678,27 +720,66 @@ func (k *RKVClient) Get(key uint64) (uint64, bool, error) {
 	return v, true, nil
 }
 
-// Set writes key=value through the replicated log. Values at or above
-// repNoQuorumSentinel are rejected (the top three words of the value
-// space are response sentinels).
-func (k *RKVClient) Set(key, value uint64) error {
-	if value >= repNoQuorumSentinel {
-		panic("apps: value collides with replicated response sentinels")
+// WriteBatch commits ws in order through the replicated log, as few
+// quorum round trips as exactly-once allows: each run of writes up to and
+// including the next OpDel is one delegated call and one group commit
+// (one leader WAL write, one append frame per follower, one quorum
+// wait). rets[i] receives ws[i]'s applied result — 0 for a set, 1/0 for
+// a delete that did/did not find its key. It returns how many writes
+// committed; on error the rest were not attempted, and the fate of the
+// run that failed is unknown, exactly like a single failed write.
+//
+// A run ends at a delete because the replicated ledger keeps one result
+// per client: a retried run can recover its last write's result from the
+// ledger and a set's result is the constant 0, but a delete's result in
+// the middle of a run would be gone (DESIGN.md, "What a retried batch
+// returns"). Set values at or above repNoQuorumSentinel are rejected:
+// the top three words of the value space are response sentinels.
+func (k *RKVClient) WriteBatch(ws []replica.Write, rets []uint64) (int, error) {
+	for done := 0; done < len(ws); {
+		n := 0
+		for n < len(ws)-done {
+			w := ws[done+n]
+			if w.Kind == replica.OpSet && w.Val >= repNoQuorumSentinel {
+				panic("apps: value collides with replicated response sentinels")
+			}
+			if n++; w.Kind == replica.OpDel {
+				break
+			}
+		}
+		k.run.ws = append(k.run.ws[:0], ws[done:done+n]...)
+		ret, err := k.do(rfidWrite, k.id, k.seq+1, uint64(n), 0, 3)
+		if err != nil {
+			// The request may still sit in a slot, and must never run
+			// against a buffer refilled with later writes: take a new
+			// identity (and with it a new buffer) for whatever comes next.
+			k.retire()
+			k.enroll()
+			return done, err
+		}
+		k.seq += uint64(n)
+		for i := 0; i < n-1; i++ {
+			rets[done+i] = 0
+		}
+		rets[done+n-1] = ret
+		done += n
 	}
-	k.seq++
-	_, err := k.do(rfidSet, k.id, k.seq, key, value, 4)
+	return len(ws), nil
+}
+
+// Set writes key=value through the replicated log.
+func (k *RKVClient) Set(key, value uint64) error {
+	var ret [1]uint64
+	_, err := k.WriteBatch([]replica.Write{{Kind: replica.OpSet, Key: key, Val: value}}, ret[:])
 	return err
 }
 
 // Delete removes key through the replicated log, reporting whether it
 // was present.
 func (k *RKVClient) Delete(key uint64) (bool, error) {
-	k.seq++
-	v, err := k.do(rfidDel, k.id, k.seq, key, 0, 3)
-	if err != nil {
-		return false, err
-	}
-	return v == 1, nil
+	var ret [1]uint64
+	_, err := k.WriteBatch([]replica.Write{{Kind: replica.OpDel, Key: key}}, ret[:])
+	return ret[0] == 1, err
 }
 
 // Len returns the leader's entry count.

@@ -2,12 +2,14 @@ package apps
 
 import (
 	"bytes"
+	"slices"
 	"strconv"
 	"testing"
 	"time"
 
 	"ffwd/internal/core"
 	"ffwd/internal/fault"
+	"ffwd/internal/replica"
 )
 
 // rkvSeeds returns the seeds the replicated suites run under: the single
@@ -233,5 +235,92 @@ func TestReplicatedKVStateCodecRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(dst.EncodeState(), src.EncodeState()) {
 		t.Fatal("stores diverged after identical post-restore writes")
+	}
+}
+
+// TestReplicatedWriteBatchRunsCloseAtDelete pins the group-commit unit: a
+// batch of writes costs one delegated call (one quorum round) per run,
+// and a run ends at each delete — the one write whose result the
+// single-cell ledger could not reproduce from the middle of a retried
+// run. Every write still reports its own result.
+func TestReplicatedWriteBatchRunsCloseAtDelete(t *testing.T) {
+	r, err := NewReplicatedKV(64, ReplicatedConfig{Replicas: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer r.Stop()
+	k := r.NewClient()
+	defer k.Close()
+	if err := k.Set(9, 90); err != nil { // binds the handle to the leader generation
+		t.Fatal(err)
+	}
+	req0, app0 := r.Server().Stats().Requests, r.Group().Stats().AppendAttempts
+
+	ws := []replica.Write{
+		{Kind: replica.OpSet, Key: 1, Val: 10},
+		{Kind: replica.OpSet, Key: 2, Val: 20},
+		{Kind: replica.OpDel, Key: 1}, // closes run 1, found
+		{Kind: replica.OpDel, Key: 7}, // run 2 on its own, not found
+		{Kind: replica.OpSet, Key: 3, Val: 30},
+		{Kind: replica.OpSet, Key: 4, Val: 40}, // run 3 runs to the end
+	}
+	rets := []uint64{9, 9, 9, 9, 9, 9}
+	done, err := k.WriteBatch(ws, rets)
+	if err != nil || done != len(ws) {
+		t.Fatalf("WriteBatch = %d, %v", done, err)
+	}
+	if want := []uint64{0, 0, 1, 0, 0, 0}; !slices.Equal(rets, want) {
+		t.Fatalf("rets = %v, want %v", rets, want)
+	}
+	st := r.Group().Stats()
+	if got := r.Server().Stats().Requests - req0; got != 3 {
+		t.Fatalf("%d delegated calls for 3 runs", got)
+	}
+	if got := st.AppendAttempts - app0; got != 6 {
+		t.Fatalf("%d follower appends for 3 runs on 2 followers, want 6", got)
+	}
+	if st.Commits != 7 {
+		t.Fatalf("Commits = %d, want 7", st.Commits)
+	}
+	for key, want := range map[uint64]uint64{2: 20, 3: 30, 4: 40, 9: 90} {
+		if v, ok, err := k.Get(key); err != nil || !ok || v != want {
+			t.Fatalf("Get(%d) = %d,%v,%v; want %d", key, v, ok, err, want)
+		}
+	}
+	if _, ok, _ := k.Get(1); ok {
+		t.Fatal("deleted key 1 reads back")
+	}
+}
+
+// A handle that gives up on a run must not let that run's request — it
+// may still be parked in a delegation slot — ever read a buffer refilled
+// with later writes: the handle takes a new identity and buffer, and the
+// old identity's buffer leaves the registry the delegated function reads.
+func TestReplicatedGiveUpRetiresIdentity(t *testing.T) {
+	r, err := NewReplicatedKV(64, ReplicatedConfig{Replicas: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Start(); err != nil {
+		t.Fatal(err)
+	}
+	k := r.NewClient()
+	defer k.Close()
+	if err := k.Set(1, 10); err != nil {
+		t.Fatal(err)
+	}
+	oldID, oldRun := k.id, k.run
+	r.Stop() // every further attempt fails at once
+	if err := k.Set(2, 20); err == nil {
+		t.Fatal("Set on a stopped shard succeeded")
+	}
+	if k.id == oldID || k.run == oldRun || k.seq != 0 {
+		t.Fatalf("handle kept its identity after giving up: id %d -> %d, seq %d", oldID, k.id, k.seq)
+	}
+	if r.run(oldID) != nil || r.run(k.id) != k.run {
+		t.Fatal("run registry does not reflect the swap")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -302,5 +303,157 @@ func TestProcFollowerSnapshotInstallCrash(t *testing.T) {
 	}
 	if applied != commit {
 		t.Fatalf("snapshot-installed follower applied=%d, leader commit_index=%d", applied, commit)
+	}
+}
+
+// burst sends lines in one TCP write — the pipelined burst the leader
+// commits as one group — and reads one reply per line, returning the
+// replies that arrived before the connection died (all of them, and a
+// nil error, when it did not).
+func (c *client) burst(lines []string) ([]string, error) {
+	if err := c.ensure(); err != nil {
+		return nil, err
+	}
+	c.conn.SetDeadline(time.Now().Add(15 * time.Second))
+	if _, err := c.conn.Write([]byte(strings.Join(lines, "\n") + "\n")); err != nil {
+		c.drop()
+		return nil, err
+	}
+	var resps []string
+	for range lines {
+		resp, err := c.r.ReadString('\n')
+		if err != nil {
+			c.drop()
+			return resps, err
+		}
+		resps = append(resps, strings.TrimSpace(resp))
+	}
+	return resps, nil
+}
+
+// setBursts drives `bursts` bursts of four SETs each over six keys
+// through c, recording every write in rec, and stops at the first burst
+// whose replies do not all arrive (those writes stay pending: fate
+// unknown). It returns how many bursts were fully acknowledged.
+func setBursts(t *testing.T, c *client, rec *linear.Recorder, bursts int) int {
+	t.Helper()
+	for b := 0; b < bursts; b++ {
+		lines := make([]string, 4)
+		idx := make([]int, 4)
+		for j := range lines {
+			key, v := uint64(b*4+j)%6, uint64(b+1)<<8|uint64(j)
+			lines[j] = fmt.Sprintf("set %d %d", key, v)
+			idx[j] = rec.Invoke(0, linear.KVSet, key, v)
+		}
+		resps, err := c.burst(lines)
+		for j, resp := range resps {
+			if resp != "STORED" {
+				t.Fatalf("burst %d write %d answered %q", b, j, resp)
+			}
+			rec.Complete(idx[j], 0, false)
+		}
+		if err != nil {
+			return b
+		}
+	}
+	return bursts
+}
+
+// readAllKeys reads the six keys through a fresh connection into the
+// history, so recovery state is checked against everything acknowledged.
+func readAllKeys(t *testing.T, addr string, rec *linear.Recorder) *client {
+	t.Helper()
+	vc := &client{addr: addr}
+	for key := uint64(0); key < 6; key++ {
+		idx := rec.Invoke(1, linear.KVGet, key, 0)
+		got, ok := parseValue(t, vc.mustDo(t, fmt.Sprintf("get %d", key), 10*time.Second))
+		rec.Complete(idx, got, ok)
+	}
+	return vc
+}
+
+// TestProcLeaderCrashMidGroupCommit kills the leader inside a
+// multi-record WAL append: with bursts of four SETs, record 10 is the
+// second record of the third group commit, so FFWD_CRASH_POINT leaves
+// record 9 whole and 9 bytes of record 10 on disk — a batch torn in the
+// middle. The restarted leader must truncate the torn record, keep and
+// commit the surviving prefix of the batch (it is pinned: its durable log
+// is authoritative), lose nothing that was acknowledged, and the history
+// — the torn burst's writes pending — must linearize.
+func TestProcLeaderCrashMidGroupCommit(t *testing.T) {
+	dir := runDir(t)
+	la, a1, a2 := freePort(t), freePort(t), freePort(t)
+	m1 := member(t, dir, "m1", "m1", a1, nil)
+	member(t, dir, "m2", "m2", a2, nil)
+	ld := leader(t, dir, "leader", la, []string{a1, a2},
+		[]string{"FFWD_CRASH_POINT=wal-record:10:9"})
+
+	c := &client{addr: la}
+	defer c.drop()
+	waitAlive(t, c, 3, 15*time.Second)
+	rec := linear.NewRecorder()
+	if acked := setBursts(t, c, rec, 10); acked != 2 {
+		t.Fatalf("%d bursts acknowledged before the crash point, want 2 (records 1-8)", acked)
+	}
+	ld.waitExit(10 * time.Second)
+
+	ld2 := leader(t, dir, "leader2", la, []string{a1, a2}, nil)
+	ld2.waitLog(regexp1("torn=1/9B"), 5*time.Second)
+	vc := readAllKeys(t, la, rec)
+	defer vc.drop()
+	if p := linear.FailingPartition(linear.KVModel(), rec.History()); p >= 0 {
+		t.Fatalf("history across a mid-group-commit leader crash not linearizable (partition %d)", p)
+	}
+	// Records 1-8 were acknowledged; record 9 is the torn batch's
+	// surviving prefix, committed by the pinned leader's recovery.
+	waitAlive(t, vc, 3, 15*time.Second)
+	commit := statsField(t, vc.mustDo(t, "stats", 5*time.Second), "commit_index")
+	if commit != 9 {
+		t.Fatalf("recovered commit_index = %d, want 9", commit)
+	}
+	time.Sleep(1200 * time.Millisecond) // heartbeats carry the suffix and the cursor over
+	if a := stopApplied(t, m1); a != commit {
+		t.Fatalf("follower applied=%d, leader commit_index=%d", a, commit)
+	}
+}
+
+// TestProcFollowerCrashMidGroupCommit tears a follower's WAL the same
+// way: one append frame per burst means one multi-record WAL append per
+// burst on the follower too, and record 10 is again mid-batch. Writes
+// keep committing on the leader + remaining follower; the restarted
+// follower must report the torn record, have kept the batch's first
+// record, re-replicate the rest, and converge.
+func TestProcFollowerCrashMidGroupCommit(t *testing.T) {
+	dir := runDir(t)
+	la, a1, a2 := freePort(t), freePort(t), freePort(t)
+	m1 := member(t, dir, "m1", "m1", a1,
+		[]string{"FFWD_CRASH_POINT=wal-record:10:13"})
+	member(t, dir, "m2", "m2", a2, nil)
+	leader(t, dir, "leader", la, []string{a1, a2}, nil)
+
+	c := &client{addr: la}
+	defer c.drop()
+	waitAlive(t, c, 3, 15*time.Second)
+	rec := linear.NewRecorder()
+	if acked := setBursts(t, c, rec, 6); acked != 6 {
+		t.Fatalf("%d of 6 bursts acknowledged; one follower's death must not cost the quorum", acked)
+	}
+	m1.waitExit(10 * time.Second)
+
+	m1b := member(t, dir, "m1b", "m1", a1, nil)
+	m1b.waitLog(regexp1("log=9 torn=1/13B"), 5*time.Second)
+	vc := readAllKeys(t, la, rec)
+	defer vc.drop()
+	if p := linear.FailingPartition(linear.KVModel(), rec.History()); p >= 0 {
+		t.Fatalf("history across a mid-group-commit follower crash not linearizable (partition %d)", p)
+	}
+	waitAlive(t, vc, 3, 15*time.Second)
+	commit := statsField(t, vc.mustDo(t, "stats", 5*time.Second), "commit_index")
+	if commit != 24 {
+		t.Fatalf("commit_index = %d, want 24", commit)
+	}
+	time.Sleep(1200 * time.Millisecond)
+	if a := stopApplied(t, m1b); a != commit {
+		t.Fatalf("torn follower applied=%d after recovery, leader commit_index=%d", a, commit)
 	}
 }

@@ -21,8 +21,8 @@ type Remote interface {
 	// index, carrying the current commit cursor. Exactly one RemoteAck is
 	// delivered to done — OK when the remote durably matched at least
 	// index, not-OK when it definitively cannot right now (disconnected,
-	// timed out). A nil done is fire-and-forget: best-effort shipping of
-	// new entries or a commit bump, no ack wanted.
+	// timed out). The send must not block: done always has room for one
+	// ack per remote.
 	Replicate(index, commit uint64, done chan<- RemoteAck)
 	// Healthy reports whether the link is currently usable (connected
 	// and inside its heartbeat window). Stats only; Replicate is the
@@ -54,7 +54,9 @@ type GroupConfig struct {
 	Replicas int
 	// SnapshotEvery is how many applied entries a replica accumulates
 	// beyond its snapshot boundary before taking a new snapshot and
-	// truncating the log prefix. 0 means 64.
+	// truncating the log prefix. 0 selects the size-driven rule (see
+	// Member.snapshotDue): snapshot once the live log outweighs the last
+	// snapshot image, and never before 64 entries.
 	SnapshotEvery uint64
 	// NewMachine builds one member's state machine instance. Called once
 	// per member at construction and again when a wiped member restarts.
@@ -82,7 +84,7 @@ type GroupConfig struct {
 	Remotes []Remote
 	// AckTimeout bounds how long a propose waits for remote quorum acks
 	// (default 2s). On expiry the propose fails with ErrNoQuorum; the
-	// entry stays in the log and may commit later, exactly like an
+	// batch stays in the log and may commit later, exactly like an
 	// in-process quorum failure.
 	AckTimeout time.Duration
 }
@@ -135,6 +137,15 @@ type Group struct {
 
 	appendAttempts atomic.Uint64
 
+	// Propose scratch, reused so a committed batch allocates nothing that
+	// grows with its size: the entries being appended, the remote ack
+	// channel with the count of acks still owed to it, and the quorum
+	// wait's timer.
+	ents     []Entry
+	acks     chan RemoteAck
+	acksOwed int
+	ackTimer *time.Timer
+
 	nProposals   uint64
 	nCommits     uint64
 	nLedgerHits  uint64
@@ -152,9 +163,6 @@ type Group struct {
 func NewGroup(cfg GroupConfig) (*Group, error) {
 	if cfg.Replicas <= 0 {
 		cfg.Replicas = 3
-	}
-	if cfg.SnapshotEvery == 0 {
-		cfg.SnapshotEvery = 64
 	}
 	if cfg.NewMachine == nil {
 		panic("replica: GroupConfig.NewMachine is required")
@@ -239,42 +247,82 @@ func (g *Group) Term() uint64 { return g.term.Load() }
 // Epoch returns the promotion epoch (0 until the first failover).
 func (g *Group) Epoch() uint64 { return g.epoch.Load() }
 
-// Propose runs one write through the replicated log on behalf of leader
-// r: dedup against the replicated ledger, append durably, replicate to a
-// quorum (in-process appends synchronously, remote members by waiting
-// for their durable acks), commit, apply, and return the applied result.
-// It must be called from the delegated function executing on r's server
-// goroutine, so proposals are naturally serialized.
+// Write is one operation of a proposed batch.
+type Write struct {
+	Kind Op
+	Key  uint64
+	Val  uint64
+}
+
+// Propose runs one write through the replicated log: ProposeBatch of one.
 func (g *Group) Propose(r *Replica, clientID, seq uint64, kind Op, key, val uint64) (uint64, error) {
+	ws := [1]Write{{Kind: kind, Key: key, Val: val}}
+	return g.ProposeBatch(r, clientID, seq, ws[:])
+}
+
+// ProposeBatch commits ws — one client's writes carrying the consecutive
+// seqs firstSeq, firstSeq+1, … — as one unit on behalf of leader r:
+// dedup against the replicated ledger, one durable append of the whole
+// batch, one replication round (in-process appends synchronously, remote
+// members by one Replicate through the batch's last index), one quorum
+// wait, one apply pass. It must be called from the delegated function
+// executing on r's server goroutine, so proposals are naturally
+// serialized.
+//
+// It returns the applied result of the batch's last write — the one
+// result the ledger (a single Applied cell per client) can reproduce
+// when the batch is retried. A caller that needs every write's original
+// result across retries must therefore end a batch at the first write
+// whose result depends on state; see DESIGN.md, "What a retried batch
+// returns".
+//
+// Exactly-once across timeout-retry, promotion and leader rebuild: a
+// retried batch whose seq range the ledger has already passed is
+// answered without re-execution, and one the ledger is inside of (a
+// crash tore the batch on disk, and recovery committed the surviving
+// prefix) skips exactly that applied prefix and proposes the rest.
+func (g *Group) ProposeBatch(r *Replica, clientID, firstSeq uint64, ws []Write) (uint64, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if r.dead || g.members[g.leaderID.Load()] != r {
 		return 0, ErrNotLeader
 	}
-	g.nProposals++
-	// Exactly-once across promotion and retry: a client re-delegating a
-	// seq that already committed is answered from the replicated ledger
-	// without re-execution.
-	if a, ok := r.ledger[clientID]; ok && a.Seq == seq {
-		g.nLedgerHits++
-		return a.Ret, nil
+	n := uint64(len(ws))
+	if n == 0 {
+		return 0, nil
 	}
-	e := Entry{
-		Index:    r.log.Last() + 1,
-		Term:     g.term.Load(),
-		ClientID: clientID,
-		Seq:      seq,
-		Kind:     kind,
-		Key:      key,
-		Val:      val,
+	g.nProposals += n
+	lastSeq := firstSeq + n - 1
+	skip := uint64(0)
+	if a, ok := r.ledger[clientID]; ok && a.Seq >= firstSeq {
+		if a.Seq >= lastSeq {
+			g.nLedgerHits += n
+			return a.Ret, nil
+		}
+		skip = a.Seq - firstSeq + 1
+		g.nLedgerHits += skip
+	}
+	next, term := r.log.Last()+1, g.term.Load()
+	g.ents = g.ents[:0]
+	for i, w := range ws[skip:] {
+		g.ents = append(g.ents, Entry{
+			Index:    next + uint64(i),
+			Term:     term,
+			ClientID: clientID,
+			Seq:      firstSeq + skip + uint64(i),
+			Kind:     w.Kind,
+			Key:      w.Key,
+			Val:      w.Val,
+		})
 	}
 	// The leader's own copy is durable (fsynced per policy) before any
-	// follower sees the entry: followers' logs then never run ahead of
+	// follower sees the batch: followers' logs then never run ahead of
 	// the leader's durable log, which is what lets a recovered pinned
 	// leader treat its WAL as authoritative.
-	if err := r.AppendLeader(e); err != nil {
+	if err := r.AppendLeader(g.ents); err != nil {
 		return 0, err
 	}
+	last := r.log.Last()
 	acks := 1 // the leader's own append
 	for _, f := range g.members {
 		if f == r || f.dead {
@@ -286,27 +334,30 @@ func (g *Group) Propose(r *Replica, clientID, seq uint64, kind Op, key, val uint
 	}
 	needed := g.Quorum()
 	if acks < needed && len(g.cfg.Remotes) > 0 {
-		acks += g.awaitRemotes(r, e.Index, needed-acks)
+		acks += g.awaitRemotes(r, last, needed-acks)
 	}
 	if acks < needed {
-		// The entry stays in the log and may commit once a quorum heals;
+		// The batch stays in the log and may commit once a quorum heals;
 		// the client retries, and apply-time fencing plus the ledger
 		// keep the retry exactly-once either way.
 		g.nNoQuorum++
 		return 0, ErrNoQuorum
 	}
-	r.commitIndex = e.Index
+	r.commitIndex = last
 	if err := r.applyCommitted(); err != nil {
 		return 0, err
 	}
-	// Push the new commit index to fully caught-up followers right away
-	// so a promoted follower has already applied every acknowledged
-	// write — promotion then never needs a catch-up round of its own.
+	// Push the new commit index to fully caught-up in-process followers
+	// right away so a promoted follower has already applied every
+	// acknowledged write — promotion then never needs a catch-up round of
+	// its own. Remote followers get no frame of their own for this: the
+	// cursor rides their next append frame (FrameFor re-reads it) or, on
+	// an idle link, the transport's heartbeat.
 	for _, f := range g.members {
 		if f == r || f.dead {
 			continue
 		}
-		if g.nextIndex[f.id] == r.log.Last()+1 {
+		if g.nextIndex[f.id] == last+1 {
 			if lc := minU64(r.commitIndex, f.log.Last()); lc > f.commitIndex {
 				f.commitIndex = lc
 				if err := f.applyCommitted(); err != nil {
@@ -315,17 +366,11 @@ func (g *Group) Propose(r *Replica, clientID, seq uint64, kind Op, key, val uint
 			}
 		}
 	}
-	// Same push for remotes, fire-and-forget: the committed index rides
-	// the next append frame so a restarted follower converges without
-	// waiting for new writes.
-	for _, p := range g.cfg.Remotes {
-		p.Replicate(e.Index, r.commitIndex, nil)
-	}
 	a, ok := r.ledger[clientID]
-	if !ok || a.Seq < seq {
-		return 0, fmt.Errorf("replica: committed entry %d not applied", e.Index)
+	if !ok || a.Seq < lastSeq {
+		return 0, fmt.Errorf("replica: committed batch through %d not applied", last)
 	}
-	g.nCommits++
+	g.nCommits += n - skip
 	return a.Ret, nil
 }
 
@@ -333,18 +378,39 @@ func (g *Group) Propose(r *Replica, clientID, seq uint64, kind Op, key, val uint
 // through index and waits — with the group lock released, since remotes
 // pull log suffixes through FrameFor — until `need` of them ack or the
 // ack timeout expires. It returns the number of acks received in time.
+//
+// The ack channel and the timer are the group's own, reused from wait to
+// wait. The channel is reused only once every ack owed to it has come in
+// (a wait that reached quorum early leaves the slower remotes' acks
+// outstanding); otherwise it is left to the stragglers and a fresh one
+// made, so a send into it can never block.
 func (g *Group) awaitRemotes(r *Replica, index uint64, need int) int {
 	remotes := g.cfg.Remotes
 	commit := r.commitIndex
-	done := make(chan RemoteAck, len(remotes))
+drain:
+	for g.acksOwed > 0 {
+		select {
+		case <-g.acks:
+			g.acksOwed--
+		default:
+			break drain
+		}
+	}
+	if g.acks == nil || g.acksOwed > 0 {
+		g.acks, g.acksOwed = make(chan RemoteAck, len(remotes)), 0
+	}
+	done := g.acks
 	for _, p := range remotes {
 		p.Replicate(index, commit, done)
 	}
 	g.mu.Unlock()
-	acks := 0
-	pending := len(remotes)
-	timer := time.NewTimer(g.ackTimeout)
-	for acks < need && pending > 0 {
+	if g.ackTimer == nil {
+		g.ackTimer = time.NewTimer(g.ackTimeout)
+	} else {
+		g.ackTimer.Reset(g.ackTimeout)
+	}
+	acks, pending, timedOut := 0, len(remotes), false
+	for acks < need && pending > 0 && !timedOut {
 		select {
 		case a := <-done:
 			pending--
@@ -354,23 +420,27 @@ func (g *Group) awaitRemotes(r *Replica, index uint64, need int) int {
 			} else {
 				g.nRemoteNacks.Add(1)
 			}
-		case <-timer.C:
+		case <-g.ackTimer.C:
 			g.nRemoteNacks.Add(uint64(pending))
-			pending = 0
+			timedOut = true
 		}
 	}
-	timer.Stop()
+	if !timedOut && !g.ackTimer.Stop() {
+		<-g.ackTimer.C
+	}
 	g.mu.Lock()
 	// Single-writer: no other propose can have run while unlocked, and
 	// pinned leadership cannot have moved (KillReplica in tests is the
 	// only mutator, and a dead leader fails the next propose anyway).
+	g.acksOwed = pending
 	return acks
 }
 
 // LeaderFrame is one append RPC's worth of leader state for a remote
 // follower at a given next-index: the consistency-check point, the
-// entry suffix (copied — safe to retain), the snapshot instead when the
-// suffix starts inside truncated history, and the commit cursor.
+// entry suffix (copied into the caller's buffer — safe to retain until
+// that buffer is reused), the snapshot instead when the suffix starts
+// inside truncated history, and the commit cursor.
 type LeaderFrame struct {
 	Term      uint64
 	PrevIndex uint64
@@ -381,9 +451,10 @@ type LeaderFrame struct {
 }
 
 // FrameFor builds the frame a remote follower needs given that its next
-// expected index is ni. Remote transports call this from their own
-// goroutines; it takes the group lock.
-func (g *Group) FrameFor(ni uint64) LeaderFrame {
+// expected index is ni, copying the entry suffix into buf[:0] (grown if
+// it must be; nil is fine). Remote transports call this from their own
+// goroutines, each with its own buffer; it takes the group lock.
+func (g *Group) FrameFor(ni uint64, buf []Entry) LeaderFrame {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	lead := g.members[g.leaderID.Load()]
@@ -404,7 +475,7 @@ func (g *Group) FrameFor(ni uint64) LeaderFrame {
 	// Copy: Log.TruncatePrefix shifts the backing array in place, so an
 	// aliased suffix handed to another goroutine would be corrupted by
 	// the next snapshot cycle.
-	fr.Entries = append([]Entry(nil), lead.log.From(ni)...)
+	fr.Entries = append(buf[:0], lead.log.From(ni)...)
 	return fr
 }
 

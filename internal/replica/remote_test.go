@@ -59,7 +59,8 @@ func newRemoteGroup(t *testing.T, timeout time.Duration) (*Group, *fakeRemote, *
 }
 
 // One local leader plus two remotes: quorum is 2, so one remote ack
-// commits, and both remotes get the post-commit push.
+// commits — and no remote gets a frame of its own for the new commit
+// cursor (it rides the next append or the transport's heartbeat).
 func TestRemoteQuorumCommit(t *testing.T) {
 	g, r1, r2 := newRemoteGroup(t, time.Second)
 	if q := g.Quorum(); q != 2 {
@@ -83,12 +84,8 @@ func TestRemoteQuorumCommit(t *testing.T) {
 	if r2.acked.Load() != 1 {
 		t.Fatalf("remote never saw the entry")
 	}
-	// Both remotes got the fire-and-forget commit push with commit=1.
-	if r1.pushes.Load() != 1 || r2.pushes.Load() != 1 {
-		t.Fatalf("pushes: %d/%d, want 1/1", r1.pushes.Load(), r2.pushes.Load())
-	}
-	if r1.commits.Load() != 1 {
-		t.Fatalf("push carried commit %d, want 1", r1.commits.Load())
+	if r1.pushes.Load() != 0 || r2.pushes.Load() != 0 {
+		t.Fatalf("commit-push frames: %d/%d, want none", r1.pushes.Load(), r2.pushes.Load())
 	}
 }
 
@@ -158,7 +155,7 @@ func TestFrameForCopiesEntries(t *testing.T) {
 			t.Fatalf("propose: %v", err)
 		}
 	}
-	fr := g.FrameFor(3)
+	fr := g.FrameFor(3, nil)
 	if fr.PrevIndex != 2 || len(fr.Entries) != 8 || fr.Entries[0].Index != 3 {
 		t.Fatalf("frame: prev=%d n=%d", fr.PrevIndex, len(fr.Entries))
 	}
@@ -179,7 +176,7 @@ func TestFrameForCopiesEntries(t *testing.T) {
 	}
 	// A next-index inside truncated history gets the snapshot plus the
 	// (empty) suffix after it.
-	fr = g.FrameFor(3)
+	fr = g.FrameFor(3, nil)
 	if fr.Snap == nil || fr.Snap.LastIndex != 10 {
 		t.Fatalf("expected snapshot frame, got %+v", fr)
 	}

@@ -9,18 +9,21 @@
 // appenders and elections never race concurrent proposals. What remains
 // of raft is the part that buys durability of acknowledged writes:
 //
-//   - The leader appends each applied op (client identity, seq, op,
-//     args) to its shard log and acknowledges the delegating client only
-//     after a quorum of in-process follower replicas has appended it.
+//   - The leader appends each batch of applied ops (client identity,
+//     seq, op, args — one entry per op, one append per batch) to its
+//     shard log and acknowledges the delegating client only after a
+//     quorum of follower replicas has appended it (group commit: one
+//     durable write, one replication round, one quorum wait per batch).
 //   - Followers apply committed entries to their own backend instance,
 //     so any follower can be promoted with no acknowledged write lost.
 //   - A replicated last-applied ledger keyed by client identity makes
 //     promotion + client retry exactly-once: a retried op that committed
 //     under the dead leader is answered from the new leader's ledger
 //     without re-execution.
-//   - Periodic snapshots (state machine encoding + ledger + last applied
-//     index) truncate the log prefix; a restarted or lagging replica
-//     installs snapshot-then-suffix instead of replaying history.
+//   - Snapshots (state machine encoding + ledger + last applied index),
+//     taken once the live log outweighs the last image, truncate the log
+//     prefix on every member; a restarted or lagging replica installs
+//     snapshot-then-suffix instead of replaying history.
 //
 // Replication runs inside the delegated functions on the leader's server
 // goroutine, so it adds no synchronization to the sweep hot path; the

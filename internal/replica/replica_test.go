@@ -378,3 +378,57 @@ func TestMoreUpToDateOrder(t *testing.T) {
 		t.Fatalf("term must dominate length")
 	}
 }
+
+// With no explicit cadence the snapshot rule is size-driven: never before
+// 64 applied entries, and after that only once the live log outweighs the
+// last snapshot image — so a big store is not rewritten every few writes,
+// and every member (followers included) still truncates its own log.
+func TestSnapshotRuleWaitsForLogToOutweighImage(t *testing.T) {
+	g, _ := newTestGroup(t, 3, 0, nil)
+	lead, _ := g.Leader()
+	seq := uint64(0)
+	write := func(n int, keyspace uint64) {
+		ws := make([]Write, n)
+		for i := range ws {
+			ws[i] = Write{Kind: OpSet, Key: (seq + uint64(i)) % keyspace, Val: seq}
+		}
+		if _, err := g.ProposeBatch(lead, 1, seq+1, ws); err != nil {
+			t.Fatal(err)
+		}
+		seq += uint64(n)
+	}
+	write(63, 1<<20)
+	if st := g.Stats(); st.Snapshots != 0 || st.LogBase != 0 {
+		t.Fatalf("snapshot before 64 entries: %+v", st)
+	}
+	write(1, 1<<20)
+	if st := g.Stats(); st.Snapshots != 3 || st.LogBase != 64 {
+		t.Fatalf("no snapshot on every member at 64 entries: %+v", st)
+	}
+	// Grow the state to 2,000 keys: the image is now 16 B x 2,000 keys.
+	for seq < 2000 {
+		write(50, 1<<20)
+	}
+	image := lead.snap.weight()
+	if image < 16*1500 {
+		t.Fatalf("snapshot image is %d bytes; the state did not grow", image)
+	}
+	// Overwrites from here on (the image stays put): the next snapshot is
+	// due only when the live log outweighs it.
+	snaps, base := g.Stats().Snapshots, lead.log.Base()
+	due := image/entryWeight + 1 - (seq - base)
+	write(int(due)-1, 1000)
+	if st := g.Stats(); st.Snapshots != snaps {
+		t.Fatalf("snapshotted before the log outweighed the image: %+v", st)
+	}
+	write(1, 1000)
+	st := g.Stats()
+	if st.Snapshots != snaps+3 || st.LogBase != seq {
+		t.Fatalf("no snapshot once the log outweighed the image: snapshots %d -> %d, base=%d, want base %d", snaps, st.Snapshots, st.LogBase, seq)
+	}
+	for i := 0; i < g.Members(); i++ {
+		if n := g.Member(i).LogLen(); n != 0 {
+			t.Fatalf("member %d still holds %d live entries after the snapshot", i, n)
+		}
+	}
+}

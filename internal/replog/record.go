@@ -61,13 +61,17 @@ func decodeEntry(b []byte) (replica.Entry, error) {
 	}, nil
 }
 
-// appendRecord frames payload into buf: length, CRC, payload.
-func appendRecord(buf, payload []byte) []byte {
-	var h [recHeaderLen]byte
-	binary.LittleEndian.PutUint32(h[0:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(h[4:], crc32.Checksum(payload, castagnoli))
-	buf = append(buf, h[:]...)
-	return append(buf, payload...)
+// appendEntryRecord frames e onto buf — length, CRC, payload — encoding
+// the payload in place so a batch of records costs no allocation beyond
+// buf's own growth.
+func appendEntryRecord(buf []byte, e replica.Entry) []byte {
+	off := len(buf)
+	buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0)
+	buf = encodeEntry(buf, e)
+	payload := buf[off+recHeaderLen:]
+	binary.LittleEndian.PutUint32(buf[off:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[off+4:], crc32.Checksum(payload, castagnoli))
+	return buf
 }
 
 // scanResult reports one framed record read by scanRecords.

@@ -106,6 +106,7 @@ func (o Options) withDefaults() Options {
 // Stats is a point-in-time counter snapshot of a WAL/Store.
 type Stats struct {
 	Appends       uint64 // entry records appended
+	Writes        uint64 // write(2) calls that carried them (one per append batch)
 	Syncs         uint64 // fsyncs issued for record durability
 	Bytes         uint64 // record bytes appended (headers included)
 	TornRecords   uint64 // tail records truncated away at open
@@ -120,6 +121,7 @@ type Stats struct {
 
 type statCounters struct {
 	appends      atomic.Uint64
+	writes       atomic.Uint64
 	syncs        atomic.Uint64
 	bytes        atomic.Uint64
 	tornRecords  atomic.Uint64
@@ -164,8 +166,16 @@ func syncDir(dir string) error {
 // writeFileAtomic writes data to path via a temp file in the same
 // directory: write, fsync, rename, fsync the directory.
 func writeFileAtomic(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
+	if err := writeTempRename(path, data); err != nil {
+		return err
+	}
+	return syncDir(filepath.Dir(path))
+}
+
+// writeTempRename is writeFileAtomic without the directory fsync, for a
+// caller with more directory changes to make durable in the same sync.
+func writeTempRename(path string, data []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
 	if err != nil {
 		return err
 	}
@@ -177,13 +187,11 @@ func writeFileAtomic(path string, data []byte) error {
 	if cerr := tmp.Close(); err == nil {
 		err = cerr
 	}
+	if err == nil {
+		err = os.Rename(tmpName, path)
+	}
 	if err != nil {
 		os.Remove(tmpName)
-		return err
 	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	return syncDir(dir)
+	return err
 }

@@ -127,41 +127,53 @@ func DecodeSnapshot(buf []byte) (*replica.Snapshot, error) {
 	return s, nil
 }
 
-// saveSnapshot persists s into dir atomically and garbage-collects
-// older snapshot files and stray temps. crash arms the chaos harness's
+// saveSnapshot persists s into dir atomically, unlinks what it
+// supersedes, and fsyncs the directory once, after the unlinks (a crash
+// before that sync leaves the old snapshot, the new one, or both; load
+// picks the newest valid). When scan is false the caller vouches that
+// the previous save left exactly one other snapshot file, prev, so that
+// is all there is to unlink; otherwise the directory is scanned for
+// older snapshots and stray temps. crash arms the chaos harness's
 // mid-install kill (temp written, never renamed).
-func saveSnapshot(dir string, s *replica.Snapshot, crash *CrashPoint) (int, error) {
+func saveSnapshot(dir string, s *replica.Snapshot, crash *CrashPoint, prev uint64, scan bool) (int, error) {
 	data := EncodeSnapshot(s)
-	path := filepath.Join(dir, snapName(s.LastIndex))
+	name := snapName(s.LastIndex)
 	if crash.onSnapshot() {
 		// Write the temp in full — the realistic worst case: everything
 		// but the rename happened — then die.
-		tmp, err := os.CreateTemp(dir, snapName(s.LastIndex)+".tmp-*")
+		tmp, err := os.CreateTemp(dir, name+".tmp-*")
 		if err == nil {
 			tmp.Write(data)
 			tmp.Sync()
 		}
 		crash.kill()
 	}
-	if err := writeFileAtomic(path, data); err != nil {
+	if err := writeTempRename(filepath.Join(dir, name), data); err != nil {
 		return 0, err
 	}
-	// GC: everything but the file just written. A failure here is
-	// ignorable clutter, not lost data, but we report it anyway.
-	des, err := os.ReadDir(dir)
-	if err != nil {
-		return len(data), err
+	// Unlink what the new file supersedes. A failure here is ignorable
+	// clutter, not lost data, but it is reported so the next save scans.
+	stale := []string{snapName(prev)}
+	if scan {
+		des, err := os.ReadDir(dir)
+		if err != nil {
+			return len(data), err
+		}
+		stale = stale[:0]
+		for _, de := range des {
+			n := de.Name()
+			_, isSnap := parseSnapName(n)
+			if isSnap || (strings.HasPrefix(n, snapPrefix) && strings.Contains(n, ".tmp-")) {
+				stale = append(stale, n)
+			}
+		}
 	}
-	for _, de := range des {
-		name := de.Name()
-		if name == snapName(s.LastIndex) {
+	for _, n := range stale {
+		if n == name {
 			continue
 		}
-		_, isSnap := parseSnapName(name)
-		if isSnap || (strings.HasPrefix(name, snapPrefix) && strings.Contains(name, ".tmp-")) {
-			if err := os.Remove(filepath.Join(dir, name)); err != nil {
-				return len(data), err
-			}
+		if err := os.Remove(filepath.Join(dir, n)); err != nil && !os.IsNotExist(err) {
+			return len(data), err
 		}
 	}
 	return len(data), syncDir(dir)

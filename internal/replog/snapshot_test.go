@@ -88,7 +88,7 @@ func TestSnapshotDecodeRejectsDamage(t *testing.T) {
 func TestSnapshotSaveLoadAndGC(t *testing.T) {
 	dir := t.TempDir()
 	for _, last := range []uint64{5, 10, 20} {
-		if _, err := saveSnapshot(dir, mkSnap(last), nil); err != nil {
+		if _, err := saveSnapshot(dir, mkSnap(last), nil, 0, true); err != nil {
 			t.Fatalf("save %d: %v", last, err)
 		}
 	}

@@ -18,6 +18,11 @@ type Store struct {
 	opt  Options
 	wal  *WAL
 	meta Meta
+	// lastSnap is the index of the one snapshot file the previous save
+	// left behind; snapClean says that knowledge is good (false until the
+	// first save of this process has scanned the directory).
+	lastSnap  uint64
+	snapClean bool
 }
 
 // Recovered is what a directory held at open: the durable image a
@@ -105,7 +110,8 @@ func (s *Store) Compact(i uint64) error { return s.wal.Compact(i) }
 
 // SaveSnapshot atomically persists snap and GCs older snapshots.
 func (s *Store) SaveSnapshot(snap *replica.Snapshot) error {
-	n, err := saveSnapshot(s.dir, snap, s.opt.Crash)
+	n, err := saveSnapshot(s.dir, snap, s.opt.Crash, s.lastSnap, !s.snapClean)
+	s.lastSnap, s.snapClean = snap.LastIndex, err == nil
 	if err != nil {
 		return err
 	}

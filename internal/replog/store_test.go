@@ -268,3 +268,42 @@ func TestCrashPointParsing(t *testing.T) {
 		t.Fatalf("nil onSnapshot fired")
 	}
 }
+
+// A store's saves leave exactly one snapshot file behind each: the first
+// save of a process scans the directory (a previous life may have left
+// older snapshots and stray temps), later ones unlink just their
+// predecessor — and saving the same index twice must not unlink itself.
+func TestStoreSaveSnapshotLeavesOnlyNewest(t *testing.T) {
+	dir := t.TempDir()
+	for _, stray := range []string{snapName(3), snapName(7) + ".tmp-123"} {
+		if err := os.WriteFile(filepath.Join(dir, stray), []byte("clutter"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, _, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	snaps := func() []string {
+		names, err := filepath.Glob(filepath.Join(dir, snapPrefix+"*"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range names {
+			names[i] = filepath.Base(names[i])
+		}
+		return names
+	}
+	for _, last := range []uint64{10, 20, 20, 30} {
+		if err := s.SaveSnapshot(mkSnap(last)); err != nil {
+			t.Fatalf("SaveSnapshot(%d): %v", last, err)
+		}
+		if got := snaps(); len(got) != 1 || got[0] != snapName(last) {
+			t.Fatalf("after saving %d the directory holds %v", last, got)
+		}
+	}
+	if st := s.Stats(); st.Snapshots != 4 {
+		t.Fatalf("Snapshots = %d, want 4", st.Snapshots)
+	}
+}

@@ -212,53 +212,82 @@ func (w *WAL) openSegment(first uint64, isLast bool) ([]replica.Entry, error) {
 // Next returns the index the next appended entry must carry.
 func (w *WAL) Next() uint64 { return w.next }
 
-// Append durably frames ents onto the log tail. Every entry must
-// continue the index sequence. Under SyncAlways the batch is fsynced
-// before return; under SyncBatch the caller syncs before acknowledging.
+// Append durably frames ents onto the log tail as one unit: the whole
+// batch is framed into one buffer and handed to the file in a single
+// write(2) (one more per segment boundary the batch happens to cross).
+// Every entry must continue the index sequence; a batch that does not is
+// refused before any of it is written. Under SyncAlways the batch is
+// fsynced before return; under SyncBatch the caller syncs before
+// acknowledging.
 func (w *WAL) Append(ents []replica.Entry) error {
-	for _, e := range ents {
-		if w.next != 0 && e.Index != w.next {
-			return fmt.Errorf("replog: append index %d, want %d", e.Index, w.next)
-		}
-		if err := w.appendOne(e); err != nil {
-			return err
-		}
-		w.next = e.Index + 1
+	if len(ents) == 0 {
+		return nil
 	}
-	if len(ents) > 0 && w.opt.Sync == SyncAlways {
+	next := w.next
+	if next == 0 {
+		next = ents[0].Index // a fresh log starts wherever its first batch does
+	}
+	for i := range ents {
+		if ents[i].Index != next {
+			return fmt.Errorf("replog: append index %d, want %d", ents[i].Index, next)
+		}
+		next++
+	}
+	w.buf = w.buf[:0]
+	framed := 0 // records in w.buf not yet written
+	for i := range ents {
+		if w.f == nil || w.size+int64(len(w.buf)) >= w.opt.SegmentBytes {
+			if err := w.writeFramed(framed, ents[i].Index-1); err != nil {
+				return err
+			}
+			framed = 0
+			if err := w.rotate(ents[i].Index); err != nil {
+				return err
+			}
+		}
+		start := len(w.buf)
+		w.buf = appendEntryRecord(w.buf, ents[i])
+		framed++
+
+		// The chaos harness's mid-write kill: flush the records framed
+		// before this one plus a torn prefix of it, then die by SIGKILL.
+		// Recovery must keep the former and truncate the latter away.
+		if tb := w.opt.Crash.onRecord(); tb >= 0 {
+			if tb > len(w.buf)-start {
+				tb = len(w.buf) - start
+			}
+			w.f.Write(w.buf[:start+tb])
+			w.f.Sync()
+			w.opt.Crash.kill()
+		}
+	}
+	if err := w.writeFramed(framed, ents[len(ents)-1].Index); err != nil {
+		return err
+	}
+	if w.opt.Sync == SyncAlways {
 		return w.sync()
 	}
 	return nil
 }
 
-func (w *WAL) appendOne(e replica.Entry) error {
-	if w.f == nil || w.size >= w.opt.SegmentBytes {
-		if err := w.rotate(e.Index); err != nil {
-			return err
-		}
+// writeFramed hands the n records framed in w.buf, the last of which
+// carries index last, to the active segment in one write.
+func (w *WAL) writeFramed(n int, last uint64) error {
+	if n == 0 {
+		return nil
 	}
-	w.buf = appendRecord(w.buf[:0], encodeEntry(nil, e))
-
-	// The chaos harness's mid-write kill: flush a torn prefix of the
-	// record, then die by SIGKILL. Recovery must truncate it away.
-	if tb := w.opt.Crash.onRecord(); tb >= 0 {
-		if tb > len(w.buf) {
-			tb = len(w.buf)
-		}
-		w.f.Write(w.buf[:tb])
-		w.f.Sync()
-		w.opt.Crash.kill()
-	}
-
-	n, err := w.f.Write(w.buf)
+	nb, err := w.f.Write(w.buf)
 	if err != nil {
 		return fmt.Errorf("replog: append to %s: %w", w.f.Name(), err)
 	}
-	w.size += int64(n)
+	w.buf = w.buf[:0]
+	w.size += int64(nb)
 	w.dirty = true
-	w.stats.appends.Add(1)
-	w.stats.bytes.Add(uint64(n))
-	w.segs[len(w.segs)-1].last = e.Index
+	w.stats.appends.Add(uint64(n))
+	w.stats.writes.Add(1)
+	w.stats.bytes.Add(uint64(nb))
+	w.segs[len(w.segs)-1].last = last
+	w.next = last + 1
 	return nil
 }
 
@@ -463,6 +492,7 @@ func (w *WAL) Close() error {
 func (w *WAL) Stats() Stats {
 	return Stats{
 		Appends:      w.stats.appends.Load(),
+		Writes:       w.stats.writes.Load(),
 		Syncs:        w.stats.syncs.Load(),
 		Bytes:        w.stats.bytes.Load(),
 		TornRecords:  w.stats.tornRecords.Load(),

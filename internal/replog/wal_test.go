@@ -462,3 +462,81 @@ func TestParseSyncPolicy(t *testing.T) {
 		t.Fatalf("bad policy accepted")
 	}
 }
+
+// A batch is one write(2) however many records it frames — one more per
+// segment boundary it crosses — and a batch that breaks the index
+// sequence is refused before any of it reaches the file.
+func TestWALAppendBatchIsOneWrite(t *testing.T) {
+	dir := t.TempDir()
+	w, _, err := OpenWAL(dir, Options{Sync: SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append(mkEntries(1, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append(mkEntries(2, 65)); err != nil {
+		t.Fatal(err)
+	}
+	if st := w.Stats(); st.Appends != 65 || st.Writes != 2 {
+		t.Fatalf("appends=%d writes=%d after a 1-record and a 64-record batch, want 65/2", st.Appends, st.Writes)
+	}
+	bad := append(mkEntries(66, 67), mkEntry(69))
+	size := w.size
+	if err := w.Append(bad); err == nil {
+		t.Fatal("a batch with a hole was accepted")
+	}
+	if w.size != size || w.Next() != 66 {
+		t.Fatalf("refused batch left a trace: size %d -> %d, next=%d", size, w.size, w.Next())
+	}
+	w.Close()
+
+	// Tiny segments: the batch is cut at every boundary, and still
+	// replays whole.
+	dir = t.TempDir()
+	w, _, err = OpenWAL(dir, Options{Sync: SyncNone, SegmentBytes: 300})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append(mkEntries(1, 40)); err != nil {
+		t.Fatal(err)
+	}
+	st := w.Stats()
+	if st.Segments < 2 || st.Writes != st.Segments {
+		t.Fatalf("40 records over 300-byte segments: segments=%d writes=%d, want one write per segment", st.Segments, st.Writes)
+	}
+	w.Close()
+	_, ents, err := OpenWAL(dir, Options{SegmentBytes: 300})
+	if err != nil {
+		t.Fatal(err)
+	}
+	entriesEqual(t, ents, mkEntries(1, 40))
+}
+
+// Allocations per appended batch must not grow with the batch: records
+// are framed in place into the WAL's own buffer.
+func TestWALAppendAllocsIndependentOfSize(t *testing.T) {
+	w, _, err := OpenWAL(t.TempDir(), Options{Sync: SyncNone, SegmentBytes: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	next := uint64(1)
+	batch := make([]replica.Entry, 64)
+	measure := func(n int) float64 {
+		run := func() {
+			for i := range batch[:n] {
+				batch[i] = mkEntry(next)
+				next++
+			}
+			if err := w.Append(batch[:n]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // size the frame buffer
+		return testing.AllocsPerRun(50, run)
+	}
+	if big, one := measure(64), measure(1); big > one || one > 0 {
+		t.Fatalf("allocs per append: %v at 64 records, %v at 1; want 0 and no growth", big, one)
+	}
+}

@@ -26,9 +26,9 @@ type LeaderRef struct {
 func (r *LeaderRef) Set(l Leader) { r.v.Store(l) }
 
 // FrameFor implements Leader.
-func (r *LeaderRef) FrameFor(ni uint64) replica.LeaderFrame {
+func (r *LeaderRef) FrameFor(ni uint64, buf []replica.Entry) replica.LeaderFrame {
 	if l, ok := r.v.Load().(Leader); ok {
-		return l.FrameFor(ni)
+		return l.FrameFor(ni, buf)
 	}
 	return replica.LeaderFrame{Term: r.InitialTerm}
 }

@@ -14,9 +14,10 @@ import (
 // satisfied structurally by replica.Group.
 type Leader interface {
 	// FrameFor builds the append frame for a follower whose next expected
-	// index is ni: consistency-check point, copied entry suffix, snapshot
-	// when ni is inside truncated history, and the commit cursor.
-	FrameFor(ni uint64) replica.LeaderFrame
+	// index is ni: consistency-check point, the entry suffix copied into
+	// buf[:0], snapshot when ni is inside truncated history, and the
+	// commit cursor.
+	FrameFor(ni uint64, buf []replica.Entry) replica.LeaderFrame
 	// Term is the leader's current term.
 	Term() uint64
 }
@@ -60,6 +61,7 @@ type PeerStats struct {
 	HelloRejects uint64 // hellos the follower refused (stale epoch/term)
 	StaleAcks    uint64 // acks dropped because their session was retired
 	Nacks        uint64 // Replicate calls answered not-OK
+	Frames       uint64 // append and snapshot frames written (heartbeats included)
 	Retries      uint64 // append frames re-sent after a consistency nack
 }
 
@@ -104,9 +106,11 @@ type Peer struct {
 	epoch     uint64 // session epoch, bumped on every dial
 	nextIndex uint64
 	seq       uint64
-	pending   map[uint64]*inflight
+	pending   map[uint64]inflight
 	attempt   int // consecutive failed dials, drives backoff
 	rng       uint64
+	ents      []replica.Entry // FrameFor's suffix copy, reused frame to frame
+	wbuf      []byte          // frame encode buffer, likewise
 
 	nDials    atomic.Uint64
 	nSessions atomic.Uint64
@@ -114,6 +118,7 @@ type Peer struct {
 	nStale    atomic.Uint64
 	nNacks    atomic.Uint64
 	nRetries  atomic.Uint64
+	nFrames   atomic.Uint64
 }
 
 // maxFrameAttempts bounds the consistency-probe retry walk for one
@@ -154,7 +159,7 @@ func NewPeer(cfg PeerConfig) *Peer {
 		ackCh:   make(chan ackMsg, 64),
 		errCh:   make(chan uint64, 4),
 		closeCh: make(chan struct{}),
-		pending: make(map[uint64]*inflight),
+		pending: make(map[uint64]inflight),
 		rng:     cfg.Seed ^ 0x9e3779b97f4a7c15,
 	}
 	p.wg.Add(1)
@@ -209,6 +214,7 @@ func (p *Peer) Stats() PeerStats {
 		StaleAcks:    p.nStale.Load(),
 		Nacks:        p.nNacks.Load(),
 		Retries:      p.nRetries.Load(),
+		Frames:       p.nFrames.Load(),
 	}
 }
 
@@ -367,8 +373,9 @@ func (p *Peer) connect() bool {
 // epoch so the manager redials only if this is still the live session.
 func (p *Peer) readLoop(c net.Conn, epoch uint64) {
 	defer p.wg.Done()
+	fr := frameReader{r: c}
 	for {
-		f, err := readFrame(c)
+		f, err := fr.read()
 		if err != nil {
 			select {
 			case p.errCh <- epoch:
@@ -395,17 +402,17 @@ func (p *Peer) readLoop(c net.Conn, epoch uint64) {
 // is behind truncated history) and registers the pending ack. req.index
 // of 0 is a heartbeat/push. Returns false on a write failure.
 func (p *Peer) send(req request, attempts int) bool {
-	fr := p.cfg.Leader.FrameFor(p.nextIndex)
+	fr := p.cfg.Leader.FrameFor(p.nextIndex, p.ents)
+	p.ents = fr.Entries[:0]
 	p.seq++
-	p.pending[p.seq] = &inflight{req: req, attempts: attempts}
-	var buf []byte
+	p.pending[p.seq] = inflight{req: req, attempts: attempts}
 	if fr.Snap != nil {
 		// The follower needs history the leader no longer holds: install
 		// the snapshot first. Its ack advances nextIndex past the
 		// boundary and the retry path ships the remaining suffix.
-		buf = encodeSnap(nil, snapFrame{Seq: p.seq, Term: fr.Term, Data: replog.EncodeSnapshot(fr.Snap)})
+		p.wbuf = encodeSnap(p.wbuf[:0], snapFrame{Seq: p.seq, Term: fr.Term, Data: replog.EncodeSnapshot(fr.Snap)})
 	} else {
-		buf = encodeAppend(nil, appendFrame{
+		p.wbuf = encodeAppend(p.wbuf[:0], appendFrame{
 			Seq:       p.seq,
 			Term:      fr.Term,
 			PrevIndex: fr.PrevIndex,
@@ -414,8 +421,13 @@ func (p *Peer) send(req request, attempts int) bool {
 			Entries:   fr.Entries,
 		})
 	}
+	p.nFrames.Add(1)
 	p.conn.SetWriteDeadline(time.Now().Add(p.cfg.WriteTimeout))
-	if _, err := p.conn.Write(buf); err != nil {
+	_, err := p.conn.Write(p.wbuf)
+	if fr.Snap != nil {
+		p.wbuf = nil // do not keep a whole state image's worth of buffer
+	}
+	if err != nil {
 		p.logf("reptrans peer %d: write: %v", p.cfg.ID, err)
 		return false
 	}

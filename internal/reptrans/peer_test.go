@@ -43,8 +43,8 @@ func TestPeerFailFastWhenDown(t *testing.T) {
 
 type nopLeader struct{}
 
-func (nopLeader) FrameFor(ni uint64) replica.LeaderFrame { return replica.LeaderFrame{} }
-func (nopLeader) Term() uint64                           { return 1 }
+func (nopLeader) FrameFor(uint64, []replica.Entry) replica.LeaderFrame { return replica.LeaderFrame{} }
+func (nopLeader) Term() uint64                                         { return 1 }
 
 // An ack tagged with a retired session epoch must not resolve a pending
 // frame from the live session: it is counted as stale and dropped. This
@@ -54,7 +54,7 @@ func TestPeerDropsStaleEpochAck(t *testing.T) {
 	done := make(chan replica.RemoteAck, 1)
 	p := &Peer{
 		cfg:     PeerConfig{ID: 3, Leader: nopLeader{}, HeartbeatTimeout: time.Second},
-		pending: map[uint64]*inflight{9: {req: request{index: 5, done: done}}},
+		pending: map[uint64]inflight{9: {req: request{index: 5, done: done}}},
 		epoch:   4,
 	}
 	p.conn = nopConn{}

@@ -191,9 +191,10 @@ func (s *Server) serveConn(c net.Conn) error {
 	}
 	defer s.retire(c)
 	var buf []byte
+	fr := frameReader{r: c}
 	for {
 		c.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
-		f, err := readFrame(c)
+		f, err := fr.read()
 		if err != nil {
 			if s.isRetired(c) {
 				return nil // superseded mid-read; the close is expected

@@ -112,62 +112,68 @@ func putBool(buf []byte, v bool) []byte {
 	return append(buf, 0)
 }
 
-// appendFrameTo frames typ+payload into buf.
-func appendFrameTo(buf []byte, typ uint8, payload []byte) []byte {
-	body := make([]byte, 0, 1+len(payload))
-	body = append(body, typ)
-	body = append(body, payload...)
-	buf = put32(buf, uint32(len(body)))
-	buf = put32(buf, crc32.Checksum(body, castagnoli))
-	return append(buf, body...)
+// beginFrame reserves a frame header on buf and writes the type byte;
+// the encoder appends the payload in place and endFrame seals it, so
+// encoding into a reused buffer allocates nothing.
+func beginFrame(buf []byte, typ uint8) ([]byte, int) {
+	off := len(buf)
+	return append(buf, 0, 0, 0, 0, 0, 0, 0, 0, typ), off
+}
+
+// endFrame fills in the length and CRC of the frame begun at off.
+func endFrame(buf []byte, off int) []byte {
+	body := buf[off+frameHeaderLen:]
+	binary.LittleEndian.PutUint32(buf[off:], uint32(len(body)))
+	binary.LittleEndian.PutUint32(buf[off+4:], crc32.Checksum(body, castagnoli))
+	return buf
 }
 
 func encodeHello(buf []byte, h hello) []byte {
-	p := make([]byte, 0, 16)
-	p = put64(p, h.Epoch)
-	p = put64(p, h.Term)
-	return appendFrameTo(buf, frameHello, p)
+	buf, off := beginFrame(buf, frameHello)
+	buf = put64(buf, h.Epoch)
+	buf = put64(buf, h.Term)
+	return endFrame(buf, off)
 }
 
 func encodeHelloAck(buf []byte, h helloAck) []byte {
-	p := make([]byte, 0, 25)
-	p = putBool(p, h.OK)
-	p = put64(p, h.Epoch)
-	p = put64(p, h.Term)
-	p = put64(p, h.LastIndex)
-	return appendFrameTo(buf, frameHelloAck, p)
+	buf, off := beginFrame(buf, frameHelloAck)
+	buf = putBool(buf, h.OK)
+	buf = put64(buf, h.Epoch)
+	buf = put64(buf, h.Term)
+	buf = put64(buf, h.LastIndex)
+	return endFrame(buf, off)
 }
 
 func encodeAppend(buf []byte, a appendFrame) []byte {
-	p := make([]byte, 0, 44+replog.EntryLen*len(a.Entries))
-	p = put64(p, a.Seq)
-	p = put64(p, a.Term)
-	p = put64(p, a.PrevIndex)
-	p = put64(p, a.PrevTerm)
-	p = put64(p, a.Commit)
-	p = put32(p, uint32(len(a.Entries)))
+	buf, off := beginFrame(buf, frameAppend)
+	buf = put64(buf, a.Seq)
+	buf = put64(buf, a.Term)
+	buf = put64(buf, a.PrevIndex)
+	buf = put64(buf, a.PrevTerm)
+	buf = put64(buf, a.Commit)
+	buf = put32(buf, uint32(len(a.Entries)))
 	for _, e := range a.Entries {
-		p = replog.EncodeEntry(p, e)
+		buf = replog.EncodeEntry(buf, e)
 	}
-	return appendFrameTo(buf, frameAppend, p)
+	return endFrame(buf, off)
 }
 
 func encodeAppendAck(buf []byte, a appendAck) []byte {
-	p := make([]byte, 0, 25)
-	p = put64(p, a.Seq)
-	p = putBool(p, a.OK)
-	p = put64(p, a.Match)
-	p = put64(p, a.Term)
-	return appendFrameTo(buf, frameAppendAck, p)
+	buf, off := beginFrame(buf, frameAppendAck)
+	buf = put64(buf, a.Seq)
+	buf = putBool(buf, a.OK)
+	buf = put64(buf, a.Match)
+	buf = put64(buf, a.Term)
+	return endFrame(buf, off)
 }
 
 func encodeSnap(buf []byte, s snapFrame) []byte {
-	p := make([]byte, 0, 20+len(s.Data))
-	p = put64(p, s.Seq)
-	p = put64(p, s.Term)
-	p = put32(p, uint32(len(s.Data)))
-	p = append(p, s.Data...)
-	return appendFrameTo(buf, frameSnap, p)
+	buf, off := beginFrame(buf, frameSnap)
+	buf = put64(buf, s.Seq)
+	buf = put64(buf, s.Term)
+	buf = put32(buf, uint32(len(s.Data)))
+	buf = append(buf, s.Data...)
+	return endFrame(buf, off)
 }
 
 // frame is one decoded wire frame; exactly one field past typ is set.
@@ -180,11 +186,27 @@ type frame struct {
 	snap     snapFrame
 }
 
-// readFrame reads and validates one frame from r. Errors are fatal for
-// the connection: framing is lost once a frame fails to parse.
+// frameReader reads frames off one connection into buffers it reuses:
+// a decoded frame's Entries and snapshot Data alias them and are valid
+// only until the next read.
+type frameReader struct {
+	r    io.Reader
+	body []byte
+	ents []replica.Entry
+}
+
+// readFrame reads one frame from r into fresh buffers (handshakes,
+// tests); steady-state loops hold a frameReader instead.
 func readFrame(r io.Reader) (frame, error) {
+	fr := frameReader{r: r}
+	return fr.read()
+}
+
+// read reads and validates one frame. Errors are fatal for the
+// connection: framing is lost once a frame fails to parse.
+func (fr *frameReader) read() (frame, error) {
 	var hdr [frameHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	if _, err := io.ReadFull(fr.r, hdr[:]); err != nil {
 		return frame{}, err
 	}
 	n := binary.LittleEndian.Uint32(hdr[0:])
@@ -192,8 +214,11 @@ func readFrame(r io.Reader) (frame, error) {
 	if n == 0 || n > maxFrameLen {
 		return frame{}, fmt.Errorf("reptrans: frame length %d out of range", n)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
+	if uint32(cap(fr.body)) < n {
+		fr.body = make([]byte, n)
+	}
+	body := fr.body[:n]
+	if _, err := io.ReadFull(fr.r, body); err != nil {
 		return frame{}, err
 	}
 	if crc32.Checksum(body, castagnoli) != crc {
@@ -223,16 +248,15 @@ func readFrame(r io.Reader) (frame, error) {
 		}
 		f.app = appendFrame{Seq: u64(0), Term: u64(8), PrevIndex: u64(16), PrevTerm: u64(24), Commit: u64(32)}
 		if count > 0 {
-			f.app.Entries = make([]replica.Entry, count)
-			off := 44
-			for i := range f.app.Entries {
+			fr.ents = fr.ents[:0]
+			for off := 44; off < len(p); off += replog.EntryLen {
 				e, err := replog.DecodeEntry(p[off : off+replog.EntryLen])
 				if err != nil {
 					return frame{}, err
 				}
-				f.app.Entries[i] = e
-				off += replog.EntryLen
+				fr.ents = append(fr.ents, e)
 			}
+			f.app.Entries = fr.ents
 		}
 	case frameAppendAck:
 		if len(p) != 25 {
