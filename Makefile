@@ -3,7 +3,7 @@
 GO ?= go
 CHAOS_SEED ?= 1
 
-.PHONY: all build vet test race bench bench-hot bench-smoke bench-e2e-smoke bench-compare bench-frontend check chaos replica-chaos proc-chaos linear expiry loadtest fuzz trace figures ablations coverage clean
+.PHONY: all build vet test test-cpus test-1b race bench bench-hot bench-smoke bench-e2e-smoke check chaos replica-chaos proc-chaos linear expiry loadtest fuzz trace figures ablations coverage loc clean
 
 all: build vet test
 
@@ -27,6 +27,18 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# The serving stack at 1, 2 and 4 Ps: the delegation core and everything
+# built on it must hold at every GOMAXPROCS, not only the host's.
+# TestAsyncGroupPipelines is ROADMAP item 1b, still open (it fails about
+# one run in two from 2 Ps up), so it runs apart as test-1b: the known bug
+# stays visible without hiding a new one behind it.
+CPU_PKGS ?= ./internal/core/ ./internal/apps/ ./internal/frontend/ ./cmd/ffwdserve/
+test-cpus:
+	$(GO) test -count=1 -cpu 1,2,4 -skip '^TestAsyncGroupPipelines$$' $(CPU_PKGS)
+
+test-1b:
+	$(GO) test -count=1 -cpu 1,2,4 -run '^TestAsyncGroupPipelines$$' ./internal/core/
 
 race:
 	$(GO) test -race ./...
@@ -78,12 +90,9 @@ linear:
 # Server-owned time: the chaos-seeded expiry storm — fault-injected kills
 # while workers write short TTLs, jump the logical clock, and read back —
 # checked against the sequential KV-with-TTL model under the race
-# detector, plus the wheel-vs-sweep A/B (wheel-driven server expiry must
-# sustain at least the read throughput of the client-driven SweepExpired
-# baseline).
+# detector, plus the expiry scenarios' smoke run.
 expiry:
 	FFWD_CHAOS_SEED=3 $(GO) test -race -count=1 -run 'TestChaosKVTTL|TestRunExpiry' ./internal/linear/ ./internal/runtimebench/
-	FFWD_EXPIRY_AB=1 $(GO) test -count=1 -run TestExpiryStormAB -v ./internal/runtimebench/
 
 # Serving-path loadtest smoke: build the real ffwdserve binary, serve
 # both protocols, and drive each with the open-loop coordinated-omission-
@@ -92,13 +101,6 @@ expiry:
 # contract.
 loadtest:
 	$(GO) test -count=1 -run 'TestLoad' -v ./cmd/ffwdload/
-
-# Frontend A/B benchmark: a same-window closed-loop comparison of the
-# binary dataplane against the text frontend at equal connection count.
-# Regenerates BENCH_frontend.json and fails if the binary frontend is
-# under 2x the text frontend's throughput.
-bench-frontend:
-	FFWD_LOADTEST_AB=1 $(GO) test -count=1 -run TestFrontendAB -v ./cmd/ffwdload/
 
 # Fuzz the two text/binary protocol surfaces for a bounded while: the
 # text command dispatcher and the binary frame decoder (Split +
@@ -124,18 +126,11 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Hot-path benches only: one full-iteration pass of the internal/core
-# microbenches (~30 s). Fast enough for every pre-merge check; use
-# bench-compare for a statistically honest baseline diff.
+# microbenches (~30 s). Fast enough for every pre-merge check; for a
+# statistically honest comparison run the benchmark on both commits and
+# `go run ./benchmark -compare A/results.json B/results.json`.
 bench-hot:
 	$(GO) test -run=none -bench=Core -benchtime=200000x ./internal/core/
-
-# Best-of-N regression gate: run the Core benches BENCH_RUNS times, take
-# per-benchmark minima, and diff against the committed BENCH_core.json.
-# Exits nonzero past the noise envelope (default +25%); refresh the
-# baseline with `go run ./cmd/benchdiff -update -history <era>`.
-BENCH_RUNS ?= 7
-bench-compare:
-	$(GO) run ./cmd/benchdiff -runs $(BENCH_RUNS)
 
 # Grid smoke: run every registered backend through every structure it
 # supports on the runtime harness — a few milliseconds per cell, race
@@ -171,6 +166,20 @@ ablations:
 coverage:
 	$(GO) test -coverprofile=coverage.out ./...
 	$(GO) tool cover -func=coverage.out | tail -1
+
+# Code lines — non-blank, non-comment, non-test Go — per package, and the
+# repository total outside benchmark/. ROADMAP aim 2 reads this number:
+# it should go down.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' | sort | xargs awk ' \
+		FNR == 1 { inblock = 0 } \
+		{ line = $$0; sub(/^[ \t]+/, "", line) } \
+		inblock { if (line ~ /\*\//) inblock = 0; next } \
+		line == "" || line ~ /^\/\// { next } \
+		line ~ /^\/\*/ { if (line !~ /\*\//) inblock = 1; next } \
+		{ dir = FILENAME; sub(/\/[^\/]*$$/, "", dir); pkg[dir]++; total++ } \
+		END { for (d in pkg) printf "%7d %s\n", pkg[d], d | "sort -k2"; close("sort -k2"); \
+		      printf "%7d total (non-test, excluding benchmark/)\n", total }'
 
 clean:
 	rm -f coverage.out test_output.txt bench_output.txt

@@ -13,12 +13,11 @@
 //	ffwdbench -layer runtime -format json
 //	ffwdbench -layer runtime -backends ffwd,rcl,lock-mcs -goroutines 1,2,4,8
 //	ffwdbench -layer expiry -scenarios expiry-storm -goroutines 2,4
-//	ffwdbench -layer expiry -modes wheel,sweep -capacity 4096 -format json
+//	ffwdbench -layer expiry -capacity 4096 -format json
 //
 // The expiry layer sweeps the TTL/eviction scenarios (expiry storm,
 // hot-key skew under eviction pressure, scan-heavy mix) against the
-// delegated KV store, comparing wheel-driven server expiry with the
-// client-driven SweepExpired baseline.
+// delegated KV store under wheel-driven, server-owned expiry.
 //
 // Output is one aligned text table per experiment (the same rows/series
 // the paper plots), CSV, an ASCII plot, or JSON.
@@ -62,11 +61,9 @@ func main() {
 		traceDir   = flag.String("trace-dir", "", "runtime layer: capture per-cell delegation traces (Chrome JSON) into this directory")
 
 		// Expiry-layer options.
-		scenarios  = flag.String("scenarios", "", "expiry layer: comma-separated scenarios (expiry-storm,hot-key-skew,scan-heavy; default all)")
-		modes      = flag.String("modes", "", "expiry layer: comma-separated reclaim modes (wheel,sweep; default both)")
-		capacity   = flag.Int("capacity", 1024, "expiry layer: store max-entries bound")
-		ttlTicks   = flag.Uint64("ttl-ticks", 20, "expiry layer: base TTL in 100µs clock ticks")
-		sweepEvery = flag.Int("sweep-every", 16, "expiry layer: ops between client-driven sweeps in sweep mode")
+		scenarios = flag.String("scenarios", "", "expiry layer: comma-separated scenarios (expiry-storm,hot-key-skew,scan-heavy; default all)")
+		capacity  = flag.Int("capacity", 1024, "expiry layer: store max-entries bound")
+		ttlTicks  = flag.Uint64("ttl-ticks", 20, "expiry layer: base TTL in 100µs clock ticks")
 	)
 	flag.Parse()
 
@@ -127,13 +124,11 @@ func main() {
 	case "expiry":
 		rep, err := runtimebench.RunExpiry(runtimebench.ExpiryOptions{
 			Scenarios:  splitList(*scenarios),
-			Modes:      splitList(*modes),
 			Goroutines: parseInts(*goroutines),
 			Duration:   *measure,
 			Warmup:     *warmup,
 			Capacity:   *capacity,
 			TTLTicks:   *ttlTicks,
-			SweepEvery: *sweepEvery,
 			Seed:       int64(*seed),
 		})
 		if err != nil {

@@ -16,8 +16,7 @@ import (
 // This file is the loadtest smoke harness behind `make loadtest`: it
 // builds the real ffwdserve binary, serves both protocols on ephemeral
 // ports, and drives them with the in-process load core plus the real
-// ffwdload binary. The env-gated A/B test is also the producer of
-// BENCH_frontend.json.
+// ffwdload binary.
 
 var (
 	serveBin string
@@ -208,41 +207,5 @@ func TestLoadBinarySmoke(t *testing.T) {
 		"-addr", "127.0.0.1:1", "-duration", "1s", "-warmup", "1ms",
 	).CombinedOutput(); err == nil {
 		t.Fatalf("ffwdload against a dead port exited zero:\n%s", out)
-	}
-}
-
-// TestFrontendAB is the producer of BENCH_frontend.json: a same-window
-// closed-loop A/B of the binary dataplane against the text frontend at
-// equal connection count. Gated behind FFWD_LOADTEST_AB=1 because it is
-// a multi-second saturation benchmark, not a correctness test; the
-// acceptance bar (binary ≥ 2x text ops/s) is asserted when it runs.
-func TestFrontendAB(t *testing.T) {
-	if os.Getenv("FFWD_LOADTEST_AB") == "" {
-		t.Skip("set FFWD_LOADTEST_AB=1 to run the frontend A/B benchmark")
-	}
-	textAddr, binAddr := startServer(t)
-	outPath := filepath.Join("..", "..", "BENCH_frontend.json")
-	out, err := exec.Command(loadBin,
-		"-addr", binAddr,
-		"-ab-text-addr", textAddr,
-		"-conns", "2",
-		"-duration", "5s",
-		"-warmup", "1s",
-		"-outstanding", "64",
-		"-format", "json",
-		"-out", outPath,
-	).CombinedOutput()
-	if err != nil {
-		t.Fatalf("ffwdload A/B failed: %v\n%s", err, out)
-	}
-	m := regexp.MustCompile(`throughput ratio: ([0-9.]+)x`).FindStringSubmatch(string(out))
-	if m == nil {
-		t.Fatalf("no throughput ratio in output:\n%s", out)
-	}
-	var ratio float64
-	fmt.Sscanf(m[1], "%f", &ratio)
-	t.Logf("binary/text throughput ratio: %.2fx", ratio)
-	if ratio < 2.0 {
-		t.Fatalf("binary frontend is %.2fx text, want >= 2x", ratio)
 	}
 }

@@ -19,13 +19,10 @@
 // carrying the -ttl-ms relative TTL — the deterministic TTL mix for
 // exercising server-owned expiry under load.
 //
-// -ab-text-addr runs a second, identically configured phase against a
-// text-protocol listener after the main binary phase — the same-window
-// A/B behind BENCH_frontend.json. The report is a bench.Figure: one
-// series per frontend, points at X=1..4 for ops/s, p50, p99, and p99.9
-// (µs, see XLabel).
+// The report is one line: ops/s, the p50, p99 and p99.9 latencies in µs,
+// and the op, error and send-stall counts.
 //
-// ffwdload exits nonzero when a phase completes zero operations or
+// ffwdload exits nonzero when the run completes zero operations or
 // records no latencies — a smoke run that "passes" without measuring
 // anything is a failure.
 //
@@ -33,9 +30,6 @@
 //
 //	ffwdserve -proto binary -addr :11212 &
 //	ffwdload -addr :11212 -rate 20000 -duration 10s
-//
-//	ffwdserve -proto both -addr :11211 -binary-addr :11212 &
-//	ffwdload -addr :11212 -ab-text-addr :11211 -format json -out BENCH_frontend.json
 package main
 
 import (
@@ -44,8 +38,6 @@ import (
 	"log"
 	"os"
 	"time"
-
-	"ffwd/internal/bench"
 )
 
 func main() {
@@ -63,9 +55,6 @@ func main() {
 		keys        = flag.Uint64("keys", 4096, "uniform key-space size")
 		outstanding = flag.Int("outstanding", 64, "per-connection in-flight cap")
 		crc         = flag.Bool("crc", false, "request CRC-framed responses (binary protocol)")
-		format      = flag.String("format", "text", "report format: text or json (bench.Figure)")
-		out         = flag.String("out", "", "write the report here instead of stdout")
-		abTextAddr  = flag.String("ab-text-addr", "", "after the main phase, run an identical phase against this text-protocol address and report both")
 	)
 	flag.Parse()
 	log.SetFlags(0)
@@ -98,84 +87,26 @@ func main() {
 		crc:         *crc,
 	}
 
-	type phase struct {
-		label string
-		res   *loadResult
-	}
-	var phases []phase
-
-	log.Printf("ffwdload: %s phase: %s addr=%s conns=%d rate=%s duration=%v",
-		cfg.proto, describeRate(cfg.rate), cfg.addr, cfg.conns, describeRate(cfg.rate), cfg.duration)
+	log.Printf("ffwdload: %s: %s addr=%s conns=%d duration=%v",
+		cfg.proto, describeRate(cfg.rate), cfg.addr, cfg.conns, cfg.duration)
 	res, err := runLoad(cfg)
 	if err != nil {
 		log.Fatalf("ffwdload: %v", err)
 	}
-	phases = append(phases, phase{cfg.proto, res})
-
-	if *abTextAddr != "" {
-		tcfg := cfg
-		tcfg.addr = *abTextAddr
-		tcfg.proto = "text"
-		tcfg.crc = false
-		log.Printf("ffwdload: text phase: addr=%s conns=%d rate=%s duration=%v",
-			tcfg.addr, tcfg.conns, describeRate(tcfg.rate), tcfg.duration)
-		tres, terr := runLoad(tcfg)
-		if terr != nil {
-			log.Fatalf("ffwdload: text phase: %v", terr)
-		}
-		phases = append(phases, phase{"text", tres})
-	}
 
 	// Validation: a run that measured nothing must not look like a pass.
 	exitCode := 0
-	for _, p := range phases {
-		if p.res.Ops == 0 {
-			log.Printf("ffwdload: FAIL: %s phase completed zero operations", p.label)
-			exitCode = 1
-		} else if p.res.Hist.Count() == 0 {
-			log.Printf("ffwdload: FAIL: %s phase recorded no latencies (p99 unattributed)", p.label)
-			exitCode = 1
-		}
+	if res.Ops == 0 {
+		log.Print("ffwdload: FAIL: completed zero operations")
+		exitCode = 1
+	} else if res.Hist.Count() == 0 {
+		log.Print("ffwdload: FAIL: recorded no latencies (p99 unattributed)")
+		exitCode = 1
 	}
 
-	fig := bench.Figure{
-		ID:     "frontend-load",
-		Title:  "ffwdserve frontend load: throughput and CO-safe latency",
-		XLabel: "metric (1=ops/s, 2=p50 µs, 3=p99 µs, 4=p99.9 µs)",
-		YLabel: "value",
-	}
-	for _, p := range phases {
-		fig.Series = append(fig.Series, bench.Series{Label: p.label, Points: []bench.Point{
-			{X: 1, Y: p.res.OpsPerSec},
-			{X: 2, Y: p.res.quantileUS(0.50)},
-			{X: 3, Y: p.res.quantileUS(0.99)},
-			{X: 4, Y: p.res.quantileUS(0.999)},
-		}})
-	}
-
-	var report string
-	if *format == "json" {
-		report = bench.FormatJSON(fig)
-	} else {
-		for _, p := range phases {
-			report += fmt.Sprintf("%-8s %12.0f ops/s  p50=%8.1fµs  p99=%8.1fµs  p99.9=%8.1fµs  ops=%d errors=%d stalls=%d\n",
-				p.label, p.res.OpsPerSec, p.res.quantileUS(0.50), p.res.quantileUS(0.99),
-				p.res.quantileUS(0.999), p.res.Ops, p.res.Errors, p.res.Stalls)
-		}
-	}
-	if len(phases) == 2 && phases[1].res.OpsPerSec > 0 {
-		log.Printf("ffwdload: binary/text throughput ratio: %.2fx",
-			phases[0].res.OpsPerSec/phases[1].res.OpsPerSec)
-	}
-
-	if *out != "" {
-		if err := os.WriteFile(*out, []byte(report), 0o644); err != nil {
-			log.Fatalf("ffwdload: %v", err)
-		}
-		log.Printf("ffwdload: wrote %s", *out)
-	} else {
-		fmt.Print(report)
-	}
+	fmt.Printf("%-8s %12.0f ops/s  p50=%8.1fµs  p99=%8.1fµs  p99.9=%8.1fµs  ops=%d errors=%d stalls=%d\n",
+		cfg.proto, res.OpsPerSec, res.quantileUS(0.50), res.quantileUS(0.99),
+		res.quantileUS(0.999), res.Ops, res.Errors, res.Stalls)
 	os.Exit(exitCode)
 }
 

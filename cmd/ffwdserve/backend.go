@@ -3,11 +3,13 @@ package main
 import (
 	"fmt"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
 	"ffwd/internal/apps"
 	"ffwd/internal/frontend"
+	"ffwd/internal/obs"
 	"ffwd/internal/wireproto"
 )
 
@@ -18,6 +20,33 @@ import (
 // Exec directly, and the text frontend (textfront.go) is a parser and a
 // formatter around the same call. The mutex exec is here; the ffwd exec
 // is in binaryfront.go and the replicated one in replicated.go.
+
+// backend is what every store configuration builds for main: the
+// executors the two frontends run on, and what to do with the store at
+// shutdown. Its builders register the store's stats rows as they go.
+type backend struct {
+	text   []frontend.Exec // pooled behind the text frontend
+	binary []frontend.Exec // one per binary shard
+	// statsReply, when set, answers the text stats verb in place of the
+	// executor (see textFrontend.statsReply).
+	statsReply func() string
+	// sink is the delegation lifecycle trace, when one is captured.
+	sink *obs.TraceSink
+	// stop shuts the store down, after the last executor has returned.
+	stop func()
+}
+
+// storeOpts is what the flags ask of a backend builder.
+type storeOpts struct {
+	capacity  int           // -capacity
+	clients   int           // text executors (-clients; 0 when text is not served)
+	shards    int           // binary executors (-shards; 0 when binary is not served)
+	defTTL    uint64        // -default-ttl in ticks
+	tick      func() uint64 // server time, one tick per millisecond
+	parkAfter int           // -idle-park-after
+	chaosSeed uint64        // -chaos-seed
+	trace     bool          // capture the delegation lifecycle trace
+}
 
 // mgetMax bounds the number of keys per mget so one command line cannot
 // monopolize an executor. It equals wireproto.MGetMax so the two
@@ -37,8 +66,8 @@ type execPool struct {
 	sheds     atomic.Uint64
 }
 
-func newExecPool(execs []frontend.Exec) *execPool {
-	p := &execPool{execs: make(chan frontend.Exec, len(execs))}
+func newExecPool(execs []frontend.Exec, shedAfter time.Duration) *execPool {
+	p := &execPool{execs: make(chan frontend.Exec, len(execs)), shedAfter: shedAfter}
 	for _, e := range execs {
 		p.execs <- e
 	}
@@ -69,6 +98,15 @@ func (p *execPool) get() frontend.Exec {
 
 func (p *execPool) put(e frontend.Exec) { p.execs <- e }
 
+// nExecs builds n executors with mk.
+func nExecs(n int, mk func() frontend.Exec) []frontend.Exec {
+	execs := make([]frontend.Exec, n)
+	for i := range execs {
+		execs[i] = mk()
+	}
+	return execs
+}
+
 // found picks the response type of an op that either hit its key or did
 // not.
 func found(ok bool, hit uint8) uint8 {
@@ -84,39 +122,28 @@ func found(ok bool, hit uint8) uint8 {
 // one op at a time, each complete before the next starts.
 type mutexExec struct {
 	kv *apps.LockedKV
-	// tick supplies the logical clock for TTL ops; the executor advances
-	// the store clock (sweeping due entries inline) because no server
-	// goroutine owns the lock-based store's time. nil freezes the clock.
+	// tick supplies the logical clock: the executor advances the store
+	// clock (sweeping due entries inline) because no server goroutine
+	// owns the lock-based store's time.
 	tick func() uint64
 	// defTTL mirrors ffwdExec.defTTL for plain OpSet.
 	defTTL uint64
 }
 
-func newMutexExecs(kv *apps.LockedKV, n int, tick func() uint64, defTTL uint64) []frontend.Exec {
-	execs := make([]frontend.Exec, n)
-	for i := range execs {
-		execs[i] = &mutexExec{kv: kv, tick: tick, defTTL: defTTL}
-	}
-	return execs
+// newMutexBackend builds the global-lock store and registers its stats.
+func newMutexBackend(o storeOpts, reg *obs.Registry) *backend {
+	kv := apps.NewLockedKV(o.capacity, func() sync.Locker { return &sync.Mutex{} })
+	reg.Add("store stats", func() []obs.Row { return apps.StoreRows(kv.Stats()) })
+	mk := func() frontend.Exec { return &mutexExec{kv: kv, tick: o.tick, defTTL: o.defTTL} }
+	return &backend{text: nExecs(o.clients, mk), binary: nExecs(o.shards, mk), stop: func() {}}
 }
 
-func (e *mutexExec) now() uint64 {
-	if e.tick == nil {
-		return e.kv.Clock()
-	}
-	return e.kv.AdvanceClock(e.tick())
-}
+func (e *mutexExec) now() uint64 { return e.kv.AdvanceClock(e.tick()) }
 
-// get reads key, advancing the clock first when a tick source exists:
-// without it a pure-read workload never moves time forward and TTL'd
-// entries read back forever (GetAt does both under one lock
-// acquisition).
-func (e *mutexExec) get(k uint64) (uint64, bool) {
-	if e.tick == nil {
-		return e.kv.Get(k)
-	}
-	return e.kv.GetAt(k, e.tick())
-}
+// get reads key, advancing the clock first: without that a pure-read
+// workload never moves time forward and TTL'd entries read back forever
+// (GetAt does both under one lock acquisition).
+func (e *mutexExec) get(k uint64) (uint64, bool) { return e.kv.GetAt(k, e.tick()) }
 
 func (e *mutexExec) ExecBatch(ops []frontend.Op, results []frontend.Result) {
 	for i := range ops {
@@ -154,9 +181,8 @@ func (e *mutexExec) ExecBatch(ops []frontend.Op, results []frontend.Result) {
 		case wireproto.OpLen:
 			res.Status, res.Val = wireproto.RespLen, uint64(e.kv.Len())
 		case wireproto.OpStats:
-			h, m, ev, exp := e.kv.Stats()
 			res.Status = wireproto.RespStats
-			res.Hits, res.Misses, res.Evictions, res.Expired = h, m, ev, exp
+			res.Hits, res.Misses, res.Evictions, res.Expired = e.kv.Stats()
 		}
 	}
 }
@@ -264,14 +290,9 @@ func parse(line []byte, op *frontend.Op, args []uint64) (textCmd, string, []uint
 	return cmdOp, "", args
 }
 
-// statsLine formats the stats reply. Both frontends answer the stats
-// command through this one formatter so their fields can never drift
-// (pinned by the parity test).
-func statsLine(h, m, e, exp uint64) string {
-	return fmt.Sprintf("STATS hits=%d misses=%d evictions=%d expired=%d", h, m, e, exp)
-}
-
 // appendReply renders one executor result as a reply line (no newline).
+// Both frontends' replies come through here (the binary one's in the
+// parity test), so their wording cannot drift.
 func appendReply(out []byte, res *frontend.Result) []byte {
 	switch res.Status {
 	case wireproto.RespValue:
@@ -297,7 +318,7 @@ func appendReply(out []byte, res *frontend.Result) []byte {
 	case wireproto.RespLen:
 		return strconv.AppendUint(append(out, "LEN "...), res.Val, 10)
 	case wireproto.RespStats:
-		return append(out, statsLine(res.Hits, res.Misses, res.Evictions, res.Expired)...)
+		return fmt.Appendf(out, "STATS hits=%d misses=%d evictions=%d expired=%d", res.Hits, res.Misses, res.Evictions, res.Expired)
 	case wireproto.RespBusy:
 		return append(out, busyShard...)
 	case wireproto.RespError:

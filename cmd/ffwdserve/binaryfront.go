@@ -1,85 +1,150 @@
 package main
 
 import (
+	"log"
+	"sync"
+	"time"
+
 	"ffwd/internal/apps"
+	"ffwd/internal/core"
+	"ffwd/internal/fault"
 	"ffwd/internal/frontend"
+	"ffwd/internal/obs"
 	"ffwd/internal/wireproto"
 )
 
-// This file is the ffwd backend's executor: each one owns its own
-// delegation handles — a KVBatchClient window for pipelined singles, a
-// KVPipeClient for mget, a KVClient for the synchronous stats reads —
-// all against the one shared DelegatedKV, so the store stays globally
-// consistent while every executor pipelines independently. The binary
-// dataplane's shard executors run a deep window; the text frontend's
-// pooled executors run a window of one, which keeps a connection's
-// commands in program order because a single slot cannot reorder (the
-// deep window can: ROADMAP item 1b).
+// This file is the ffwd backend: one shared DelegatedKV, and executors
+// that each own one delegation handle on it — a KVBatchClient window —
+// so the store stays globally consistent while every executor pipelines
+// independently. Everything an executor asks of the store goes through
+// that window: singles, a multi-get as its keys' gets, the stats verb as
+// four counter reads.
 
-// ffwdExec executes batches against the delegated KV. Singles flow
-// through the batch client's async window; mget and stats are
-// synchronous, so pending singles are flushed first to preserve
-// submission order.
+// The executors' windows. A binary shard runs deep enough to overlap a
+// full executor batch through the delegation server's sweeps; a text
+// executor needs only multi-get depth, because it keeps one single in
+// flight at a time (see ffwdExec.ordered).
+const (
+	ffwdBinaryWindow = 16
+	ffwdTextWindow   = 8
+)
+
+// ffwdExec executes batches against the delegated KV.
 type ffwdExec struct {
 	batch *apps.KVBatchClient
-	pipe  *apps.KVPipeClient
-	kv    *apps.KVClient
+
+	// ordered makes the executor flush after every op, so one single is
+	// in flight at a time and a connection's commands apply in program
+	// order: the deep window can reorder the requests it overlaps
+	// (ROADMAP item 1b). The text frontend's executors are ordered; a
+	// multi-get still pipelines its keys, which are reads of one instant.
+	ordered bool
 
 	// defTTL, when nonzero, turns plain OpSet into a TTL'd store (the
 	// -default-ttl flag, in server clock ticks).
 	defTTL uint64
 
-	// pend maps the batch client's completion seq to the op index of
-	// the in-progress batch; curOps/curResults alias ExecBatch's
-	// arguments so the completion callback is allocation-free.
-	pend       []int
+	// pend maps the batch client's completion seq to the op (and, for a
+	// multi-get or stats, the key or counter within it) of the
+	// in-progress batch; curOps/curResults alias ExecBatch's arguments so
+	// the completion callback is allocation-free.
+	pend       []pendRef
 	curOps     []frontend.Op
 	curResults []frontend.Result
-	found      [wireproto.MGetMax]bool
 }
 
-// ffwdExecWindow is each binary shard's pipelined-singles depth: deep
-// enough to overlap a full executor batch through the delegation
-// server's sweeps, small enough that per-shard slot cost stays trivial.
-const ffwdExecWindow = 16
+// pendRef names what one delegated request answers: op sub of results[op].
+type pendRef struct{ op, sub int }
 
-// newFFWDExecs builds n executors of the given singles window. Slot
-// budget per executor: window async + 1 synchronous + pipeDepth
-// pipelined.
-func newFFWDExecs(d *apps.DelegatedKV, n, window, pipeDepth int, defTTL uint64) ([]frontend.Exec, error) {
+// newFFWDExecs builds n executors, each on its own window of d's slots.
+func newFFWDExecs(d *apps.DelegatedKV, n, window int, ordered bool, defTTL uint64) ([]frontend.Exec, error) {
 	execs := make([]frontend.Exec, 0, n)
 	for i := 0; i < n; i++ {
 		batch, err := d.NewBatchClient(window)
 		if err != nil {
 			return nil, err
 		}
-		pipe, err := d.NewPipelinedClient(pipeDepth)
-		if err != nil {
-			return nil, err
-		}
-		kv, err := d.NewClient()
-		if err != nil {
-			return nil, err
-		}
-		e := &ffwdExec{batch: batch, pipe: pipe, kv: kv, defTTL: defTTL, pend: make([]int, 0, 256)}
+		e := &ffwdExec{batch: batch, ordered: ordered, defTTL: defTTL, pend: make([]pendRef, 0, 256)}
 		batch.OnDone(e.onDone)
 		execs = append(execs, e)
 	}
 	return execs, nil
 }
 
-// ffwdExecSlots is the delegation-slot budget newFFWDExecs consumes,
-// for sizing core.Config.MaxClients.
-func ffwdExecSlots(n, window, pipeDepth int) int {
-	return n * (window + 1 + pipeDepth)
+// newFFWDBackend builds the delegated store, supervises its server, and
+// registers its stats: the delegation server's counters and the store's,
+// which are read through a delegation slot of their own (a scrape is a
+// request like any other).
+func newFFWDBackend(o storeOpts, reg *obs.Registry) (*backend, error) {
+	cfg := core.Config{
+		MaxClients:    o.clients*ffwdTextWindow + o.shards*ffwdBinaryWindow + 1,
+		IdleParkAfter: o.parkAfter,
+	}
+	if o.chaosSeed != 0 {
+		inj := fault.FromSeed(o.chaosSeed)
+		cfg.Hooks = inj
+		log.Printf("ffwdserve: chaos injection on: %v", inj)
+	}
+	be := &backend{}
+	if o.trace {
+		be.sink = obs.NewTraceSink(obs.SinkConfig{Clients: cfg.MaxClients})
+		cfg.Trace = be.sink
+	}
+	d := apps.NewDelegatedKVConfig(o.capacity, cfg)
+	// Server-owned time: the delegation server's background hook samples
+	// this source, advances the store clock, and drains due expiries
+	// between request sweeps.
+	d.SetTickSource(o.tick)
+	// Every handle is taken before the server starts, so a failure leaves
+	// nothing running.
+	var err error
+	if be.text, err = newFFWDExecs(d, o.clients, ffwdTextWindow, true, o.defTTL); err != nil {
+		return nil, err
+	}
+	if be.binary, err = newFFWDExecs(d, o.shards, ffwdBinaryWindow, false, o.defTTL); err != nil {
+		return nil, err
+	}
+	sc, err := d.NewClient()
+	if err != nil {
+		return nil, err
+	}
+	if err := d.Start(); err != nil {
+		return nil, err
+	}
+	var mu sync.Mutex // scrapes may overlap; a delegation handle has one owner
+	reg.Add("store stats", func() []obs.Row {
+		mu.Lock()
+		defer mu.Unlock()
+		return apps.StoreRows(sc.Stats())
+	})
+	reg.Add("final stats", func() []obs.Row { return d.Server().Stats().Rows() })
+	// Supervise the delegation server: restart it if it crashes
+	// (mandatory under chaos injection, cheap insurance without).
+	sv := core.NewSupervisor(d.Server(), supervisorCadence)
+	sv.Start()
+	be.stop = func() {
+		sv.Stop()
+		if p := d.Server().LastPanic(); p != nil {
+			log.Printf("ffwdserve: last panic: %v", p)
+		}
+		d.Stop()
+	}
+	return be, nil
 }
 
-// onDone maps one completed single back to its result slot. ret is the
+// supervisorCadence is how every ffwd-kind backend supervises its
+// delegation server. It is gentler than the library default: a rescue
+// kick wakes the parked server and costs a full idle-ladder climb, so one
+// per 100ms keeps an idle ffwdserve near zero CPU while still repairing a
+// crash within 5ms and a lost wake within 100ms.
+var supervisorCadence = core.SupervisorConfig{Interval: 5 * time.Millisecond, KickAfter: 20}
+
+// onDone maps one completed request back to its result. ret is the
 // delegated function's raw return word; the op kind decodes it.
 func (e *ffwdExec) onDone(seq int, ret uint64) {
-	i := e.pend[seq]
-	res := &e.curResults[i]
-	switch e.curOps[i].Kind {
+	p := e.pend[seq]
+	res := &e.curResults[p.op]
+	switch e.curOps[p.op].Kind {
 	case wireproto.OpGet:
 		if ret == wireproto.MissValue {
 			res.Status = wireproto.RespNotFound
@@ -94,63 +159,76 @@ func (e *ffwdExec) onDone(seq int, ret uint64) {
 		res.Status = found(ret == 1, wireproto.RespTouched)
 	case wireproto.OpLen:
 		res.Status, res.Val = wireproto.RespLen, ret
+	case wireproto.OpMGet:
+		res.Vals[p.sub] = ret // a miss is already wireproto.MissValue
+	case wireproto.OpStats:
+		// KVBatchClient.Stats completes in this order.
+		*[...]*uint64{&res.Hits, &res.Misses, &res.Evictions, &res.Expired}[p.sub] = ret
 	}
 }
 
-func (e *ffwdExec) flushPend() {
-	if len(e.pend) == 0 {
-		return
+// ref records that the next request submitted answers op i, part sub.
+func (e *ffwdExec) ref(i, sub int) { e.pend = append(e.pend, pendRef{i, sub}) }
+
+func (e *ffwdExec) flush() {
+	if len(e.pend) > 0 {
+		e.batch.Flush()
+		e.pend = e.pend[:0]
 	}
-	e.batch.Flush()
-	e.pend = e.pend[:0]
 }
 
 func (e *ffwdExec) ExecBatch(ops []frontend.Op, results []frontend.Result) {
 	e.curOps, e.curResults = ops, results
 	for i := range ops {
 		op := &ops[i]
+		// A multi-get or stats is fenced by a flush on both sides: it
+		// reads after every single submitted before it has applied (a
+		// pipelined set lands before the multi-get that follows it) and
+		// before any submitted after.
+		wide := op.Kind == wireproto.OpMGet || op.Kind == wireproto.OpStats
+		if wide {
+			e.flush()
+		}
 		switch op.Kind {
 		case wireproto.OpGet:
-			e.pend = append(e.pend, i)
+			e.ref(i, 0)
 			e.batch.Get(op.Key)
 		case wireproto.OpSet:
-			e.pend = append(e.pend, i)
+			e.ref(i, 0)
 			if e.defTTL > 0 {
 				e.batch.SetTTL(op.Key, op.Val, e.defTTL)
 			} else {
 				e.batch.Set(op.Key, op.Val)
 			}
 		case wireproto.OpSetTTL:
-			e.pend = append(e.pend, i)
+			e.ref(i, 0)
 			e.batch.SetTTL(op.Key, op.Val, op.TTL)
 		case wireproto.OpTouch:
-			e.pend = append(e.pend, i)
+			e.ref(i, 0)
 			e.batch.Touch(op.Key, op.TTL)
 		case wireproto.OpDel:
-			e.pend = append(e.pend, i)
+			e.ref(i, 0)
 			e.batch.Del(op.Key)
 		case wireproto.OpLen:
-			e.pend = append(e.pend, i)
+			e.ref(i, 0)
 			e.batch.Len()
 		case wireproto.OpMGet:
-			// Synchronous op: drain the async window first so a
-			// pipelined set on this shard lands before the multi-get
-			// reads.
-			e.flushPend()
-			e.pipe.MultiGet(op.Keys, results[i].Vals, e.found[:len(op.Keys)])
-			for j := range op.Keys {
-				if !e.found[j] {
-					results[i].Vals[j] = wireproto.MissValue
-				}
+			for j, k := range op.Keys {
+				e.ref(i, j)
+				e.batch.Get(k)
 			}
 			results[i].Status = wireproto.RespValues
 		case wireproto.OpStats:
-			e.flushPend()
-			h, m, ev, exp := e.kv.Stats()
+			for j := 0; j < 4; j++ {
+				e.ref(i, j)
+			}
+			e.batch.Stats()
 			results[i].Status = wireproto.RespStats
-			results[i].Hits, results[i].Misses, results[i].Evictions, results[i].Expired = h, m, ev, exp
+		}
+		if wide || e.ordered {
+			e.flush()
 		}
 	}
-	e.flushPend()
+	e.flush()
 	e.curOps, e.curResults = nil, nil
 }

@@ -21,7 +21,7 @@ func FuzzDispatch(f *testing.F) {
 	} {
 		f.Add(seed)
 	}
-	fe := newMutexBackend(1024, nil)
+	fe := mutexText(1024, nil)
 	f.Fuzz(func(t *testing.T, line string) {
 		out := handle(fe, line)
 		if out == "" {

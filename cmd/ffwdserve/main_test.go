@@ -10,31 +10,31 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"ffwd/internal/apps"
 	"ffwd/internal/frontend"
+	"ffwd/internal/obs"
 	"ffwd/internal/wireproto"
 )
 
-// newFFWDBackend builds a text frontend over a pool of `clients`
-// program-order executors on a fresh delegated store.
-func newFFWDBackend(t *testing.T, capacity, clients int) *textFrontend {
+// ffwdText builds a text frontend over the ffwd backend main would build
+// for `clients` text executors on a fresh delegated store.
+func ffwdText(t *testing.T, capacity, clients int) *textFrontend {
 	t.Helper()
-	const depth = 2
-	d := apps.NewDelegatedKV(capacity, ffwdExecSlots(clients, 1, depth))
-	if err := d.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(d.Stop)
-	execs, err := newFFWDExecs(d, clients, 1, depth, 0)
+	be, err := newFFWDBackend(storeOpts{capacity: capacity, clients: clients}, obs.NewRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return newTextFrontend(newExecPool(execs))
+	t.Cleanup(be.stop)
+	return newTextFrontend(newExecPool(be.text, 0))
 }
 
-func newMutexBackend(capacity int, tick func() uint64) *textFrontend {
-	kv := apps.NewLockedKV(capacity, func() sync.Locker { return &sync.Mutex{} })
-	return newTextFrontend(newExecPool(newMutexExecs(kv, 1, tick, 0)))
+// mutexText is the same over the global-lock backend; a nil tick freezes
+// the clock at zero.
+func mutexText(capacity int, tick func() uint64) *textFrontend {
+	if tick == nil {
+		tick = func() uint64 { return 0 }
+	}
+	be := newMutexBackend(storeOpts{capacity: capacity, clients: 1, tick: tick}, obs.NewRegistry())
+	return newTextFrontend(newExecPool(be.text, 0))
 }
 
 // handle runs one command line the way a connection would — parse, one
@@ -78,8 +78,8 @@ func TestDispatchProtocol(t *testing.T) {
 		name string
 		fe   *textFrontend
 	}{
-		{"ffwd", newFFWDBackend(t, 128, 4)},
-		{"mutex", newMutexBackend(128, nil)},
+		{"ffwd", ffwdText(t, 128, 4)},
+		{"mutex", mutexText(128, nil)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			steps := []struct{ in, want string }{
@@ -125,7 +125,7 @@ func TestDispatchProtocol(t *testing.T) {
 // anything.
 func TestMutexBackendReadExpiry(t *testing.T) {
 	var now atomic.Uint64
-	b := newMutexBackend(128, now.Load)
+	b := mutexText(128, now.Load)
 	if got := handle(b, "setx 1 10 5"); got != "STORED" {
 		t.Fatalf("setx = %q", got)
 	}
@@ -159,7 +159,7 @@ func listen(t *testing.T, fe *textFrontend) string {
 }
 
 func TestServeOverTCP(t *testing.T) {
-	addr := listen(t, newFFWDBackend(t, 1024, 8))
+	addr := listen(t, ffwdText(t, 1024, 8))
 
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -193,7 +193,7 @@ func TestServeOverTCP(t *testing.T) {
 }
 
 func TestServeConcurrentConnections(t *testing.T) {
-	addr := listen(t, newFFWDBackend(t, 1<<12, 16))
+	addr := listen(t, ffwdText(t, 1<<12, 16))
 
 	const conns, opsEach = 8, 200
 	var wg sync.WaitGroup
@@ -232,8 +232,9 @@ func TestServeConcurrentConnections(t *testing.T) {
 // — a read sees the write pipelined ahead of it, on every backend and at
 // every GOMAXPROCS. This is the per-connection order the text frontend
 // promises; it holds because each backend's text executor is structurally
-// in-order (a one-slot window, a lock, or a run flushed before each
-// read), not because a single core happens to serialize things.
+// in-order (one single in flight at a time, a lock, or a run flushed
+// before each read), not because a single core happens to serialize
+// things.
 func TestPipelinedBurstProgramOrder(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 2, 4} {
@@ -242,8 +243,8 @@ func TestPipelinedBurstProgramOrder(t *testing.T) {
 			name string
 			fe   func() *textFrontend
 		}{
-			{"ffwd", func() *textFrontend { return newFFWDBackend(t, 1024, 4) }},
-			{"mutex", func() *textFrontend { return newMutexBackend(1024, nil) }},
+			{"ffwd", func() *textFrontend { return ffwdText(t, 1024, 4) }},
+			{"mutex", func() *textFrontend { return mutexText(1024, nil) }},
 			{"replicated", func() *textFrontend { return newRepBackend(t, 1024, 4, nil).fe }},
 		} {
 			t.Run(fmt.Sprintf("%s/procs=%d", tc.name, procs), func(t *testing.T) {

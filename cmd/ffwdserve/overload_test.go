@@ -38,7 +38,7 @@ func dialText(t *testing.T, addr string) (net.Conn, *bufio.Reader, func(cmd stri
 // reply and leave the connection serving — no silent truncation, no
 // silent disconnect.
 func TestProtocolRobustness(t *testing.T) {
-	addr := listen(t, newFFWDBackend(t, 1024, 4))
+	addr := listen(t, ffwdText(t, 1024, 4))
 	_, _, send := dialText(t, addr)
 
 	long := "set 1 " + strings.Repeat("9", maxLine+100)
@@ -72,7 +72,7 @@ func TestProtocolRobustness(t *testing.T) {
 // deadline, not held open forever — and the frontend must keep serving
 // fresh connections afterwards.
 func TestStalledConnectionHitsReadDeadline(t *testing.T) {
-	fe := newFFWDBackend(t, 64, 2)
+	fe := ffwdText(t, 64, 2)
 	fe.readTimeout = 50 * time.Millisecond
 	addr := listen(t, fe)
 
@@ -103,7 +103,7 @@ func TestStalledConnectionHitsReadDeadline(t *testing.T) {
 // closed without a serving goroutine; when a slot frees, admission
 // resumes.
 func TestMaxConnsAdmission(t *testing.T) {
-	fe := newFFWDBackend(t, 64, 2)
+	fe := ffwdText(t, 64, 2)
 	fe.maxConns = 1
 	addr := listen(t, fe)
 
@@ -143,7 +143,7 @@ func TestMaxConnsAdmission(t *testing.T) {
 // queueing indefinitely — every command of it, and only those that
 // needed an executor — and served again once an executor returns.
 func TestPoolSaturationSheds(t *testing.T) {
-	fe := newFFWDBackend(t, 64, 1) // a single pooled executor
+	fe := ffwdText(t, 64, 1) // a single pooled executor
 	fe.pool.shedAfter = time.Millisecond
 
 	held := fe.pool.get() // saturate the pool

@@ -3,12 +3,12 @@ package main
 import (
 	"errors"
 	"net"
-	"sync"
+	"strconv"
 	"testing"
 	"time"
 
-	"ffwd/internal/apps"
 	"ffwd/internal/frontend"
+	"ffwd/internal/obs"
 	"ffwd/internal/wireproto"
 )
 
@@ -94,14 +94,20 @@ func (b *binParityClient) handle(line string) string {
 // against the internal/frontend dataplane — each over its own
 // identically configured store, for every backend, and requires every
 // reply to match verbatim once the binary responses are rendered in text
-// form. The stats step pins the regression the shared statsLine formatter
-// exists for: both frontends must report identical stats fields.
+// form. The stats step pins that both frontends report identical stats
+// fields.
 func TestFrontendParity(t *testing.T) {
 	const (
 		capacity = 1024
 		shards   = 2
-		depth    = 4
 	)
+	// A full-width multi-get, most of it misses, through each frontend's
+	// one-handle executor: the text one pipelines it behind ordered
+	// singles, the binary one fences it inside its deep window.
+	wideMget := "mget"
+	for k := 1; k <= mgetMax; k++ {
+		wideMget += " " + strconv.Itoa(k)
+	}
 	steps := []string{
 		"get 1",
 		"set 1 42",
@@ -121,6 +127,7 @@ func TestFrontendParity(t *testing.T) {
 		"set 10 100",
 		"set 12 120",
 		"mget 10 11 12",
+		wideMget,
 		"get 10",
 		"get 11",
 		"len",
@@ -135,20 +142,15 @@ func TestFrontendParity(t *testing.T) {
 		skip string
 	}{
 		{name: "ffwd", build: func(t *testing.T) (*textFrontend, []frontend.Exec) {
-			d := apps.NewDelegatedKV(capacity, ffwdExecSlots(shards, ffwdExecWindow, depth))
-			if err := d.Start(); err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(d.Stop)
-			execs, err := newFFWDExecs(d, shards, ffwdExecWindow, depth, 0)
+			be, err := newFFWDBackend(storeOpts{capacity: capacity, shards: shards}, obs.NewRegistry())
 			if err != nil {
 				t.Fatal(err)
 			}
-			return newFFWDBackend(t, capacity, 4), execs
+			t.Cleanup(be.stop)
+			return ffwdText(t, capacity, 4), be.binary
 		}},
 		{name: "mutex", build: func(t *testing.T) (*textFrontend, []frontend.Exec) {
-			kv := apps.NewLockedKV(capacity, func() sync.Locker { return &sync.Mutex{} })
-			return newMutexBackend(capacity, nil), newMutexExecs(kv, shards, nil, 0)
+			return mutexText(capacity, nil), newMutexBackend(storeOpts{capacity: capacity, shards: shards, tick: func() uint64 { return 0 }}, obs.NewRegistry()).binary
 		}},
 		// The replicated text stats verb reports the group; the binary
 		// stats response has no fields for one and is refused.

@@ -2,10 +2,14 @@ package main
 
 import (
 	"fmt"
+	"log"
 	"sync/atomic"
 
 	"ffwd/internal/apps"
+	"ffwd/internal/core"
+	"ffwd/internal/fault"
 	"ffwd/internal/frontend"
+	"ffwd/internal/obs"
 	"ffwd/internal/replica"
 	"ffwd/internal/wireproto"
 )
@@ -19,15 +23,84 @@ import (
 // `stats` verb reports the group's term, commit index, and failover
 // counters instead of the single store's hit/miss line.
 
-// repCounters are the drain report's split of leader-local ops
-// (get/mget/len) from replicated ops (set/del), shared by every
-// executor: a replicated op force-closed mid-flight may still commit on
-// the group, so its in-flight count is the interesting number at
-// shutdown.
+// repCounters split leader-local ops (get/mget/len) from replicated ops
+// (set/del) across every executor.
 type repCounters struct {
 	localOps    atomic.Uint64 // completed leader-local reads
 	repOps      atomic.Uint64 // completed replicated writes
 	repInFlight atomic.Int64
+}
+
+// statRows declares the op counters, once, for every stats sink (see
+// obs.Registry).
+func (c *repCounters) statRows() []obs.Row {
+	return []obs.Row{
+		{Name: "ffwdserve_local_ops_total", Key: "local_ops", Help: "Completed leader-local read commands (get/mget/len).", Value: float64(c.localOps.Load())},
+		{Name: "ffwdserve_replicated_ops_total", Key: "replicated_ops", Help: "Completed replicated write commands (set/del).", Value: float64(c.repOps.Load())},
+		{Name: "ffwdserve_replicated_ops_in_flight", Key: "replicated_ops_in_flight", Help: "Replicated write commands currently executing.", Value: float64(c.repInFlight.Load())},
+	}
+}
+
+// newReplicatedBackend builds and starts the replica group rcfg
+// describes (in-process members, or a durable pinned leader with
+// follower processes), one executor per text client and binary shard on
+// it, and registers the group's stats.
+func newReplicatedBackend(o storeOpts, rcfg apps.ReplicatedConfig, reg *obs.Registry) (*backend, error) {
+	rcfg.Core = core.Config{MaxClients: o.clients + o.shards, IdleParkAfter: o.parkAfter}
+	rcfg.Supervisor = supervisorCadence
+	if o.chaosSeed != 0 {
+		inj := fault.ReplicaFromSeed(o.chaosSeed)
+		rcfg.Core.Hooks, rcfg.Hooks = inj, inj
+		log.Printf("ffwdserve: replica chaos injection on: %v", inj)
+	}
+	be := &backend{}
+	if o.trace {
+		be.sink = obs.NewTraceSink(obs.SinkConfig{Clients: rcfg.Core.MaxClients})
+		rcfg.Core.Trace = be.sink
+	}
+	rkv, err := apps.NewReplicatedKV(o.capacity, rcfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := rkv.Start(); err != nil {
+		return nil, err
+	}
+	cnt := &repCounters{}
+	be.text, be.binary = newRepExecs(rkv, o.clients, cnt), newRepExecs(rkv, o.shards, cnt)
+	be.statsReply = func() string { return repStatsLine(rkv.Group()) }
+	be.stop = rkv.Stop
+	// The report keeps replicated writes separate from leader-local
+	// reads: a replicated op in flight at shutdown was force-closed
+	// mid-commit and may still have landed on the group, which is exactly
+	// what the replicated ledger disambiguates for a retrying client.
+	reg.Add("op stats", cnt.statRows)
+	reg.Add("replica stats", func() []obs.Row { return rkv.Group().Stats().Rows() })
+	if st := rkv.Store(); st != nil {
+		ws := st.Stats()
+		log.Printf("ffwdserve: durable pinned leader: dir=%s fsync=%s peers=%v term=%d torn=%d/%dB",
+			rcfg.DataDir, rcfg.Fsync, rcfg.Peers, rkv.Group().Stats().Term, ws.TornRecords, ws.TornBytes)
+		// Group commit's receipts: records per write(2), entries per wire
+		// frame (heartbeats count as frames).
+		reg.Add("durable stats", func() []obs.Row {
+			frames := uint64(0)
+			for _, p := range rkv.Peers() {
+				frames += p.Stats().Frames
+			}
+			return append(st.Stats().Rows(), obs.Row{Name: "ffwd_replica_peer_frames_total", Key: "peer_frames",
+				Help: "Frames sent to follower processes (appends and heartbeats).", Value: float64(frames)})
+		})
+	}
+	// The leader's delegation server changes identity across failovers,
+	// so it is sampled through the group-aware accessor (zeros while the
+	// shard is down).
+	reg.Add("leader server stats", func() []obs.Row {
+		var st core.Stats
+		if srv := rkv.Server(); srv != nil {
+			st = srv.Stats()
+		}
+		return st.Rows()
+	})
+	return be, nil
 }
 
 // repExec executes batches against the replicated store through its own
@@ -48,11 +121,7 @@ type repExec struct {
 
 // newRepExecs builds n executors, each with its own replication handle.
 func newRepExecs(r *apps.ReplicatedKV, n int, cnt *repCounters) []frontend.Exec {
-	execs := make([]frontend.Exec, n)
-	for i := range execs {
-		execs[i] = &repExec{kv: r.NewClient(), cnt: cnt}
-	}
-	return execs
+	return nExecs(n, func() frontend.Exec { return &repExec{kv: r.NewClient(), cnt: cnt} })
 }
 
 // repValueMax is the first reserved value: the top of the value space

@@ -33,7 +33,7 @@ func newRepBackend(t *testing.T, capacity, clients int, hooks core.Hooks) *repBa
 	}
 	t.Cleanup(r.Stop)
 	rb := &repBackend{r: r, cnt: &repCounters{}}
-	rb.fe = newTextFrontend(newExecPool(newRepExecs(r, clients, rb.cnt)))
+	rb.fe = newTextFrontend(newExecPool(newRepExecs(r, clients, rb.cnt), 0))
 	rb.fe.statsReply = func() string { return repStatsLine(r.Group()) }
 	return rb
 }

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"ffwd/internal/frontend"
+	"ffwd/internal/obs"
 	"ffwd/internal/wireproto"
 )
 
@@ -37,6 +38,20 @@ type serveStats struct {
 	active       atomic.Int64  // currently serving
 	readTimeouts atomic.Uint64 // connections dropped by the idle deadline
 	longLines    atomic.Uint64 // over-maxLine command lines rejected
+}
+
+// statRows declares the text frontend's counters, once, for every stats
+// sink (see obs.Registry).
+func (fe *textFrontend) statRows() []obs.Row {
+	s := &fe.stats
+	return []obs.Row{
+		{Name: "ffwdserve_connections_accepted_total", Key: "accepted", Help: "Connections accepted off the listener.", Value: float64(s.accepted.Load())},
+		{Name: "ffwdserve_connections_rejected_total", Key: "rejected", Help: "Connections rejected at admission (over -max-conns).", Value: float64(s.rejected.Load())},
+		{Name: "ffwdserve_connections_active", Key: "active", Help: "Connections currently being served.", Value: float64(s.active.Load())},
+		{Name: "ffwdserve_read_timeouts_total", Key: "read_timeouts", Help: "Connections dropped by the idle read deadline.", Value: float64(s.readTimeouts.Load())},
+		{Name: "ffwdserve_long_lines_total", Key: "long_lines", Help: "Over-limit command lines rejected.", Value: float64(s.longLines.Load())},
+		{Name: "ffwdserve_busy_sheds_total", Key: "busy_sheds", Help: "Text command batches shed BUSY waiting for a pooled executor.", Value: float64(fe.pool.sheds.Load())},
+	}
 }
 
 // textFrontend is the connection-facing half of the text protocol: it

@@ -390,6 +390,16 @@ func TestKVStoreTTLSetAfterExpiryIsFresh(t *testing.T) {
 	}
 }
 
+// sweepTo is what a store's owner does as time passes — advance the
+// clock to now, drain the wheel — and returns how many entries that
+// reclaimed.
+func sweepTo(s *KVStore, now uint64) int {
+	before := s.Expired()
+	s.AdvanceClock(now)
+	s.Maintain(0)
+	return int(s.Expired() - before)
+}
+
 func TestKVStoreSweepExpired(t *testing.T) {
 	s := NewKVStore(64)
 	for i := uint64(1); i <= 20; i++ {
@@ -399,13 +409,13 @@ func TestKVStoreSweepExpired(t *testing.T) {
 		}
 		s.SetTTL(i, i*10, 0, ttl)
 	}
-	if got := s.SweepExpired(10); got != 5 { // keys 2,4,6,8,10
-		t.Fatalf("SweepExpired(10) = %d, want 5", got)
+	if got := sweepTo(s, 10); got != 5 { // keys 2,4,6,8,10
+		t.Fatalf("sweep to 10 = %d, want 5", got)
 	}
 	if s.Len() != 15 {
 		t.Fatalf("Len = %d, want 15", s.Len())
 	}
-	if got := s.SweepExpired(1 << 30); got != 5 { // keys 12..20 even
+	if got := sweepTo(s, 1<<30); got != 5 { // keys 12..20 even
 		t.Fatalf("second sweep = %d, want 5", got)
 	}
 	if v, ok := s.GetAt(1, 1<<30); !ok || v != 10 {
@@ -429,8 +439,14 @@ func TestDelegatedKVTTL(t *testing.T) {
 	if v, ok := c.GetAt(1, 5); !ok || v != 100 {
 		t.Fatalf("GetAt(1,5) = %d,%v", v, ok)
 	}
-	if got := c.SweepExpired(15); got != 1 { // key 1 expired
-		t.Fatalf("SweepExpired(15) = %d, want 1", got)
+	// Time passes on the server: key 1 (and only key 1) is reclaimed,
+	// whether by the background wheel drain or lazily by the read.
+	c.AdvanceClock(15)
+	if _, ok := c.Get(1); ok {
+		t.Fatal("key 1 survived past its expiry")
+	}
+	if _, _, _, expired := c.Stats(); expired != 1 {
+		t.Fatalf("expired = %d after the clock reached 15, want 1", expired)
 	}
 	if _, ok := c.GetAt(2, 25); ok {
 		t.Fatal("key 2 survived past its expiry")

@@ -3,7 +3,8 @@ package apps
 import "ffwd/internal/core"
 
 // KVBatchClient pipelines a mixed stream of single-key operations
-// (get/set/del/len) through one core.AsyncGroup: up to window requests
+// (get/set/del/len, and a multi-get as its keys' gets) through one
+// core.AsyncGroup: up to window requests
 // overlap inside the delegation server's sweeps, so a batch of n
 // operations costs roughly n/window round trips instead of n. This is
 // the execution engine of the binary dataplane frontend — a shard
@@ -103,6 +104,14 @@ func (b *KVBatchClient) Touch(key, ttl uint64) {
 // Len submits a size query; the completion's ret is the store size.
 func (b *KVBatchClient) Len() {
 	b.reap(b.g.Submit0(b.d.fidLen))
+}
+
+// Stats submits the four counter reads of KVClient.Stats; their
+// completions arrive in that order: hits, misses, evictions, expired.
+func (b *KVBatchClient) Stats() {
+	for _, fid := range b.d.fidStats {
+		b.reap(b.g.Submit0(fid))
+	}
 }
 
 // Flush completes every outstanding operation, delivering the remaining

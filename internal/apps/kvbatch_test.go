@@ -113,6 +113,61 @@ func TestBatchClientAllocFree(t *testing.T) {
 	_ = sink
 }
 
+// TestKVMultiGet: a multi-get is its keys' gets through the window, then
+// one flush — values in key order, the miss sentinel for absent keys, and
+// each miss counted once in the store statistics, which the same window
+// reads back with Stats.
+func TestKVMultiGet(t *testing.T) {
+	_, b := newBatchKV(t, 4)
+	var rets []uint64
+	b.OnDone(func(_ int, ret uint64) { rets = append(rets, ret) })
+	for k := uint64(0); k < 100; k += 2 {
+		b.Set(k, k*10)
+	}
+	b.Flush()
+	rets = rets[:0]
+	for k := uint64(0); k < 100; k++ {
+		b.Get(k)
+	}
+	b.Flush()
+	if len(rets) != 100 {
+		t.Fatalf("multi-get completions: %d, want 100", len(rets))
+	}
+	for k, ret := range rets {
+		want := uint64(k * 10)
+		if k%2 != 0 {
+			want = kvMissSentinel
+		}
+		if ret != want {
+			t.Fatalf("key %d = %d, want %d", k, ret, want)
+		}
+	}
+	rets = rets[:0]
+	b.Stats()
+	b.Flush()
+	if len(rets) != 4 || rets[0] != 50 || rets[1] != 50 || rets[2] != 0 || rets[3] != 0 {
+		t.Fatalf("Stats completions = %v, want [50 50 0 0] (hits misses evictions expired)", rets)
+	}
+}
+
+func TestKVMultiGetAllocationFree(t *testing.T) {
+	_, b := newBatchKV(t, 8)
+	var sink uint64
+	b.OnDone(func(_ int, ret uint64) { sink += ret })
+	multiGet := func() {
+		for k := uint64(0); k < 32; k++ {
+			b.Get(k)
+		}
+		b.Stats()
+		b.Flush()
+	}
+	multiGet() // warm up
+	if allocs := testing.AllocsPerRun(100, multiGet); allocs > 0 {
+		t.Fatalf("multi-get allocates %.2f objects per call, want 0", allocs)
+	}
+	_ = sink
+}
+
 // TestBatchClientWindowOne degenerates to synchronous delegation.
 func TestBatchClientWindowOne(t *testing.T) {
 	_, b := newBatchKV(t, 1)

@@ -6,6 +6,7 @@ import (
 
 	"ffwd/internal/core"
 	"ffwd/internal/expiry"
+	"ffwd/internal/obs"
 )
 
 // KVStore is the memcached-analog: a fixed-capacity hash table of word
@@ -38,8 +39,8 @@ type KVStore struct {
 	expired    uint64
 	wheelFired uint64
 
-	// fireFn is the wheel's fire callback, bound once so Maintain and
-	// SweepExpired allocate nothing.
+	// fireFn is the wheel's fire callback, bound once so Maintain
+	// allocates nothing.
 	fireFn func(*expiry.Node)
 }
 
@@ -119,6 +120,18 @@ func (s *KVStore) Bytes() uint64 { return s.lru.Bytes() }
 // Stats returns hits, misses and evictions so far.
 func (s *KVStore) Stats() (hits, misses, evictions uint64) {
 	return s.hits, s.misses, s.evictions
+}
+
+// StoreRows declares the store's counters, once, for every stats sink
+// (see obs.Registry). Its arguments are what LockedKV.Stats and
+// KVClient.Stats return, so either call can be passed straight through.
+func StoreRows(hits, misses, evictions, expired uint64) []obs.Row {
+	return []obs.Row{
+		{Name: "ffwd_store_hits_total", Key: "store_hits", Help: "Lookups (and touches) that found a live entry.", Value: float64(hits)},
+		{Name: "ffwd_store_misses_total", Key: "store_misses", Help: "Lookups (and touches) that found none.", Value: float64(misses)},
+		{Name: "ffwd_evict_evictions_total", Key: "store_evictions", Help: "Entries evicted at capacity by the scan-resistant policy.", Value: float64(evictions)},
+		{Name: "ffwd_expiry_expired_total", Key: "store_expired", Help: "Entries reclaimed because their TTL deadline passed.", Value: float64(expired)},
+	}
 }
 
 // insert adds a new entry (caller has established key is absent), making
@@ -274,7 +287,7 @@ type DelegatedKV struct {
 	tick func() uint64
 
 	fidGet, fidSet, fidDelete, fidLen core.FuncID
-	fidGetAt, fidSetTTL, fidSweep     core.FuncID
+	fidGetAt, fidSetTTL               core.FuncID
 	fidSetTTLNow, fidTouch, fidTick   core.FuncID
 	fidStats                          [4]core.FuncID
 }
@@ -325,9 +338,6 @@ func NewDelegatedKVConfig(capacity int, cfg core.Config) *DelegatedKV {
 	d.fidSetTTL = d.srv.Register(func(a *[core.MaxArgs]uint64) uint64 {
 		d.s.SetTTL(a[0], a[1], a[2], a[3])
 		return 0
-	})
-	d.fidSweep = d.srv.Register(func(a *[core.MaxArgs]uint64) uint64 {
-		return uint64(d.s.SweepExpired(a[0]))
 	})
 	// Server-owned-time variants: the deadline is computed from the
 	// store's clock at apply time, so wire clients never ship absolute
@@ -467,12 +477,6 @@ func (k *KVClient) AdvanceClock(now uint64) uint64 {
 	return k.c.Delegate1(k.d.fidTick, now)
 }
 
-// SweepExpired reclaims every entry due at now, atomically, as one
-// delegated request. It returns the number reclaimed.
-func (k *KVClient) SweepExpired(now uint64) int {
-	return int(k.c.Delegate1(k.d.fidSweep, now))
-}
-
 // GetRetry is Get with bounded per-attempt waits and backoff, for use
 // against a supervised server that may crash and restart mid-request.
 // Exactly-once semantics hold across the retries: the lookup observes
@@ -541,70 +545,4 @@ func (k *KVClient) Stats() (hits, misses, evictions, expired uint64) {
 		k.c.Delegate0(k.d.fidStats[1]),
 		k.c.Delegate0(k.d.fidStats[2]),
 		k.c.Delegate0(k.d.fidStats[3])
-}
-
-// KVPipeClient is a pipelined handle to a DelegatedKV: it keeps up to its
-// window of Get requests in flight at once, so a multi-key lookup pays
-// roughly one round-trip latency per window instead of per key — the
-// memcached multi-get, served over delegation.
-type KVPipeClient struct {
-	d *DelegatedKV
-	g *core.AsyncGroup
-
-	// Per-call state threaded to recordFn (built once, so MultiGet
-	// allocates nothing).
-	vals     []uint64
-	found    []bool
-	next     int
-	hits     int
-	recordFn func(uint64)
-}
-
-// NewPipelinedClient allocates window delegation channels for pipelined
-// multi-key operations. window is clamped to at least 1.
-func (d *DelegatedKV) NewPipelinedClient(window int) (*KVPipeClient, error) {
-	g, err := core.NewAsyncGroup(d.srv, window)
-	if err != nil {
-		return nil, err
-	}
-	p := &KVPipeClient{d: d, g: g}
-	p.recordFn = p.record
-	return p, nil
-}
-
-// Close releases the client's delegation channels.
-func (p *KVPipeClient) Close() { p.g.Close() }
-
-// Window returns the pipeline depth.
-func (p *KVPipeClient) Window() int { return p.g.Window() }
-
-func (p *KVPipeClient) record(r uint64) {
-	if r == kvMissSentinel {
-		p.vals[p.next] = 0
-		p.found[p.next] = false
-	} else {
-		p.vals[p.next] = r
-		p.found[p.next] = true
-		p.hits++
-	}
-	p.next++
-}
-
-// MultiGet looks up every key, filling vals[i] and found[i] (misses get
-// vals[i] = 0), and returns the number of keys found. Responses complete
-// in issue order, so up to Window requests overlap inside the store's
-// polling sweeps. MultiGet allocates nothing.
-func (p *KVPipeClient) MultiGet(keys []uint64, vals []uint64, found []bool) int {
-	if len(vals) < len(keys) || len(found) < len(keys) {
-		panic("apps: MultiGet output slices shorter than keys")
-	}
-	p.vals, p.found, p.next, p.hits = vals, found, 0, 0
-	for _, k := range keys {
-		if r, ok := p.g.Submit1(p.d.fidGet, k); ok {
-			p.record(r)
-		}
-	}
-	p.g.Flush(p.recordFn)
-	p.vals, p.found = nil, nil
-	return p.hits
 }

@@ -136,17 +136,3 @@ func (s *KVStore) Expired() uint64 { return s.expired }
 
 // WheelExpired returns how many of those the background wheel reclaimed.
 func (s *KVStore) WheelExpired() uint64 { return s.wheelFired }
-
-// SweepExpired reclaims every entry due at now and returns the number
-// reclaimed.
-//
-// Deprecated: this is the pre-wheel API, retained as a compatibility
-// wrapper; it now advances the clock to now and drains the wheel — O(due)
-// rather than the old O(n) full scan. Server-owned stores should rely on
-// Maintain (the background hook) instead of delegating sweeps.
-func (s *KVStore) SweepExpired(now uint64) (reclaimed int) {
-	s.AdvanceClock(now)
-	before := s.expired
-	s.wheel.Advance(s.clock, 0, s.fireFn)
-	return int(s.expired - before)
-}

@@ -37,8 +37,8 @@ func TestSetTTLOverflowClamps(t *testing.T) {
 	}
 }
 
-// The wheel-driven sweep must reclaim exactly what the old O(n) scan did:
-// everything due at now, nothing else, counted identically.
+// Advancing the clock and draining the wheel must reclaim exactly what a
+// full scan would: everything due at now, nothing else, counted once.
 func TestSweepExpiredWheelDriven(t *testing.T) {
 	s := NewKVStore(1024)
 	for k := uint64(0); k < 300; k++ {
@@ -46,16 +46,16 @@ func TestSweepExpiredWheelDriven(t *testing.T) {
 		s.SetTTL(k, k+1, 0, 10+k)
 	}
 	s.Set(1000, 1) // no expiry: never reclaimed
-	if got := s.SweepExpired(9); got != 0 {
+	if got := sweepTo(s, 9); got != 0 {
 		t.Fatalf("sweep before first deadline reclaimed %d", got)
 	}
-	if got := s.SweepExpired(109); got != 100 {
+	if got := sweepTo(s, 109); got != 100 {
 		t.Fatalf("sweep at 109 reclaimed %d, want 100", got)
 	}
-	if got := s.SweepExpired(109); got != 0 {
+	if got := sweepTo(s, 109); got != 0 {
 		t.Fatalf("repeat sweep reclaimed %d, want 0", got)
 	}
-	if got := s.SweepExpired(1 << 30); got != 200 {
+	if got := sweepTo(s, 1<<30); got != 200 {
 		t.Fatalf("final sweep reclaimed %d, want 200", got)
 	}
 	if s.Len() != 1 {

@@ -777,6 +777,29 @@ func (s *Server) Stats() Stats {
 	}
 }
 
+// Rows declares the counters the snapshot exports, once, for every stats
+// sink (see obs.Registry). Requests, sweeps and batches lead: readers of
+// the shutdown report key on that prefix.
+func (s Stats) Rows() []obs.Row {
+	return []obs.Row{
+		{Name: "ffwd_requests_total", Key: "requests", Help: "Delegated requests executed.", Value: float64(s.Requests)},
+		{Name: "ffwd_sweeps_total", Key: "sweeps", Help: "Server slot sweeps.", Value: float64(s.Sweeps)},
+		{Name: "ffwd_batches_total", Key: "batches", Help: "Response-line flushes.", Value: float64(s.Batches)},
+		{Name: "ffwd_panics_total", Key: "panics", Help: "Panics recovered inside delegated operations.", Value: float64(s.Panics)},
+		{Name: "ffwd_crashes_total", Key: "crashes", Help: "Delegation server crashes.", Value: float64(s.ServerCrashes)},
+		{Name: "ffwd_restarts_total", Key: "restarts", Help: "Delegation server restarts.", Value: float64(s.Restarts)},
+		{Name: "ffwd_kicks_total", Key: "kicks", Help: "Unconditional rescue wakes sent to the server loop.", Value: float64(s.Kicks)},
+		{Name: "ffwd_heartbeat_misses_total", Key: "heartbeat_misses", Help: "Supervisor checks that found the sweep counter stalled.", Value: float64(s.HeartbeatMisses)},
+		{Name: "ffwd_abandoned_slots_total", Key: "abandoned_slots", Help: "Client slots retired with a timed-out request outstanding.", Value: float64(s.AbandonedSlots)},
+		{Name: "ffwd_ledger_skips_total", Key: "ledger_skips", Help: "Duplicate requests skipped by the exactly-once ledger.", Value: float64(s.LedgerSkips)},
+		{Name: "ffwd_retry_waits_total", Key: "retry_waits", Help: "Client waits that spanned a server restart.", Value: float64(s.RetryWaits)},
+		{Name: "ffwd_idle_parks_total", Key: "idle_parks", Help: "Times the idle server parked on its notification word.", Value: float64(s.IdleParks)},
+		{Name: "ffwd_wakes_total", Key: "wakes", Help: "Times a client (or Stop) woke a parked server.", Value: float64(s.Wakes)},
+		{Name: "ffwd_maintain_runs_total", Key: "maintain_runs", Help: "Background maintenance runs between request sweeps (clock advance + wheel drain).", Value: float64(s.BackgroundRuns)},
+		{Name: "ffwd_maintain_units_total", Key: "maintain_units", Help: "Maintenance work units (expiries fired + wheel cascades) done in the background hook.", Value: float64(s.BackgroundUnits)},
+	}
+}
+
 // run is the server loop: poll every request slot group by group, execute
 // new requests, buffer return values, flush per group. Empty sweeps climb
 // the idle ladder: yield every IdleYieldAfter sweeps, park (block on the
@@ -1045,6 +1068,7 @@ func (s *Server) sweep(gs int, retBuf *[GroupSize]uint64, seqBuf *[GroupSize]uin
 					}
 				}
 				fid := hdr >> hdrFuncShift
+			dispatch:
 				if int(fid) < len(funcs) {
 					if useLock {
 						s.cfg.ServerLock.Lock()
@@ -1053,6 +1077,12 @@ func (s *Server) sweep(gs int, retBuf *[GroupSize]uint64, seqBuf *[GroupSize]uin
 					if useLock {
 						s.cfg.ServerLock.Unlock()
 					}
+				} else if fresh := *s.funcs.Load(); len(fresh) > len(funcs) {
+					// Registered since this sweep took its snapshot (the
+					// registration happens-before the request's header
+					// store): look again.
+					funcs = fresh
+					goto dispatch
 				} else {
 					// Unknown function: all-ones sentinel, plus a
 					// queryable record so DelegateErr can report it.
@@ -1092,20 +1122,25 @@ func (s *Server) sweep(gs int, retBuf *[GroupSize]uint64, seqBuf *[GroupSize]uin
 				// the applied-before-visible ordering per op.
 				s.ledger[slot] = ledgerEntry{seq: seq, ret: ret}
 				s.resp[respBase+1+m] = ret
+				// The respond event is stamped before the toggle store
+				// publishes the response, so the client's completion
+				// stamp can never precede it.
+				if tr != nil {
+					if bt != nil {
+						evBuf[evn] = obs.Event{TS: bt.Now(), Kind: obs.KindRespond, Slot: int32(slot), Arg: seq}
+						evn++
+					} else {
+						tr.Event(obs.KindRespond, int32(slot), seq)
+					}
+				}
 				newToggles := toggles ^ bit
 				atomic.StoreUint64(&s.resp[respBase], newToggles)
 				toggles = newToggles
 				groupServed &^= bit
 				batches++
-				if tr != nil {
-					if bt != nil {
-						evBuf[evn] = obs.Event{TS: bt.Now(), Kind: obs.KindRespond, Slot: int32(slot), Arg: seq}
-						evn++
-						bt.EventBatch(evBuf[:evn])
-						evn = 0
-					} else {
-						tr.Event(obs.KindRespond, int32(slot), seq)
-					}
+				if bt != nil {
+					bt.EventBatch(evBuf[:evn])
+					evn = 0
 				}
 			}
 		}
@@ -1129,15 +1164,14 @@ func (s *Server) sweep(gs int, retBuf *[GroupSize]uint64, seqBuf *[GroupSize]uin
 				m := bits.TrailingZeros64(rest)
 				s.resp[respBase+1+m] = retBuf[m]
 			}
-			atomic.StoreUint64(&s.resp[respBase], toggles^groupServed)
-			batches++
+			// Respond events, one per served slot, are stamped before the
+			// toggle store that makes the group's responses visible, so a
+			// client's completion stamp can never precede them. They
+			// genuinely share one publication instant, so the batched path
+			// stamps them with one shared timestamp and, once the line is
+			// published, appends the group's whole event run in a single
+			// ring cursor bump.
 			if tr != nil {
-				// Respond events are stamped after the flush that made
-				// the group's responses visible, one per served slot.
-				// They genuinely share one publication instant — the
-				// toggle store — so the batched path stamps them with
-				// one shared timestamp and appends the group's whole
-				// event run in a single ring cursor bump.
 				if bt != nil {
 					ts := bt.Now()
 					for rest := groupServed; rest != 0; rest &= rest - 1 {
@@ -1145,14 +1179,18 @@ func (s *Server) sweep(gs int, retBuf *[GroupSize]uint64, seqBuf *[GroupSize]uin
 						evBuf[evn] = obs.Event{TS: ts, Kind: obs.KindRespond, Slot: int32(slotBase + m), Arg: seqBuf[m]}
 						evn++
 					}
-					bt.EventBatch(evBuf[:evn])
-					evn = 0
 				} else {
 					for rest := groupServed; rest != 0; rest &= rest - 1 {
 						m := bits.TrailingZeros64(rest)
 						tr.Event(obs.KindRespond, int32(slotBase+m), seqBuf[m])
 					}
 				}
+			}
+			atomic.StoreUint64(&s.resp[respBase], toggles^groupServed)
+			batches++
+			if bt != nil {
+				bt.EventBatch(evBuf[:evn])
+				evn = 0
 			}
 		}
 	}

@@ -277,8 +277,8 @@ func TestBatchedTraceEventOrdering(t *testing.T) {
 }
 
 // BenchmarkCoreDelegateNilTracer is the overhead baseline for the
-// disabled-tracer branch, comparable against BENCH_core.json's
-// BenchmarkCoreDelegateArgs history.
+// disabled-tracer branch; with BenchmarkCoreDelegateTraced it is the
+// in-package view of the benchmark's core.traced_ratio row.
 func BenchmarkCoreDelegateNilTracer(b *testing.B) {
 	s := startServer(b, Config{})
 	fid := s.Register(func(a *[MaxArgs]uint64) uint64 { return a[0] })

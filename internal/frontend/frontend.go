@@ -167,8 +167,8 @@ func NewServer(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Metrics exposes the server's counters; see (*Server).RegisterMetrics
-// for the /metrics wiring.
+// Metrics exposes the server's counters; (*Server).StatRows declares
+// them for the stats sinks.
 func (s *Server) Metrics() *Metrics { return &s.met }
 
 // Shards returns the executor count.

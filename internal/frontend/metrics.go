@@ -47,32 +47,27 @@ func (m *Metrics) BatchQuantile(q float64) float64 {
 	return m.batchHist.Quantile(q)
 }
 
-// RegisterMetrics exposes the frontend's counters and gauges on reg
-// under the ffwd_frontend_ prefix.
-func (s *Server) RegisterMetrics(reg *obs.Registry) {
+// StatRows declares the frontend's counters and gauges, once, for every
+// stats sink (see obs.Registry).
+func (s *Server) StatRows() []obs.Row {
 	m := &s.met
-	ctr := func(name, help string, v *atomic.Uint64) {
-		reg.CounterFunc(name, help, func() float64 { return float64(v.Load()) })
+	depth, capacity := s.QueueDepth()
+	return []obs.Row{
+		{Name: "ffwd_frontend_accepted_total", Key: "bin_accepted", Help: "binary frontend connections accepted", Value: float64(m.Accepted.Load())},
+		{Name: "ffwd_frontend_rejected_total", Key: "bin_rejected", Help: "binary frontend connections refused by admission", Value: float64(m.Rejected.Load())},
+		{Name: "ffwd_frontend_frames_in_total", Key: "bin_frames", Help: "request frames decoded", Value: float64(m.FramesIn.Load())},
+		{Name: "ffwd_frontend_batches_total", Key: "bin_batches", Help: "executor batches run", Value: float64(m.Batches.Load())},
+		{Name: "ffwd_frontend_flushes_total", Key: "bin_flushes", Help: "response flushes (one write syscall each)", Value: float64(m.Flushes.Load())},
+		{Name: "ffwd_frontend_queue_sheds_total", Key: "bin_queue_sheds", Help: "requests shed with BUSY: shard queue full", Value: float64(m.QueueSheds.Load())},
+		{Name: "ffwd_frontend_decode_errors_total", Key: "bin_decode_errors", Help: "malformed frames (connection dropped)", Value: float64(m.DecodeErrors.Load())},
+		{Name: "ffwd_frontend_idle_reaps_total", Key: "bin_idle_reaps", Help: "connections reaped by idle timeout", Value: float64(m.IdleReaps.Load())},
+		{Name: "ffwd_frontend_batch_ops_total", Key: "bin_batch_ops", Help: "operations executed across batches", Value: float64(m.BatchOps.Load())},
+		{Name: "ffwd_frontend_bytes_in_total", Key: "bin_bytes_in", Help: "bytes read from clients", Value: float64(m.BytesIn.Load())},
+		{Name: "ffwd_frontend_bytes_out_total", Key: "bin_bytes_out", Help: "bytes written to clients", Value: float64(m.BytesOut.Load())},
+		{Name: "ffwd_frontend_active_conns", Key: "bin_active", Help: "currently open binary frontend connections", Value: float64(m.Active.Load())},
+		{Name: "ffwd_frontend_queue_depth", Key: "bin_queue_depth", Help: "queued requests across shard executors", Value: float64(depth)},
+		{Name: "ffwd_frontend_queue_capacity", Key: "bin_queue_capacity", Help: "aggregate shard queue capacity", Value: float64(capacity)},
+		{Name: "ffwd_frontend_batch_p50", Key: "bin_batch_p50", Help: "median executor batch size", Value: m.BatchQuantile(0.50)},
+		{Name: "ffwd_frontend_batch_p99", Key: "bin_batch_p99", Help: "p99 executor batch size", Value: m.BatchQuantile(0.99)},
 	}
-	ctr("ffwd_frontend_accepted_total", "binary frontend connections accepted", &m.Accepted)
-	ctr("ffwd_frontend_rejected_total", "binary frontend connections refused by admission", &m.Rejected)
-	ctr("ffwd_frontend_frames_in_total", "request frames decoded", &m.FramesIn)
-	ctr("ffwd_frontend_bytes_in_total", "bytes read from clients", &m.BytesIn)
-	ctr("ffwd_frontend_bytes_out_total", "bytes written to clients", &m.BytesOut)
-	ctr("ffwd_frontend_decode_errors_total", "malformed frames (connection dropped)", &m.DecodeErrors)
-	ctr("ffwd_frontend_queue_sheds_total", "requests shed with BUSY: shard queue full", &m.QueueSheds)
-	ctr("ffwd_frontend_idle_reaps_total", "connections reaped by idle timeout", &m.IdleReaps)
-	ctr("ffwd_frontend_batches_total", "executor batches run", &m.Batches)
-	ctr("ffwd_frontend_batch_ops_total", "operations executed across batches", &m.BatchOps)
-	ctr("ffwd_frontend_flushes_total", "response flushes (one write syscall each)", &m.Flushes)
-	reg.GaugeFunc("ffwd_frontend_active_conns", "currently open binary frontend connections",
-		func() float64 { return float64(m.Active.Load()) })
-	reg.GaugeFunc("ffwd_frontend_queue_depth", "queued requests across shard executors",
-		func() float64 { d, _ := s.QueueDepth(); return float64(d) })
-	reg.GaugeFunc("ffwd_frontend_queue_capacity", "aggregate shard queue capacity",
-		func() float64 { _, c := s.QueueDepth(); return float64(c) })
-	reg.GaugeFunc("ffwd_frontend_batch_p50", "median executor batch size",
-		func() float64 { return m.BatchQuantile(0.50) })
-	reg.GaugeFunc("ffwd_frontend_batch_p99", "p99 executor batch size",
-		func() float64 { return m.BatchQuantile(0.99) })
 }

@@ -10,10 +10,14 @@ package obs
 //
 // Reading the TSC costs roughly half of what the vDSO monotonic clock
 // costs (the vDSO itself reads the TSC and then scales it; we defer that
-// scaling to snapshot time, off the hot path). RDTSC is not a
-// serializing instruction: a stamp may be reordered against neighbouring
-// loads and stores by a few cycles, which is far below the phase
-// durations the tracer attributes.
+// scaling to snapshot time, off the hot path). RDTSC alone is not
+// ordered against earlier loads: a core spinning on a line another core
+// is about to write predicts the exit branch and reads the counter while
+// the load is still missing, so the stamp lands a cache-miss latency
+// (~100 ns) before the value it was meant to follow — enough to put a
+// client's completion before the server's respond, or an execute before
+// its issue. The LFENCE ahead of it makes the read wait for every
+// earlier load, so "stamped after observing X" holds across cores.
 //
 // Implemented in clock_amd64.s.
 func cputicks() int64

@@ -2,6 +2,7 @@
 
 // func cputicks() int64
 TEXT ·cputicks(SB), NOSPLIT, $0-8
+	LFENCE
 	RDTSC
 	SHLQ $32, DX
 	ORQ  DX, AX

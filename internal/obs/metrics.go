@@ -5,98 +5,58 @@ import (
 	"io"
 	"net/http"
 	"sort"
-	"sync"
-	"sync/atomic"
-
-	"ffwd/internal/stats"
+	"strconv"
+	"strings"
 )
 
-// The metrics half of the subsystem: a small registry of counters, gauges
-// and histogram-backed summaries with Prometheus text-format exposition.
-// It is deliberately tiny — no labels beyond the metric name, no
-// dependency beyond internal/stats — because the serving binaries need
-// exactly "expose these twenty numbers at /metrics", not a client
-// library.
+// The metrics half of the subsystem: a registry of sampled rows with
+// three renderers. A number is declared once, as a Row, by the package
+// that owns the counter behind it; the serving binary groups the rows
+// and every sink — Prometheus /metrics, the /debug/vars map, the
+// shutdown report — is a rendering of the same sample. The registry
+// owns no counters and starts no goroutine: rows are read when a sink
+// asks.
 
-// Counter is a monotonically increasing metric. All methods are safe for
-// concurrent use.
-type Counter struct {
-	v atomic.Uint64
+// Row is one exported number, declared once for every sink.
+type Row struct {
+	// Name is the Prometheus metric name. It is a counter if and only if
+	// it ends in _total (the Prometheus naming rule), a gauge otherwise.
+	Name string
+	// Key is the short key: the /debug/vars key and the shutdown report's
+	// field name.
+	Key   string
+	Help  string
+	Value float64
 }
 
-// Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Add adds d.
-func (c *Counter) Add(d uint64) { c.v.Add(d) }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.v.Load() }
-
-// Gauge is an instantaneous integer metric. All methods are safe for
-// concurrent use.
-type Gauge struct {
-	v atomic.Int64
+// Type returns the row's Prometheus type, read off its name.
+func (r Row) Type() string {
+	if strings.HasSuffix(r.Name, "_total") {
+		return "counter"
+	}
+	return "gauge"
 }
 
-// Set replaces the value.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add adjusts the value by d (negative to decrease).
-func (g *Gauge) Add(d int64) { g.v.Add(d) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
-
-// Summary is a quantile summary backed by the repository's log-bucket
-// histogram: fixed memory, ≤ ~3% quantile error. Observations are
-// non-negative integers (nanoseconds, bytes, counts). Safe for concurrent
-// use; a mutex is acceptable here because summaries sit on sampled or
-// per-request paths, not inside the delegation sweep.
-type Summary struct {
-	mu sync.Mutex
-	h  stats.Histogram
+// Group is one owner's rows as of one sample; Title heads its report
+// line.
+type Group struct {
+	Title string
+	Rows  []Row
 }
 
-// Observe records one sample.
-func (s *Summary) Observe(v uint64) {
-	s.mu.Lock()
-	s.h.Record(v)
-	s.mu.Unlock()
-}
-
-// snapshot copies the histogram under the lock.
-func (s *Summary) snapshot() stats.Histogram {
-	s.mu.Lock()
-	h := s.h
-	s.mu.Unlock()
-	return h
-}
-
-// metric is one registered exposition entry.
-type metric struct {
-	name, help, typ string
-
-	counter *Counter
-	gauge   *Gauge
-	summary *Summary
-	fn      func() float64
-}
-
-// Registry holds registered metrics and renders them in Prometheus text
-// exposition format (version 0.0.4). Registration is typically done once
-// at startup; scraping is concurrent-safe.
+// Registry is the list of row groups a binary exports. It is built at
+// start-up, before any sink can ask, and only read afterwards.
 type Registry struct {
-	mu      sync.Mutex
-	metrics []*metric
-	byName  map[string]bool
+	groups []func() Group
+	names  map[string]bool // every Name and Key registered so far
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{byName: make(map[string]bool)}
+	return &Registry{names: make(map[string]bool)}
 }
 
+// validName reports whether name is a legal Prometheus metric name.
 func validName(name string) bool {
 	if name == "" {
 		return false
@@ -115,103 +75,100 @@ func validName(name string) bool {
 	return true
 }
 
-func (r *Registry) add(m *metric) {
-	if !validName(m.name) {
-		panic(fmt.Sprintf("obs: invalid metric name %q", m.name))
+// Add registers a group: sample returns the owner's rows with their
+// current values, the same rows in the same order on every call. Add
+// samples once to check the declarations and panics on a malformed name
+// or key, or one that an earlier row already uses.
+func (r *Registry) Add(title string, sample func() []Row) {
+	for _, row := range sample() {
+		if !validName(row.Name) || !validName(row.Key) {
+			panic(fmt.Sprintf("obs: invalid metric name %q or key %q", row.Name, row.Key))
+		}
+		// Names and keys share one namespace so neither can shadow the
+		// other in a flat sink.
+		for _, id := range []string{row.Name, row.Key} {
+			if r.names[id] {
+				panic(fmt.Sprintf("obs: duplicate metric %q", id))
+			}
+		}
+		r.names[row.Name], r.names[row.Key] = true, true
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.byName[m.name] {
-		panic(fmt.Sprintf("obs: duplicate metric %q", m.name))
+	r.groups = append(r.groups, func() Group { return Group{title, sample()} })
+}
+
+// Sample reads every group once. All three renderers work from a Sample,
+// so one sample rendered three ways agrees with itself.
+type Sample []Group
+
+// Sample reads every registered group, in registration order.
+func (r *Registry) Sample() Sample {
+	s := make(Sample, len(r.groups))
+	for i, group := range r.groups {
+		s[i] = group()
 	}
-	r.byName[m.name] = true
-	r.metrics = append(r.metrics, m)
-}
-
-// Counter registers and returns a new counter.
-func (r *Registry) Counter(name, help string) *Counter {
-	c := &Counter{}
-	r.add(&metric{name: name, help: help, typ: "counter", counter: c})
-	return c
-}
-
-// Gauge registers and returns a new gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	g := &Gauge{}
-	r.add(&metric{name: name, help: help, typ: "gauge", gauge: g})
-	return g
-}
-
-// CounterFunc registers a counter whose value is sampled from fn at
-// scrape time — the bridge to counters owned elsewhere (core.Stats).
-func (r *Registry) CounterFunc(name, help string, fn func() float64) {
-	r.add(&metric{name: name, help: help, typ: "counter", fn: fn})
-}
-
-// GaugeFunc registers a gauge sampled from fn at scrape time.
-func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
-	r.add(&metric{name: name, help: help, typ: "gauge", fn: fn})
-}
-
-// Summary registers and returns a new quantile summary.
-func (r *Registry) Summary(name, help string) *Summary {
-	s := &Summary{}
-	r.add(&metric{name: name, help: help, typ: "summary", summary: s})
 	return s
 }
 
-// summaryQuantiles are the exposed quantile labels.
-var summaryQuantiles = []float64{0.5, 0.9, 0.99}
+// formatValue prints integers in full (a report field must match
+// [0-9]+, never 1e+06) and everything else at shortest precision.
+func formatValue(v float64) string {
+	return strconv.FormatFloat(v, 'f', -1, 64)
+}
 
-// WriteText renders every metric in Prometheus text exposition format,
-// sorted by name.
-func (r *Registry) WriteText(w io.Writer) error {
-	r.mu.Lock()
-	ms := make([]*metric, len(r.metrics))
-	copy(ms, r.metrics)
-	r.mu.Unlock()
-	sort.Slice(ms, func(i, j int) bool { return ms[i].name < ms[j].name })
-	for _, m := range ms {
-		if m.help != "" {
-			if _, err := fmt.Fprintf(w, "# HELP %s %s\n", m.name, m.help); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", m.name, m.typ); err != nil {
-			return err
-		}
-		var err error
-		switch {
-		case m.counter != nil:
-			_, err = fmt.Fprintf(w, "%s %d\n", m.name, m.counter.Value())
-		case m.gauge != nil:
-			_, err = fmt.Fprintf(w, "%s %d\n", m.name, m.gauge.Value())
-		case m.fn != nil:
-			_, err = fmt.Fprintf(w, "%s %g\n", m.name, m.fn())
-		case m.summary != nil:
-			h := m.summary.snapshot()
-			for _, q := range summaryQuantiles {
-				if _, err = fmt.Fprintf(w, "%s{quantile=%q} %g\n", m.name, fmt.Sprintf("%g", q), h.Quantile(q)); err != nil {
-					return err
-				}
-			}
-			if _, err = fmt.Fprintf(w, "%s_sum %g\n", m.name, h.Mean()*float64(h.Count())); err != nil {
-				return err
-			}
-			_, err = fmt.Fprintf(w, "%s_count %d\n", m.name, h.Count())
-		}
-		if err != nil {
+// WriteText renders the sample in Prometheus text exposition format
+// (version 0.0.4), sorted by metric name.
+func (s Sample) WriteText(w io.Writer) error {
+	var rows []Row
+	for _, g := range s {
+		rows = append(rows, g.Rows...)
+	}
+	sort.Slice(rows, func(i, j int) bool { return rows[i].Name < rows[j].Name })
+	for _, r := range rows {
+		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %s\n",
+			r.Name, r.Help, r.Name, r.Type(), r.Name, formatValue(r.Value)); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// Handler returns an HTTP handler serving the registry in Prometheus
-// text exposition format — mount it at /metrics.
+// Vars renders the sample as one flat map, every row under its short
+// key — the value an expvar.Func publishes at /debug/vars.
+func (s Sample) Vars() map[string]float64 {
+	m := make(map[string]float64)
+	for _, g := range s {
+		for _, r := range g.Rows {
+			m[r.Key] = r.Value
+		}
+	}
+	return m
+}
+
+// Report renders the sample as one "title: key=value key=value ..." line
+// per group, rows in declaration order.
+func (s Sample) Report() []string {
+	lines := make([]string, len(s))
+	for i, g := range s {
+		var b strings.Builder
+		b.WriteString(g.Title)
+		b.WriteByte(':')
+		for _, r := range g.Rows {
+			b.WriteString(" " + r.Key + "=" + formatValue(r.Value))
+		}
+		lines[i] = b.String()
+	}
+	return lines
+}
+
+// Handler serves a fresh sample in Prometheus text exposition format —
+// mount it at /metrics.
 func (r *Registry) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = r.WriteText(w)
+		_ = r.Sample().WriteText(w) // a failed write is the scraper hanging up
 	})
 }
+
+// Vars samples and renders the /debug/vars map; its signature is
+// expvar.Func's.
+func (r *Registry) Vars() any { return r.Sample().Vars() }

@@ -217,16 +217,17 @@ func TestAttributeEmpty(t *testing.T) {
 
 func TestRegistryExposition(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("ffwd_requests_total", "delegated calls served")
-	g := r.Gauge("ffwd_active_clients", "clients connected")
-	r.GaugeFunc("ffwd_sampled", "sampled gauge", func() float64 { return 2.5 })
-	s := r.Summary("ffwd_latency_ns", "round-trip latency")
-	c.Add(41)
-	c.Inc()
-	g.Set(7)
-	for i := uint64(1); i <= 100; i++ {
-		s.Observe(i)
-	}
+	requests := 41.0
+	r.Add("server stats", func() []Row {
+		return []Row{
+			{Name: "ffwd_requests_total", Key: "requests", Help: "delegated calls served", Value: requests},
+			{Name: "ffwd_active_clients", Key: "active", Help: "clients connected", Value: 7},
+		}
+	})
+	r.Add("batch stats", func() []Row {
+		return []Row{{Name: "ffwd_batch_p50", Key: "batch_p50", Help: "median batch", Value: 2.5}}
+	})
+	requests = 1e6 // sinks read at render time, and print integers in full
 
 	rec := httptest.NewRecorder()
 	r.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
@@ -234,43 +235,40 @@ func TestRegistryExposition(t *testing.T) {
 	if ct := rec.Header().Get("Content-Type"); !strings.Contains(ct, "text/plain") {
 		t.Errorf("Content-Type = %q", ct)
 	}
-	for _, want := range []string{
-		"# TYPE ffwd_requests_total counter",
-		"ffwd_requests_total 42",
-		"# TYPE ffwd_active_clients gauge",
-		"ffwd_active_clients 7",
-		"ffwd_sampled 2.5",
-		"# TYPE ffwd_latency_ns summary",
-		`ffwd_latency_ns{quantile="0.5"}`,
-		"ffwd_latency_ns_count 100",
-	} {
-		if !strings.Contains(body, want) {
-			t.Errorf("exposition missing %q in:\n%s", want, body)
-		}
+	want := "# HELP ffwd_active_clients clients connected\n# TYPE ffwd_active_clients gauge\nffwd_active_clients 7\n" +
+		"# HELP ffwd_batch_p50 median batch\n# TYPE ffwd_batch_p50 gauge\nffwd_batch_p50 2.5\n" +
+		"# HELP ffwd_requests_total delegated calls served\n# TYPE ffwd_requests_total counter\nffwd_requests_total 1000000\n"
+	if body != want {
+		t.Errorf("exposition =\n%s\nwant\n%s", body, want)
+	}
+	vars := r.Vars().(map[string]float64)
+	if len(vars) != 3 || vars["requests"] != 1e6 || vars["active"] != 7 || vars["batch_p50"] != 2.5 {
+		t.Errorf("Vars = %v", vars)
+	}
+	report := r.Sample().Report()
+	if len(report) != 2 || report[0] != "server stats: requests=1000000 active=7" || report[1] != "batch stats: batch_p50=2.5" {
+		t.Errorf("Report = %q", report)
 	}
 }
 
 func TestRegistryRejectsBadNames(t *testing.T) {
-	r := NewRegistry()
-	for _, bad := range []string{"", "9lives", "has space", "dash-ed"} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("name %q: no panic", bad)
-				}
-			}()
-			r.Counter(bad, "")
-		}()
-	}
-	r.Counter("dup", "")
-	func() {
+	rejects := func(what string, r *Registry, row Row) {
+		t.Helper()
 		defer func() {
 			if recover() == nil {
-				t.Error("duplicate registration: no panic")
+				t.Errorf("%s: no panic", what)
 			}
 		}()
-		r.Counter("dup", "")
-	}()
+		r.Add("g", func() []Row { return []Row{row} })
+	}
+	for _, bad := range []string{"", "9lives", "has space", "dash-ed"} {
+		rejects("name "+bad, NewRegistry(), Row{Name: bad, Key: "k"})
+		rejects("key "+bad, NewRegistry(), Row{Name: "n", Key: bad})
+	}
+	r := NewRegistry()
+	r.Add("g", func() []Row { return []Row{{Name: "dup_total", Key: "dup"}} })
+	rejects("duplicate name", r, Row{Name: "dup_total", Key: "other"})
+	rejects("duplicate key", r, Row{Name: "other_total", Key: "dup"})
 }
 
 func TestKindNamesRoundTrip(t *testing.T) {

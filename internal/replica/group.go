@@ -117,6 +117,29 @@ type Stats struct {
 	RemoteNacks      uint64 // remote appends refused or timed out
 }
 
+// Rows declares the counters the snapshot exports, once, for every stats
+// sink (see obs.Registry).
+func (s Stats) Rows() []obs.Row {
+	return []obs.Row{
+		{Name: "ffwd_replica_term", Key: "replica_term", Help: "Current replication term (elections so far + 1).", Value: float64(s.Term)},
+		{Name: "ffwd_replica_leader", Key: "replica_leader", Help: "Member ID of the current leader.", Value: float64(s.LeaderID)},
+		{Name: "ffwd_replicas_alive", Key: "replicas_alive", Help: "Group members currently alive.", Value: float64(s.AliveReplicas)},
+		{Name: "ffwd_replicas", Key: "replicas", Help: "Group membership, in-process and remote.", Value: float64(s.Replicas)},
+		{Name: "ffwd_replica_commit_index", Key: "replica_commit_index", Help: "Highest quorum-committed log index.", Value: float64(s.CommitIndex)},
+		{Name: "ffwd_replica_log_len", Key: "replica_log_len", Help: "Log entries held since the last prefix truncation.", Value: float64(s.LogLast - s.LogBase)},
+		{Name: "ffwd_replica_commits_total", Key: "replica_commits", Help: "Writes acknowledged after quorum commit.", Value: float64(s.Commits)},
+		{Name: "ffwd_replica_no_quorum_total", Key: "replica_no_quorum", Help: "Proposals that could not commit.", Value: float64(s.NoQuorum)},
+		{Name: "ffwd_replica_ledger_hits_total", Key: "replica_ledger_hits", Help: "Write retries answered from the replicated ledger without re-execution.", Value: float64(s.LedgerHits)},
+		{Name: "ffwd_replica_apply_dups_total", Key: "replica_apply_dups", Help: "Duplicate log entries fenced at apply time by the replicated ledger.", Value: float64(s.ApplyDups)},
+		{Name: "ffwd_replica_append_drops_total", Key: "replica_append_drops", Help: "Leader-to-follower appends dropped by partition injection.", Value: float64(s.AppendDrops)},
+		{Name: "ffwd_replica_snapshots_total", Key: "replica_snapshots", Help: "Snapshots taken across all group members.", Value: float64(s.Snapshots)},
+		{Name: "ffwd_replica_snapshot_installs_total", Key: "replica_snapshot_installs", Help: "Snapshot transfers into lagging or revived members.", Value: float64(s.SnapshotInstalls)},
+		{Name: "ffwd_replica_log_truncated_total", Key: "replica_log_truncated", Help: "Log entries dropped by snapshot-backed prefix truncation.", Value: float64(s.EntriesTruncated)},
+		{Name: "ffwd_replica_failovers_total", Key: "replica_failovers", Help: "Successful leader promotions after crashes.", Value: float64(s.Failovers)},
+		{Name: "ffwd_replica_restarts_total", Key: "replica_restarts", Help: "Wiped members revived.", Value: float64(s.Restarts)},
+	}
+}
+
 // Group is a replica set for one delegation shard. One mutex guards all
 // member state; it is held only inside proposes (which are already
 // serialized by the leader's server goroutine) and failover-time

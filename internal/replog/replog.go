@@ -41,6 +41,8 @@ import (
 	"os"
 	"path/filepath"
 	"sync/atomic"
+
+	"ffwd/internal/obs"
 )
 
 // SyncPolicy says when WAL appends are fsynced.
@@ -117,6 +119,19 @@ type Stats struct {
 	SuffixTruncs  uint64 // suffix truncations (conflict-driven)
 	Snapshots     uint64 // snapshots persisted
 	SnapshotBytes uint64 // bytes in the latest persisted snapshot
+}
+
+// Rows declares the counters the snapshot exports, once, for every stats
+// sink (see obs.Registry).
+func (s Stats) Rows() []obs.Row {
+	return []obs.Row{
+		{Name: "ffwd_wal_appends_total", Key: "wal_appends", Help: "Entry records appended to the durable WAL.", Value: float64(s.Appends)},
+		{Name: "ffwd_wal_writes_total", Key: "wal_writes", Help: "write(2) calls that carried those records (one per committed batch).", Value: float64(s.Writes)},
+		{Name: "ffwd_wal_syncs_total", Key: "wal_syncs", Help: "fsyncs issued for WAL record durability.", Value: float64(s.Syncs)},
+		{Name: "ffwd_wal_snapshots_total", Key: "wal_snapshots", Help: "Snapshots persisted beside the WAL.", Value: float64(s.Snapshots)},
+		{Name: "ffwd_wal_torn_records_total", Key: "wal_torn_records", Help: "Torn tail records truncated away during recovery.", Value: float64(s.TornRecords)},
+		{Name: "ffwd_wal_compactions_total", Key: "wal_compactions", Help: "Snapshot-driven WAL prefix truncations.", Value: float64(s.Compactions)},
+	}
 }
 
 type statCounters struct {

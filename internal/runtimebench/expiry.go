@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"ffwd/internal/apps"
-	"ffwd/internal/core"
 	"ffwd/internal/stats"
 	"ffwd/internal/workload"
 )
@@ -29,25 +28,16 @@ const (
 	ScenarioScanHeavy   = "scan-heavy"
 )
 
-// Expiry modes: who drives reclamation.
-//
-//   - wheel: server-owned time — the delegation server samples a tick
-//     source and drains the timer wheel in bounded slices between
-//     sweeps; clients never see maintenance.
-//   - sweep: client-driven expiry, the pre-wheel model — the background
-//     hook is disabled and every worker periodically delegates a full
-//     SweepExpired, paying the O(n) scan on the server's request path.
-const (
-	ModeWheel = "wheel"
-	ModeSweep = "sweep"
-)
+// ModeWheel names who drives reclamation, in each cell's Backend column:
+// server-owned time — the delegation server samples a tick source and
+// drains the timer wheel in bounded slices between sweeps; clients never
+// see maintenance.
+const ModeWheel = "wheel"
 
 // ExpiryOptions configure an expiry/eviction scenario sweep.
 type ExpiryOptions struct {
 	// Scenarios to run; nil means all three.
 	Scenarios []string
-	// Modes to run; nil means {wheel, sweep}.
-	Modes []string
 	// Goroutines lists worker counts; nil means {2, 4}.
 	Goroutines []int
 	// Duration is the per-cell measurement window (default 50ms);
@@ -60,14 +50,6 @@ type ExpiryOptions struct {
 	// 100µs (default 20 — a 2ms lifetime, several generations per
 	// window).
 	TTLTicks uint64
-	// SweepEvery is how often (in ops per worker) sweep-mode workers
-	// delegate a full SweepExpired. The default, 16, calibrates the
-	// baseline to the wheel's freshness: the wheel drains at every
-	// empty server sweep (sub-tick granularity), and at the closed-loop
-	// rates these cells run, a worker covers one 100µs clock tick in
-	// roughly 16–25 ops — sweeping less often would compare the wheel
-	// against a baseline that simply lets entries go stale.
-	SweepEvery int
 	// Seed derives the per-worker deterministic streams.
 	Seed int64
 	// SampleEvery records every Nth op's latency (default 8).
@@ -77,9 +59,6 @@ type ExpiryOptions struct {
 func (o ExpiryOptions) withDefaults() ExpiryOptions {
 	if len(o.Scenarios) == 0 {
 		o.Scenarios = []string{ScenarioExpiryStorm, ScenarioHotKeySkew, ScenarioScanHeavy}
-	}
-	if len(o.Modes) == 0 {
-		o.Modes = []string{ModeWheel, ModeSweep}
 	}
 	if len(o.Goroutines) == 0 {
 		o.Goroutines = []int{2, 4}
@@ -99,9 +78,6 @@ func (o ExpiryOptions) withDefaults() ExpiryOptions {
 	if o.TTLTicks == 0 {
 		o.TTLTicks = 20
 	}
-	if o.SweepEvery <= 0 {
-		o.SweepEvery = 16
-	}
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
@@ -111,9 +87,9 @@ func (o ExpiryOptions) withDefaults() ExpiryOptions {
 	return o
 }
 
-// RunExpiry sweeps scenario × mode × goroutines and returns one cell
-// each, in the same Report shape as the registry sweep: Backend carries
-// the mode, Structure the scenario.
+// RunExpiry sweeps scenario × goroutines and returns one cell each, in
+// the same Report shape as the registry sweep: Backend carries ModeWheel,
+// Structure the scenario.
 func RunExpiry(o ExpiryOptions) (Report, error) {
 	o = o.withDefaults()
 	rep := Report{Layer: "runtime", Machine: "host"}
@@ -123,13 +99,8 @@ func RunExpiry(o ExpiryOptions) (Report, error) {
 		default:
 			return Report{}, fmt.Errorf("runtimebench: unknown expiry scenario %q", sc)
 		}
-		for _, mode := range o.Modes {
-			if mode != ModeWheel && mode != ModeSweep {
-				return Report{}, fmt.Errorf("runtimebench: unknown expiry mode %q", mode)
-			}
-			for _, g := range o.Goroutines {
-				rep.Cells = append(rep.Cells, runExpiryCell(o, sc, mode, g))
-			}
+		for _, g := range o.Goroutines {
+			rep.Cells = append(rep.Cells, runExpiryCell(o, sc, g))
 		}
 	}
 	return rep, nil
@@ -162,21 +133,12 @@ func (w *expiryWorker) nextOp(sc string) (workload.Op, uint64) {
 	}
 }
 
-func runExpiryCell(o ExpiryOptions, sc, mode string, g int) Cell {
-	cell := Cell{Backend: mode, Structure: sc, Goroutines: g}
+func runExpiryCell(o ExpiryOptions, sc string, g int) Cell {
+	cell := Cell{Backend: ModeWheel, Structure: sc, Goroutines: g}
 
-	cfg := core.Config{MaxClients: g}
-	if mode == ModeSweep {
-		// Disable the server's maintenance hook: reclamation happens
-		// only when a client delegates SweepExpired.
-		cfg.Background = func(int) int { return 0 }
-	}
-	d := apps.NewDelegatedKVConfig(o.Capacity, cfg)
+	d := apps.NewDelegatedKV(o.Capacity, g)
 	start := time.Now()
-	tick := func() uint64 { return uint64(time.Since(start) / (100 * time.Microsecond)) }
-	if mode == ModeWheel {
-		d.SetTickSource(tick)
-	}
+	d.SetTickSource(func() uint64 { return uint64(time.Since(start) / (100 * time.Microsecond)) })
 	if err := d.Start(); err != nil {
 		cell.Err = err.Error()
 		return cell
@@ -228,7 +190,11 @@ func runExpiryCell(o ExpiryOptions, sc, mode string, g int) Cell {
 		}
 	}
 
-	m := measureExpiry(o, sc, mode, g, clients, workers, ttl, tick)
+	m, err := measureExpiry(o, sc, g, clients, workers, ttl)
+	if err != nil {
+		cell.Err = err.Error()
+		return cell
+	}
 	cell.Ops = m.ops
 	cell.GetOps = m.gets
 	if m.elapsed > 0 {
@@ -252,11 +218,11 @@ type expiryMetrics struct {
 
 // measureExpiry drives g workers through warmup and a fixed window. Get
 // latencies are the sampled series — the scenario's acceptance metric is
-// read throughput while reclamation happens elsewhere (wheel) or on the
-// request path (sweep).
-func measureExpiry(o ExpiryOptions, sc, mode string, g int,
-	clients []*apps.KVClient, workers []*expiryWorker, ttl uint64, tick func() uint64) expiryMetrics {
+// read throughput while reclamation happens elsewhere, on the server.
+func measureExpiry(o ExpiryOptions, sc string, g int,
+	clients []*apps.KVClient, workers []*expiryWorker, ttl uint64) (expiryMetrics, error) {
 	var phase atomic.Uint32
+	var started atomic.Int32
 	ops := make([]uint64, g)
 	gets := make([]uint64, g)
 	hists := make([]stats.Histogram, g)
@@ -265,8 +231,8 @@ func measureExpiry(o ExpiryOptions, sc, mode string, g int,
 		go func(i int) {
 			defer func() { done <- struct{}{} }()
 			c, w := clients[i], workers[i]
-			var n, ng, sinceSweep uint64
-			sampleEvery, sweepEvery := uint64(o.SampleEvery), uint64(o.SweepEvery)
+			var n, ng uint64
+			sampleEvery := uint64(o.SampleEvery)
 			for {
 				p := phase.Load()
 				if p == phaseStop {
@@ -292,13 +258,10 @@ func measureExpiry(o ExpiryOptions, sc, mode string, g int,
 				if p == phaseMeasure {
 					n++
 					if op == workload.OpContains {
+						if ng == 0 {
+							started.Add(1) // a worker has started once it has read
+						}
 						ng++
-					}
-				}
-				if mode == ModeSweep {
-					if sinceSweep++; sinceSweep >= sweepEvery {
-						sinceSweep = 0
-						c.SweepExpired(tick())
 					}
 				}
 			}
@@ -306,12 +269,7 @@ func measureExpiry(o ExpiryOptions, sc, mode string, g int,
 		}(i)
 	}
 
-	time.Sleep(o.Warmup)
-	phase.Store(phaseMeasure)
-	t0 := time.Now()
-	time.Sleep(o.Duration)
-	phase.Store(phaseStop)
-	elapsed := time.Since(t0)
+	elapsed, err := runWindow(&phase, &started, g, o.Warmup, o.Duration)
 	for i := 0; i < g; i++ {
 		<-done
 	}
@@ -322,5 +280,5 @@ func measureExpiry(o ExpiryOptions, sc, mode string, g int,
 		m.gets += gets[i]
 		m.hist.Merge(&hists[i])
 	}
-	return m
+	return m, err
 }

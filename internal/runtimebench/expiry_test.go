@@ -1,14 +1,13 @@
 package runtimebench
 
 import (
-	"os"
 	"testing"
 	"time"
 )
 
-// TestRunExpirySmoke runs every scenario × mode at a tiny window and
-// checks shape: one cell per combination, no errors, nonzero ops, and
-// get throughput recorded for read-bearing cells.
+// TestRunExpirySmoke runs every scenario at a tiny window and checks
+// shape: one cell per scenario, no errors, nonzero ops, and get
+// throughput recorded.
 func TestRunExpirySmoke(t *testing.T) {
 	rep, err := RunExpiry(ExpiryOptions{
 		Goroutines: []int{2},
@@ -18,9 +17,8 @@ func TestRunExpirySmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := 3 * 2 // scenarios × modes, one goroutine count
-	if len(rep.Cells) != want {
-		t.Fatalf("got %d cells, want %d", len(rep.Cells), want)
+	if len(rep.Cells) != 3 { // one per scenario, one goroutine count
+		t.Fatalf("got %d cells, want 3", len(rep.Cells))
 	}
 	seen := map[string]bool{}
 	for _, c := range rep.Cells {
@@ -36,10 +34,8 @@ func TestRunExpirySmoke(t *testing.T) {
 		seen[c.Backend+"/"+c.Structure] = true
 	}
 	for _, sc := range []string{ScenarioExpiryStorm, ScenarioHotKeySkew, ScenarioScanHeavy} {
-		for _, m := range []string{ModeWheel, ModeSweep} {
-			if !seen[m+"/"+sc] {
-				t.Fatalf("missing cell %s/%s", m, sc)
-			}
+		if !seen[ModeWheel+"/"+sc] {
+			t.Fatalf("missing cell %s/%s", ModeWheel, sc)
 		}
 	}
 }
@@ -47,46 +43,5 @@ func TestRunExpirySmoke(t *testing.T) {
 func TestRunExpiryRejectsUnknown(t *testing.T) {
 	if _, err := RunExpiry(ExpiryOptions{Scenarios: []string{"bogus"}}); err == nil {
 		t.Fatal("unknown scenario accepted")
-	}
-	if _, err := RunExpiry(ExpiryOptions{Modes: []string{"bogus"}}); err == nil {
-		t.Fatal("unknown mode accepted")
-	}
-}
-
-// TestExpiryStormAB is the acceptance A/B: under an expiry storm,
-// wheel-driven server expiry must sustain at least the read throughput
-// of the client-driven SweepExpired baseline. Timing-sensitive, so
-// gated behind FFWD_EXPIRY_AB=1 (CI runs it via `make expiry`); best of
-// three trials per mode to shave scheduler noise.
-func TestExpiryStormAB(t *testing.T) {
-	if os.Getenv("FFWD_EXPIRY_AB") == "" {
-		t.Skip("set FFWD_EXPIRY_AB=1 to run the expiry-storm A/B")
-	}
-	best := map[string]float64{}
-	for trial := 0; trial < 3; trial++ {
-		rep, err := RunExpiry(ExpiryOptions{
-			Scenarios:  []string{ScenarioExpiryStorm},
-			Goroutines: []int{4},
-			Duration:   200 * time.Millisecond,
-			Capacity:   4096,
-			Seed:       int64(trial + 1),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, c := range rep.Cells {
-			if c.Err != "" {
-				t.Fatalf("cell %s: %s", c.Backend, c.Err)
-			}
-			if c.GetMops > best[c.Backend] {
-				best[c.Backend] = c.GetMops
-			}
-		}
-	}
-	wheel, sweep := best[ModeWheel], best[ModeSweep]
-	t.Logf("expiry-storm best-of-3 get throughput: wheel=%.3f Mops, sweep=%.3f Mops (%.2fx)",
-		wheel, sweep, wheel/sweep)
-	if wheel < sweep {
-		t.Fatalf("wheel-driven expiry slower than client-driven sweep: %.3f < %.3f Mops", wheel, sweep)
 	}
 }

@@ -375,6 +375,7 @@ func measure[H any](o Options, g int, construct func(backend.Config) (*backend.I
 	}
 
 	var phase atomic.Uint32
+	var started atomic.Int32
 	ops := make([]uint64, g)
 	hists := make([]stats.Histogram, g)
 	var wg sync.WaitGroup
@@ -400,6 +401,9 @@ func measure[H any](o Options, g int, construct func(backend.Config) (*backend.I
 					hists[i].Record(uint64(time.Since(t0)))
 				}
 				if p == phaseMeasure {
+					if n == 0 {
+						started.Add(1)
+					}
 					n++
 				}
 				if o.DelayPauses > 0 {
@@ -410,12 +414,7 @@ func measure[H any](o Options, g int, construct func(backend.Config) (*backend.I
 		}(i)
 	}
 
-	time.Sleep(o.Warmup)
-	phase.Store(phaseMeasure)
-	t0 := time.Now()
-	time.Sleep(o.Duration)
-	phase.Store(phaseStop)
-	elapsed := time.Since(t0)
+	elapsed, err := runWindow(&phase, &started, g, o.Warmup, o.Duration)
 	wg.Wait()
 
 	m := metrics{elapsed: elapsed}
@@ -423,7 +422,36 @@ func measure[H any](o Options, g int, construct func(backend.Config) (*backend.I
 		m.ops += ops[i]
 		m.hist.Merge(&hists[i])
 	}
-	return m, nil
+	return m, err
+}
+
+// progressDeadline bounds how long a cell waits, past its window, for a
+// worker that has yet to complete an operation.
+const progressDeadline = 10 * time.Second
+
+// runWindow times one cell: warm up, open the measurement window, and
+// close it once it has elapsed and each of the g workers has counted a
+// measured operation into started — on a busy host a millisecond window
+// can pass before a worker goroutine is first scheduled, and wall time
+// alone would then report a live backend as making no progress. It
+// returns the window's real length, and an error when a worker is still
+// at zero progressDeadline after the window.
+func runWindow(phase *atomic.Uint32, started *atomic.Int32, g int, warmup, window time.Duration) (time.Duration, error) {
+	time.Sleep(warmup)
+	phase.Store(phaseMeasure)
+	t0 := time.Now()
+	time.Sleep(window)
+	var err error
+	for started.Load() < int32(g) {
+		if time.Since(t0) > window+progressDeadline {
+			err = fmt.Errorf("runtimebench: %d of %d workers completed no operation within %v of the window",
+				g-int(started.Load()), g, progressDeadline)
+			break
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	phase.Store(phaseStop)
+	return time.Since(t0), err
 }
 
 // Figures converts the report into one bench.Figure per structure:
@@ -467,8 +495,7 @@ func (r Report) Figures() []bench.Figure {
 	return figs
 }
 
-// JSON renders the report as indented JSON — the BENCH_*.json trajectory
-// shape.
+// JSON renders the report as indented JSON.
 func (r Report) JSON() (string, error) {
 	b, err := json.MarshalIndent(r, "", "  ")
 	if err != nil {
