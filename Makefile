@@ -3,7 +3,7 @@
 GO ?= go
 CHAOS_SEED ?= 1
 
-.PHONY: all build vet test test-cpus test-1b race bench bench-hot bench-smoke bench-e2e-smoke check chaos replica-chaos proc-chaos linear expiry loadtest fuzz trace figures ablations coverage loc clean
+.PHONY: all build vet test test-cpus race bench bench-hot bench-smoke bench-e2e-smoke check chaos replica-chaos proc-chaos linear expiry loadtest fuzz trace figures ablations coverage loc clean
 
 all: build vet test
 
@@ -30,15 +30,9 @@ test:
 
 # The serving stack at 1, 2 and 4 Ps: the delegation core and everything
 # built on it must hold at every GOMAXPROCS, not only the host's.
-# TestAsyncGroupPipelines is ROADMAP item 1b, still open (it fails about
-# one run in two from 2 Ps up), so it runs apart as test-1b: the known bug
-# stays visible without hiding a new one behind it.
 CPU_PKGS ?= ./internal/core/ ./internal/apps/ ./internal/frontend/ ./cmd/ffwdserve/
 test-cpus:
-	$(GO) test -count=1 -cpu 1,2,4 -skip '^TestAsyncGroupPipelines$$' $(CPU_PKGS)
-
-test-1b:
-	$(GO) test -count=1 -cpu 1,2,4 -run '^TestAsyncGroupPipelines$$' ./internal/core/
+	$(GO) test -count=1 -cpu 1,2,4 $(CPU_PKGS)
 
 race:
 	$(GO) test -race ./...

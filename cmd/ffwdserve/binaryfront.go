@@ -20,10 +20,10 @@ import (
 // that window: singles, a multi-get as its keys' gets, the stats verb as
 // four counter reads.
 
-// The executors' windows. A binary shard runs deep enough to overlap a
-// full executor batch through the delegation server's sweeps; a text
-// executor needs only multi-get depth, because it keeps one single in
-// flight at a time (see ffwdExec.ordered).
+// The executors' windows: how many requests each keeps in flight. Every
+// occupied slot is loaded on every sweep, and the text frontend has one
+// executor per -clients while binary has one per shard, so a text window
+// is the shallower.
 const (
 	ffwdBinaryWindow = 16
 	ffwdTextWindow   = 8
@@ -32,13 +32,6 @@ const (
 // ffwdExec executes batches against the delegated KV.
 type ffwdExec struct {
 	batch *apps.KVBatchClient
-
-	// ordered makes the executor flush after every op, so one single is
-	// in flight at a time and a connection's commands apply in program
-	// order: the deep window can reorder the requests it overlaps
-	// (ROADMAP item 1b). The text frontend's executors are ordered; a
-	// multi-get still pipelines its keys, which are reads of one instant.
-	ordered bool
 
 	// defTTL, when nonzero, turns plain OpSet into a TTL'd store (the
 	// -default-ttl flag, in server clock ticks).
@@ -57,14 +50,14 @@ type ffwdExec struct {
 type pendRef struct{ op, sub int }
 
 // newFFWDExecs builds n executors, each on its own window of d's slots.
-func newFFWDExecs(d *apps.DelegatedKV, n, window int, ordered bool, defTTL uint64) ([]frontend.Exec, error) {
+func newFFWDExecs(d *apps.DelegatedKV, n, window int, defTTL uint64) ([]frontend.Exec, error) {
 	execs := make([]frontend.Exec, 0, n)
 	for i := 0; i < n; i++ {
 		batch, err := d.NewBatchClient(window)
 		if err != nil {
 			return nil, err
 		}
-		e := &ffwdExec{batch: batch, ordered: ordered, defTTL: defTTL, pend: make([]pendRef, 0, 256)}
+		e := &ffwdExec{batch: batch, defTTL: defTTL, pend: make([]pendRef, 0, 256)}
 		batch.OnDone(e.onDone)
 		execs = append(execs, e)
 	}
@@ -98,10 +91,10 @@ func newFFWDBackend(o storeOpts, reg *obs.Registry) (*backend, error) {
 	// Every handle is taken before the server starts, so a failure leaves
 	// nothing running.
 	var err error
-	if be.text, err = newFFWDExecs(d, o.clients, ffwdTextWindow, true, o.defTTL); err != nil {
+	if be.text, err = newFFWDExecs(d, o.clients, ffwdTextWindow, o.defTTL); err != nil {
 		return nil, err
 	}
-	if be.binary, err = newFFWDExecs(d, o.shards, ffwdBinaryWindow, false, o.defTTL); err != nil {
+	if be.binary, err = newFFWDExecs(d, o.shards, ffwdBinaryWindow, o.defTTL); err != nil {
 		return nil, err
 	}
 	sc, err := d.NewClient()
@@ -225,7 +218,7 @@ func (e *ffwdExec) ExecBatch(ops []frontend.Op, results []frontend.Result) {
 			e.batch.Stats()
 			results[i].Status = wireproto.RespStats
 		}
-		if wide || e.ordered {
+		if wide {
 			e.flush()
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -229,36 +230,64 @@ func TestServeConcurrentConnections(t *testing.T) {
 
 // TestPipelinedBurstProgramOrder: one TCP write carrying a burst of
 // commands on one key must be answered as if they ran one after another
-// — a read sees the write pipelined ahead of it, on every backend and at
-// every GOMAXPROCS. This is the per-connection order the text frontend
-// promises; it holds because each backend's text executor is structurally
-// in-order (one single in flight at a time, a lock, or a run flushed
-// before each read), not because a single core happens to serialize
-// things.
+// — a read sees the write pipelined ahead of it, on every backend, through
+// either frontend and at every GOMAXPROCS. This is the per-connection
+// order DESIGN.md promises. Nothing flushes between the commands to get
+// it: the ffwd executors overlap the whole burst in one delegation
+// window, which executes in submit order (core.AsyncGroup's ordering
+// contract); the mutex executor holds a lock per op; the replicated one
+// flushes a write run before each read.
 func TestPipelinedBurstProgramOrder(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	want := []string{"STORED", "STORED", "VALUE 2", "DELETED", "NOT_FOUND"}
 	for _, procs := range []int{1, 2, 4} {
 		runtime.GOMAXPROCS(procs)
 		for _, tc := range []struct {
-			name string
-			fe   func() *textFrontend
+			name   string
+			text   func(t *testing.T) *textFrontend
+			binary func(t *testing.T) []frontend.Exec
 		}{
-			{"ffwd", func() *textFrontend { return ffwdText(t, 1024, 4) }},
-			{"mutex", func() *textFrontend { return mutexText(1024, nil) }},
-			{"replicated", func() *textFrontend { return newRepBackend(t, 1024, 4, nil).fe }},
-		} {
-			t.Run(fmt.Sprintf("%s/procs=%d", tc.name, procs), func(t *testing.T) {
-				conn, r, _ := dialText(t, listen(t, tc.fe()))
-				for k := 0; k < 200; k++ {
-					burst := fmt.Sprintf("set %d 1\nset %d 2\nget %d\ndel %d\nget %d\n", k, k, k, k, k)
-					if _, err := conn.Write([]byte(burst)); err != nil {
+			{"ffwd", func(t *testing.T) *textFrontend { return ffwdText(t, 1024, 4) },
+				func(t *testing.T) []frontend.Exec {
+					be, err := newFFWDBackend(storeOpts{capacity: 1024, shards: 2}, obs.NewRegistry())
+					if err != nil {
 						t.Fatal(err)
 					}
-					for i, want := range []string{"STORED", "STORED", "VALUE 2", "DELETED", "NOT_FOUND"} {
+					t.Cleanup(be.stop)
+					return be.binary
+				}},
+			{"mutex", func(*testing.T) *textFrontend { return mutexText(1024, nil) },
+				func(*testing.T) []frontend.Exec {
+					return newMutexBackend(storeOpts{capacity: 1024, shards: 2, tick: func() uint64 { return 0 }}, obs.NewRegistry()).binary
+				}},
+			{"replicated", func(t *testing.T) *textFrontend { return newRepBackend(t, 1024, 4, nil).fe },
+				func(t *testing.T) []frontend.Exec {
+					rb := newRepBackend(t, 1024, 2, nil)
+					return newRepExecs(rb.r, 2, rb.cnt)
+				}},
+		} {
+			burst := func(k int) []string {
+				return []string{fmt.Sprintf("set %d 1", k), fmt.Sprintf("set %d 2", k), fmt.Sprintf("get %d", k), fmt.Sprintf("del %d", k), fmt.Sprintf("get %d", k)}
+			}
+			t.Run(fmt.Sprintf("%s/procs=%d", tc.name, procs), func(t *testing.T) {
+				conn, r, _ := dialText(t, listen(t, tc.text(t)))
+				for k := 0; k < 200; k++ {
+					if _, err := conn.Write([]byte(strings.Join(burst(k), "\n") + "\n")); err != nil {
+						t.Fatal(err)
+					}
+					for i, w := range want {
 						line, err := r.ReadString('\n')
-						if err != nil || strings.TrimSuffix(line, "\n") != want {
-							t.Fatalf("key %d reply %d = %q, %v; want %q", k, i, line, err, want)
+						if err != nil || strings.TrimSuffix(line, "\n") != w {
+							t.Fatalf("key %d reply %d = %q, %v; want %q", k, i, line, err, w)
 						}
+					}
+				}
+			})
+			t.Run(fmt.Sprintf("%s/binary/procs=%d", tc.name, procs), func(t *testing.T) {
+				bc := dialBinary(t, listenBinary(t, tc.binary(t)))
+				for k := 0; k < 200; k++ {
+					if got := bc.burst(burst(k)); !slices.Equal(got, want) {
+						t.Fatalf("key %d replies %q, want %q", k, got, want)
 					}
 				}
 			})

@@ -37,10 +37,19 @@ func (b *binParityClient) roundTrip(req *wireproto.Request) wireproto.Response {
 	b.t.Helper()
 	b.id++
 	req.ID = b.id
-	frame := wireproto.AppendRequest(nil, req)
-	if _, err := b.c.Write(frame); err != nil {
+	if _, err := b.c.Write(wireproto.AppendRequest(nil, req)); err != nil {
 		b.t.Fatal(err)
 	}
+	resp := b.recv()
+	if resp.ID != req.ID {
+		b.t.Fatalf("response ID = %d, want %d", resp.ID, req.ID)
+	}
+	return resp
+}
+
+// recv reads the next response frame.
+func (b *binParityClient) recv() wireproto.Response {
+	b.t.Helper()
 	b.c.SetReadDeadline(time.Now().Add(5 * time.Second))
 	for {
 		body, n, err := wireproto.Split(b.rbuf[:b.rlen])
@@ -48,9 +57,6 @@ func (b *binParityClient) roundTrip(req *wireproto.Request) wireproto.Response {
 			var resp wireproto.Response
 			if derr := wireproto.DecodeResponse(body, &resp); derr != nil {
 				b.t.Fatalf("decode response: %v", derr)
-			}
-			if resp.ID != req.ID {
-				b.t.Fatalf("response ID = %d, want %d", resp.ID, req.ID)
 			}
 			vals := append([]uint64(nil), resp.Vals...)
 			resp.Vals = vals
@@ -68,13 +74,10 @@ func (b *binParityClient) roundTrip(req *wireproto.Request) wireproto.Response {
 	}
 }
 
-// handle runs one text-protocol command through the binary frontend and
-// renders the reply in the text reply format: the command goes through
-// the text parser to a frontend.Op, the Op's fields ride a binary
-// request, and the binary response's fields come back through the text
-// formatter. Parity then says exactly that both frontends hand the
-// executor the same Op and get the same Result back.
-func (b *binParityClient) handle(line string) string {
+// request maps one text-protocol command to the binary request that
+// carries the same frontend.Op: the command goes through the text parser
+// and the Op's fields ride the request.
+func (b *binParityClient) request(line string) wireproto.Request {
 	b.t.Helper()
 	var op frontend.Op
 	// (A reserved-value set parses to its Op and a refusal; send the Op
@@ -82,11 +85,70 @@ func (b *binParityClient) handle(line string) string {
 	if parse([]byte(line), &op, nil); op.Kind == wireproto.OpNop {
 		b.t.Fatalf("no binary equivalent for %q", line)
 	}
-	resp := b.roundTrip(&wireproto.Request{Op: op.Kind, Key: op.Key, Val: op.Val, TTL: op.TTL, Keys: op.Keys})
+	return wireproto.Request{Op: op.Kind, Key: op.Key, Val: op.Val, TTL: op.TTL, Keys: op.Keys}
+}
+
+// render formats a binary response through the text formatter.
+func render(resp *wireproto.Response) string {
 	return string(appendReply(nil, &frontend.Result{
 		Status: resp.Type, Val: resp.Val, Code: resp.Code, Vals: resp.Vals,
 		Hits: resp.Hits, Misses: resp.Misses, Evictions: resp.Evictions, Expired: resp.Expired,
 	}))
+}
+
+// handle runs one text-protocol command through the binary frontend and
+// renders the reply in the text reply format. Parity then says exactly
+// that both frontends hand the executor the same Op and get the same
+// Result back.
+func (b *binParityClient) handle(line string) string {
+	b.t.Helper()
+	req := b.request(line)
+	resp := b.roundTrip(&req)
+	return render(&resp)
+}
+
+// burst sends the commands as one write of pipelined frames and returns
+// the rendered replies in command order (responses carry their request's
+// ID and may arrive in any order).
+func (b *binParityClient) burst(lines []string) []string {
+	b.t.Helper()
+	var frames []byte
+	first := b.id + 1
+	for _, line := range lines {
+		req := b.request(line)
+		b.id++
+		req.ID = b.id
+		frames = wireproto.AppendRequest(frames, &req)
+	}
+	if _, err := b.c.Write(frames); err != nil {
+		b.t.Fatal(err)
+	}
+	replies := make([]string, len(lines))
+	for range lines {
+		resp := b.recv()
+		if resp.ID < first || resp.ID > b.id {
+			b.t.Fatalf("response ID = %d, want one of %d..%d", resp.ID, first, b.id)
+		}
+		replies[resp.ID-first] = render(&resp)
+	}
+	return replies
+}
+
+// listenBinary serves execs, one per shard, on the binary dataplane.
+func listenBinary(t *testing.T, execs []frontend.Exec) string {
+	t.Helper()
+	bsrv, err := frontend.NewServer(frontend.Config{Execs: execs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(bsrv.Close)
+	bln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { bln.Close() })
+	go bsrv.Serve(bln)
+	return bln.Addr().String()
 }
 
 // TestFrontendParity runs one op sequence through both frontends over
@@ -102,8 +164,7 @@ func TestFrontendParity(t *testing.T) {
 		shards   = 2
 	)
 	// A full-width multi-get, most of it misses, through each frontend's
-	// one-handle executor: the text one pipelines it behind ordered
-	// singles, the binary one fences it inside its deep window.
+	// one-handle executor, which fences it inside its window.
 	wideMget := "mget"
 	for k := 1; k <= mgetMax; k++ {
 		wideMget += " " + strconv.Itoa(k)
@@ -163,18 +224,7 @@ func TestFrontendParity(t *testing.T) {
 			fe, execs := tc.build(t)
 			_, _, textHandle := dialText(t, listen(t, fe))
 
-			bsrv, err := frontend.NewServer(frontend.Config{Execs: execs})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(bsrv.Close)
-			bln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { bln.Close() })
-			go bsrv.Serve(bln)
-			bc := dialBinary(t, bln.Addr().String())
+			bc := dialBinary(t, listenBinary(t, execs))
 
 			for _, cmd := range steps {
 				if cmd == tc.skip {

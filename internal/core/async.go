@@ -1,6 +1,9 @@
 package core
 
-import "time"
+import (
+	"slices"
+	"time"
+)
 
 // AsyncGroup generalizes the paper's FFWDx2 over-subscription: it manages
 // k client channels for a single goroutine, keeping up to k requests in
@@ -8,10 +11,20 @@ import "time"
 // AsyncGroup with k = 2 — the paper's "two user threads per hardware
 // thread that yield after sending".
 //
-// Operations complete in issue order; Submit returns the result of the
-// oldest in-flight request once the window is full, so a caller that
-// needs results can treat it as a shallow pipeline. The fixed-arity
-// Submit0–Submit3 forms are allocation-free, mirroring Delegate0–3.
+// Ordering contract. A paper client has one request outstanding, so the
+// paper never says in what order one client's requests run; a window has
+// k, so this type does. In the terms of futures: the window's results
+// resolve FIFO, and so do their effects. As a safety property: if request
+// a was submitted to a window before request b, the server executes a
+// before b (b observes every effect of a), and a's result is delivered
+// before b's — at every GOMAXPROCS, across window wrap-around, and across
+// a server crash and restart (a re-delivered request is answered from the
+// ledger, never run a second time or out of turn). Nothing orders requests
+// of different windows or plain clients beyond each being atomic.
+//
+// Submit returns the result of the oldest in-flight request once the
+// window is full, so a caller that needs results can treat it as a
+// shallow pipeline. The Submit0–Submit3 forms mirror Delegate0–3.
 type AsyncGroup struct {
 	clients []*Client
 	// head is the index of the oldest in-flight request; size is the
@@ -35,6 +48,17 @@ func NewAsyncGroup(s *Server, k int) (*AsyncGroup, error) {
 			return nil, err
 		}
 		g.clients[i] = c
+	}
+	if k > 1 {
+		// Register the window (see the window type). Issuing in slot
+		// order lets one sweep, which visits slots in index order, serve
+		// a whole window; recycled slots arrive in no particular order.
+		slices.SortFunc(g.clients, func(a, b *Client) int { return a.slot - b.slot })
+		w := &window{slots: make([]int, k)}
+		for i, c := range g.clients {
+			w.slots[i] = c.slot
+			s.win[c.slot] = w
+		}
 	}
 	return g, nil
 }
@@ -63,9 +87,16 @@ func (g *AsyncGroup) Close() {
 
 // next returns the client channel the following request should issue on,
 // first completing the oldest in-flight request when the window is full.
+// If a FlushTimeout abandoned that request, next has Client.issueHdr's
+// contract for it: drain it while the server lives, panic once it cannot
+// arrive.
 func (g *AsyncGroup) next() (c *Client, oldest uint64, completed bool) {
 	if g.size == len(g.clients) {
-		oldest = g.clients[g.head].Wait()
+		if head := g.clients[g.head]; head.abandoned {
+			oldest = head.drainAbandoned()
+		} else {
+			oldest = head.Wait()
+		}
 		g.head = (g.head + 1) % len(g.clients)
 		g.size--
 		completed = true
@@ -84,7 +115,7 @@ func (g *AsyncGroup) Submit(fid FuncID, args ...uint64) (oldest uint64, complete
 	return oldest, completed
 }
 
-// Submit0 is the allocation-free zero-argument form of Submit.
+// Submit0 is the zero-argument form of Submit.
 func (g *AsyncGroup) Submit0(fid FuncID) (oldest uint64, completed bool) {
 	c, oldest, completed := g.next()
 	c.issueHdr(fid, 0)
@@ -92,7 +123,7 @@ func (g *AsyncGroup) Submit0(fid FuncID) (oldest uint64, completed bool) {
 	return oldest, completed
 }
 
-// Submit1 is the allocation-free one-argument form of Submit.
+// Submit1 is the one-argument form of Submit.
 func (g *AsyncGroup) Submit1(fid FuncID, a0 uint64) (oldest uint64, completed bool) {
 	c, oldest, completed := g.next()
 	c.req[1] = a0
@@ -101,7 +132,7 @@ func (g *AsyncGroup) Submit1(fid FuncID, a0 uint64) (oldest uint64, completed bo
 	return oldest, completed
 }
 
-// Submit2 is the allocation-free two-argument form of Submit.
+// Submit2 is the two-argument form of Submit.
 func (g *AsyncGroup) Submit2(fid FuncID, a0, a1 uint64) (oldest uint64, completed bool) {
 	c, oldest, completed := g.next()
 	c.req[1] = a0
@@ -111,7 +142,7 @@ func (g *AsyncGroup) Submit2(fid FuncID, a0, a1 uint64) (oldest uint64, complete
 	return oldest, completed
 }
 
-// Submit3 is the allocation-free three-argument form of Submit.
+// Submit3 is the three-argument form of Submit.
 func (g *AsyncGroup) Submit3(fid FuncID, a0, a1, a2 uint64) (oldest uint64, completed bool) {
 	c, oldest, completed := g.next()
 	c.req[1] = a0
@@ -120,20 +151,6 @@ func (g *AsyncGroup) Submit3(fid FuncID, a0, a1, a2 uint64) (oldest uint64, comp
 	c.issueHdr(fid, 3)
 	g.size++
 	return oldest, completed
-}
-
-// TryReap completes the oldest in-flight request without blocking. It
-// reports whether a response was collected.
-func (g *AsyncGroup) TryReap() (ret uint64, ok bool) {
-	if g.size == 0 {
-		return 0, false
-	}
-	ret, ok = g.clients[g.head].TryWait()
-	if ok {
-		g.head = (g.head + 1) % len(g.clients)
-		g.size--
-	}
-	return ret, ok
 }
 
 // Flush waits for every in-flight request, invoking each result on fn (in

@@ -294,8 +294,9 @@ func TestChaosPanickingCallsSurfaceAsErrors(t *testing.T) {
 
 // TestChaosPoolShardDegradation kills one shard of a two-shard pool: its
 // keys must fail fast with bounded errors while the sibling shard keeps
-// serving, Flush/FlushTimeout must not wedge on the dead shard, and after
-// a restart the orphaned pipelined request completes (at-least-once).
+// serving, and after a restart a key-routed DelegateRetry first drains the
+// orphaned request (answered from the ledger, not run again) and then
+// completes its own.
 func TestChaosPoolShardDegradation(t *testing.T) {
 	// Shard 0 dies after serving its first request (response lost
 	// unflushed); shard 1 is fault-free. The pool is assembled by hand
@@ -303,86 +304,72 @@ func TestChaosPoolShardDegradation(t *testing.T) {
 	s0 := NewServer(Config{MaxClients: 2, Hooks: fault.New(fault.Plan{KillAtOp: 1})})
 	s1 := NewServer(Config{MaxClients: 2})
 	p := &Pool{servers: []*Server{s0, s1}}
-	echo := p.RegisterAll(chaosEcho)
+	var applied0 int
+	bump := p.RegisterAll(func(a *[MaxArgs]uint64) uint64 {
+		if a[0]%2 == 0 {
+			applied0++ // even keys route to shard 0; only s0's goroutine gets here
+		}
+		return a[0]
+	})
 	if err := p.StartAll(); err != nil {
 		t.Fatal(err)
 	}
 	defer p.StopAll()
 	pc := p.MustNewClient()
 
-	// Pipeline one request to each shard; serving shard 0's kills it.
-	pc.IssueTo1(0, echo, 500)
-	pc.IssueTo1(1, echo, 601)
-	var flushed []uint64
-	var flushErrs int
-	err := pc.FlushTimeout(100*time.Millisecond, func(shard int, ret uint64, ferr error) {
-		if ferr != nil {
-			flushErrs++
-			if shard != 0 {
-				t.Errorf("healthy shard %d reported error %v", shard, ferr)
-			}
-			return
-		}
-		flushed = append(flushed, ret)
-	})
-	if err == nil || flushErrs != 1 {
-		t.Fatalf("FlushTimeout err=%v flushErrs=%d; want the dead shard to fail", err, flushErrs)
+	// One request to each shard; serving shard 0's kills it.
+	if _, err := pc.DelegateTimeout(100*time.Millisecond, 0, bump, 500); err == nil {
+		t.Fatal("delegate across the kill succeeded; want the dead shard to fail")
 	}
-	if len(flushed) != 1 || flushed[0] != 601 {
-		t.Fatalf("live shard results = %v, want [601]", flushed)
+	if got, err := pc.DelegateTimeout(100*time.Millisecond, 1, bump, 601); err != nil || got != 601 {
+		t.Fatalf("live shard: got %d err %v, want 601", got, err)
 	}
 	if pc.ShardHealthy(0) || !pc.ShardHealthy(1) || p.Healthy() {
 		t.Fatalf("health: shard0=%v shard1=%v pool=%v, want false/true/false",
 			pc.ShardHealthy(0), pc.ShardHealthy(1), p.Healthy())
 	}
 
-	// The live shard keeps serving its keys synchronously...
+	// The live shard keeps serving its keys...
 	for i := uint64(0); i < 20; i++ {
-		got, derr := pc.DelegateTimeout(100*time.Millisecond, 1, echo, 700+i)
-		if derr != nil || got != 700+i {
+		got, derr := pc.DelegateTimeout(100*time.Millisecond, 1, bump, 701+2*i)
+		if derr != nil || got != 701+2*i {
 			t.Fatalf("live shard degraded: got %d err %v", got, derr)
 		}
 	}
 	// ...while the dead shard's keys fail fast and bounded.
 	start := time.Now()
-	if _, derr := pc.DelegateTimeout(100*time.Millisecond, 2, echo, 11); derr == nil {
-		t.Fatal("delegate to a dead shard succeeded")
+	if _, derr := pc.DelegateTimeout(100*time.Millisecond, 2, bump, 12); !errors.Is(derr, ErrServerStopped) {
+		t.Fatalf("delegate to a dead shard: %v, want ErrServerStopped", derr)
 	}
 	if time.Since(start) > time.Second {
 		t.Fatal("dead-shard delegate was not bounded")
 	}
 
-	// Restart the crashed shard: the orphaned pipelined request (served
-	// but unflushed when the kill hit) is re-executed and completes.
+	// Restart the crashed shard: the retry drains the orphaned request
+	// (served but unflushed when the kill hit), then runs its own.
 	if !s0.RestartIfCrashed() {
 		t.Fatal("RestartIfCrashed found nothing to restart")
 	}
-	var recovered []uint64
-	if err := pc.FlushTimeout(2*time.Second, func(shard int, ret uint64, ferr error) {
-		if ferr != nil {
-			t.Errorf("shard %d still failing after restart: %v", shard, ferr)
-			return
-		}
-		recovered = append(recovered, ret)
-	}); err != nil {
-		t.Fatalf("flush after restart: %v", err)
-	}
-	if len(recovered) != 1 || recovered[0] != 500 {
-		t.Fatalf("recovered = %v, want the orphaned request's result [500]", recovered)
-	}
-	if pc.InFlight() != 0 {
-		t.Fatalf("InFlight = %d after full recovery, want 0", pc.InFlight())
+	got, err := pc.DelegateRetry(RetryPolicy{}, time.Second, 0, bump, 800)
+	if err != nil || got != 800 {
+		t.Fatalf("retry after restart: got %d err %v, want 800", got, err)
 	}
 	// Channels are coherent again: both shards serve synchronously.
 	for key := uint64(0); key < 4; key++ {
-		got, derr := pc.DelegateTimeout(time.Second, key, echo, 900+key)
+		got, derr := pc.DelegateTimeout(time.Second, key, bump, 900+key)
 		if derr != nil || got != 900+key {
 			t.Fatalf("post-recovery key %d: got %d err %v", key, got, derr)
 		}
 	}
 	pc.Close()
-	if st := s0.Stats(); st.ServerCrashes != 1 || st.Restarts != 1 {
-		t.Fatalf("shard0 stats: crashes=%d restarts=%d, want 1/1", st.ServerCrashes, st.Restarts)
+	p.StopAll()
+	// 500, 800, 900, 902: the refused 12 was never issued, and 500 ran once.
+	if applied0 != 4 {
+		t.Fatalf("shard 0 applied %d requests, want 4 (each exactly once)", applied0)
+	}
+	if st := s0.Stats(); st.ServerCrashes != 1 || st.Restarts != 1 || st.LedgerSkips != 1 {
+		t.Fatalf("shard0 stats: crashes=%d restarts=%d ledger-skips=%d, want 1/1/1",
+			st.ServerCrashes, st.Restarts, st.LedgerSkips)
 	}
 }
 
@@ -438,18 +425,19 @@ func TestChaosExactlyOnceAcrossRestarts(t *testing.T) {
 		st.ServerCrashes, st.Restarts, st.LedgerSkips, st.RetryWaits)
 }
 
-// TestChaosShardDiesMidFlush covers the gap left by the pre-dead-shard
-// tests: shard 0 is killed while a FlushTimeout is actively waiting on
-// it (a slow delegated call keeps the flush in flight across the kill).
-// The flush must fail bounded, the shard's request must survive as
-// abandoned, and after a restart the same FlushTimeout must collect the
-// result — applied exactly once despite the crash landing after
-// execution but before the response flush.
+// TestChaosShardDiesMidFlush covers the gap left by the pre-dead-server
+// tests: shard 0 is killed while a window's FlushTimeout is actively
+// waiting on it (a slow delegated call keeps the flush in flight across
+// the kill), with one request executed-but-unflushed and one not yet run.
+// The flush must fail bounded, both requests must survive as abandoned,
+// the sibling shard must keep serving, and after a restart the same
+// FlushTimeout must collect both results in submit order — each applied
+// exactly once.
 func TestChaosShardDiesMidFlush(t *testing.T) {
 	// Shard 0: every call sleeps 5ms, and the server is killed after
 	// serving its first op — i.e. mid-flush from the client's view, since
 	// FlushTimeout is already blocked on the shard when the kill fires.
-	s0 := NewServer(Config{MaxClients: 2, Hooks: fault.New(fault.Plan{
+	s0 := NewServer(Config{MaxClients: 3, Hooks: fault.New(fault.Plan{
 		CallDelayEvery: 1, CallDelay: 5 * time.Millisecond, KillAtOp: 1,
 	})})
 	s1 := NewServer(Config{MaxClients: 2})
@@ -463,60 +451,52 @@ func TestChaosShardDiesMidFlush(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.StopAll()
+	g, err := NewAsyncGroup(s0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	pc := p.MustNewClient()
 
-	pc.IssueTo1(0, bump, 41)
-	pc.IssueTo1(1, bump, 42)
+	g.Submit1(bump, 41)
+	g.Submit1(bump, 43)
 	// The flush deadline comfortably covers the 5ms call delay, so the
 	// wait on shard 0 is live when the server dies: the error must be
 	// the mid-flight death (ErrServerStopped), not a pre-dead fast-fail.
 	start := time.Now()
-	var dead int
-	err := pc.FlushTimeout(time.Second, func(shard int, ret uint64, ferr error) {
-		if ferr != nil {
-			dead++
-			if shard != 0 || !errors.Is(ferr, ErrServerStopped) {
-				t.Errorf("shard %d failed with %v, want shard 0 with ErrServerStopped", shard, ferr)
-			}
-			return
-		}
-		if shard != 1 || ret != 42 {
-			t.Errorf("live shard result: shard=%d ret=%d", shard, ret)
-		}
-	})
-	if err == nil || dead != 1 {
-		t.Fatalf("FlushTimeout err=%v dead=%d; want the mid-flush death surfaced", err, dead)
+	if err := g.FlushTimeout(time.Second, func(ret uint64) {
+		t.Errorf("dead shard delivered %d", ret)
+	}); !errors.Is(err, ErrServerStopped) {
+		t.Fatalf("FlushTimeout err=%v; want the mid-flush death surfaced as ErrServerStopped", err)
 	}
 	if time.Since(start) > 5*time.Second {
 		t.Fatal("mid-flush death was not bounded")
 	}
-	if pc.InFlight() != 1 {
-		t.Fatalf("InFlight = %d, want the dead shard's request still accounted", pc.InFlight())
+	if g.InFlight() != 2 {
+		t.Fatalf("InFlight = %d, want the dead shard's requests still accounted", g.InFlight())
+	}
+	if got, err := pc.DelegateTimeout(time.Second, 1, bump, 42); err != nil || got != 42 {
+		t.Fatalf("live shard: got %d err %v, want 42", got, err)
 	}
 
 	// Restart and re-flush: the killed op was executed and ledgered, so
-	// recovery replays the recorded result without a second application.
+	// recovery replays the recorded result without a second application,
+	// then runs the one behind it.
 	if !s0.RestartIfCrashed() {
 		t.Fatal("RestartIfCrashed found nothing to restart")
 	}
 	var recovered []uint64
-	if err := pc.FlushTimeout(2*time.Second, func(_ int, ret uint64, ferr error) {
-		if ferr != nil {
-			t.Errorf("flush after restart: %v", ferr)
-			return
-		}
-		recovered = append(recovered, ret)
-	}); err != nil {
+	if err := g.FlushTimeout(2*time.Second, func(ret uint64) { recovered = append(recovered, ret) }); err != nil {
 		t.Fatalf("flush after restart: %v", err)
 	}
-	if len(recovered) != 1 || recovered[0] != 41 {
-		t.Fatalf("recovered = %v, want [41]", recovered)
+	if len(recovered) != 2 || recovered[0] != 41 || recovered[1] != 43 {
+		t.Fatalf("recovered = %v, want [41 43]", recovered)
 	}
-	if got := applied.Load(); got != 2 {
-		t.Fatalf("delegated function applied %d times for 2 ops, want exactly once each", got)
+	if got := applied.Load(); got != 3 {
+		t.Fatalf("delegated function applied %d times for 3 ops, want exactly once each", got)
 	}
 	if st := s0.Stats(); st.LedgerSkips != 1 {
 		t.Fatalf("shard0 LedgerSkips = %d, want the re-delivered op fenced exactly once", st.LedgerSkips)
 	}
+	g.Close()
 	pc.Close()
 }

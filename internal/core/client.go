@@ -273,10 +273,14 @@ func (c *Client) Delegate(fid FuncID, args ...uint64) uint64 {
 	return c.Wait()
 }
 
-// delegateUntil is the deadline-bounded round trip shared by
-// DelegateTimeout and PoolClient: drain any abandoned predecessor, issue,
-// wait, and convert the sentinel into the captured error record.
-func (c *Client) delegateUntil(deadline time.Time, fid FuncID, args []uint64) (uint64, error) {
+// DelegateTimeout is Delegate with a deadline covering the whole round
+// trip (including draining a previously timed-out request's late
+// response). It returns ErrTimeout/ErrServerStopped instead of spinning
+// forever, and — like DelegateErr — reports a delegated-function panic or
+// unknown function id as a *PanicRecord error rather than the bare
+// all-ones sentinel.
+func (c *Client) DelegateTimeout(timeout time.Duration, fid FuncID, args ...uint64) (uint64, error) {
+	deadline := time.Now().Add(timeout)
 	if c.pending {
 		if !c.abandoned {
 			panic("core: Delegate with a request already in flight")
@@ -297,16 +301,6 @@ func (c *Client) delegateUntil(deadline time.Time, fid FuncID, args []uint64) (u
 		}
 	}
 	return ret, nil
-}
-
-// DelegateTimeout is Delegate with a deadline covering the whole round
-// trip (including draining a previously timed-out request's late
-// response). It returns ErrTimeout/ErrServerStopped instead of spinning
-// forever, and — like DelegateErr — reports a delegated-function panic or
-// unknown function id as a *PanicRecord error rather than the bare
-// all-ones sentinel.
-func (c *Client) DelegateTimeout(timeout time.Duration, fid FuncID, args ...uint64) (uint64, error) {
-	return c.delegateUntil(time.Now().Add(timeout), fid, args)
 }
 
 // DelegateErr is Delegate with the panic sentinel resolved into an error:
@@ -361,22 +355,22 @@ func (c *Client) issueHdr(fid FuncID, argc int) {
 	}
 }
 
-// drainAbandoned completes and discards a timed-out request's late
+// drainAbandoned completes a timed-out request and returns its late
 // response, restoring the channel protocol before the next issue. Issuing
 // over an undrained request would fold the toggle back onto itself and
 // desynchronize the channel, so if the server is gone and the response
 // can never arrive, drainAbandoned panics rather than corrupt the slot —
 // bounded callers (DelegateTimeout, FlushTimeout) return an error before
 // reaching this point.
-func (c *Client) drainAbandoned() {
+func (c *Client) drainAbandoned() uint64 {
 	var w spin.Waiter
 	for {
-		if _, ok := c.TryWait(); ok {
-			return
+		if ret, ok := c.TryWait(); ok {
+			return ret
 		}
 		if !c.s.alive.Load() {
-			if _, ok := c.TryWait(); ok {
-				return
+			if ret, ok := c.TryWait(); ok {
+				return ret
 			}
 			panic("core: Issue over an undrainable abandoned request (server not running); use DelegateTimeout")
 		}
@@ -384,23 +378,23 @@ func (c *Client) drainAbandoned() {
 	}
 }
 
-// Delegate0 is the allocation-free form of Delegate with no arguments —
-// the hot path for fixed operations (Pop, Len, counters). The variadic
-// Delegate spills its argument slice to the heap; these fixed-arity forms
-// do not.
+// Delegate0 is the form of Delegate with no arguments — the hot path for
+// fixed operations (Pop, Len, counters). Neither it nor the variadic
+// Delegate allocates: the argument slice does not escape, so it stays on
+// the caller's stack (TestHotPathsAllocationFree pins both).
 func (c *Client) Delegate0(fid FuncID) uint64 {
 	c.issueHdr(fid, 0)
 	return c.Wait()
 }
 
-// Delegate1 is the allocation-free one-argument form of Delegate.
+// Delegate1 is the one-argument form of Delegate.
 func (c *Client) Delegate1(fid FuncID, a0 uint64) uint64 {
 	c.req[1] = a0
 	c.issueHdr(fid, 1)
 	return c.Wait()
 }
 
-// Delegate2 is the allocation-free two-argument form of Delegate.
+// Delegate2 is the two-argument form of Delegate.
 func (c *Client) Delegate2(fid FuncID, a0, a1 uint64) uint64 {
 	c.req[1] = a0
 	c.req[2] = a1
@@ -408,7 +402,7 @@ func (c *Client) Delegate2(fid FuncID, a0, a1 uint64) uint64 {
 	return c.Wait()
 }
 
-// Delegate3 is the allocation-free three-argument form of Delegate.
+// Delegate3 is the three-argument form of Delegate.
 func (c *Client) Delegate3(fid FuncID, a0, a1, a2 uint64) uint64 {
 	c.req[1] = a0
 	c.req[2] = a1

@@ -435,6 +435,23 @@ type Server struct {
 	// goroutine calls the hook.
 	background func(budget int) int
 	bgBudget   int
+
+	// win[i] is the window slot i belongs to, nil for a plain client's
+	// slot. NewAsyncGroup stores it before the slot's first request, whose
+	// header publication orders the store ahead of the server's read.
+	win []*window
+}
+
+// window is what makes an AsyncGroup's submit order structural: the
+// group's slots in issue order, and the position whose request runs next.
+// An AsyncGroup issues round-robin from position 0, so a cursor that steps
+// once per executed request names the oldest unexecuted one; the sweep
+// passes over a window slot whose request is younger than that. cur is
+// touched only by the server goroutine and, like the ledger, survives a
+// crash restart.
+type window struct {
+	slots []int
+	cur   int
 }
 
 // ledgerEntry is one slot's last-applied record: the sequence number of
@@ -475,6 +492,7 @@ func NewServer(cfg Config) *Server {
 		trace:     cfg.Trace,
 		slotPanic: make([]atomic.Pointer[PanicRecord], nGroups*gs),
 		ledger:    make([]ledgerEntry, nGroups*gs),
+		win:       make([]*window, nGroups*gs),
 	}
 	if bt, ok := cfg.Trace.(obs.BatchTracer); ok {
 		s.traceBatch = bt
@@ -581,6 +599,7 @@ func (s *Server) NewClient() (*Client, error) {
 	// a duplicate. (The previous owner's Close happens-before this
 	// allocation via the slot mutex, so the plain read is ordered.)
 	toggle := atomic.LoadUint64(&s.req[slot*reqWords]) & hdrToggleBit
+	s.win[slot] = nil // a recycled slot leaves its previous owner's window
 	c := &Client{
 		s:      s,
 		slot:   slot,
@@ -848,7 +867,10 @@ func (s *Server) run(done chan struct{}) {
 	// the server is its only writer, so it may read it plainly.
 	for {
 		if s.stopping.Load() {
-			// Final sweep below still drains pending requests.
+			// Drain the requests issued before Stop. The second pass is for
+			// a window that wraps: its requests behind the cursor's slot
+			// wait for the ones ahead of it.
+			s.sweep(gs, &retBuf, &seqBuf, &args, &evBuf)
 			s.sweep(gs, &retBuf, &seqBuf, &args, &evBuf)
 			return
 		}
@@ -1022,6 +1044,22 @@ func (s *Server) sweep(gs int, retBuf *[GroupSize]uint64, seqBuf *[GroupSize]uin
 			// above.
 			slot := slotBase + m
 			seq := s.req[base+reqSeqWord]
+			// replay: a previous server generation applied this request
+			// and crashed before flushing the response (the toggle still
+			// differs).
+			replay := seq != 0 && s.ledger[slot].seq == seq
+			if w := s.win[slot]; w != nil && !replay {
+				// Submit order. A window's requests execute in the order
+				// they were submitted: one that is not the cursor's waits
+				// for a later sweep. A replay was counted when it first
+				// ran, so it neither consults nor moves the cursor.
+				if w.slots[w.cur] != slot {
+					continue
+				}
+				if w.cur++; w.cur == len(w.slots) {
+					w.cur = 0
+				}
+			}
 			if tr != nil {
 				if bt != nil {
 					ts := bt.Now()
@@ -1039,12 +1077,10 @@ func (s *Server) sweep(gs int, retBuf *[GroupSize]uint64, seqBuf *[GroupSize]uin
 				}
 			}
 			var ret uint64
-			if seq != 0 && s.ledger[slot].seq == seq {
-				// Duplicate delivery: a previous server generation
-				// applied this request and crashed before flushing
-				// the response (the toggle still differs). Replay
-				// the recorded return value instead of re-executing
-				// — the exactly-once fence for non-idempotent ops.
+			if replay {
+				// Duplicate delivery: answer with the recorded return
+				// value instead of re-executing — the exactly-once
+				// fence for non-idempotent ops.
 				ret = s.ledger[slot].ret
 				s.nLedgerSkips.Add(1)
 			} else {

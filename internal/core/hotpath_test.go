@@ -279,115 +279,7 @@ func TestStartStopConcurrent(t *testing.T) {
 	s.Stop()
 }
 
-// --- pipelined sharded delegation ---
-
-func TestPoolClientPipelinesAcrossShards(t *testing.T) {
-	const shards = 4
-	p := NewPool(shards, Config{MaxClients: 4})
-	echo := p.RegisterAll(func(a *[MaxArgs]uint64) uint64 { return a[0] })
-	if err := p.StartAll(); err != nil {
-		t.Fatal(err)
-	}
-	defer p.StopAll()
-	pc := p.MustNewClient()
-	got := make(map[uint64]bool)
-	record := func(_ int, r uint64) { got[r] = true }
-	for i := uint64(0); i < 100; i++ {
-		shard := int(i % shards)
-		if prev, ok := pc.IssueTo1(shard, echo, i); ok {
-			record(shard, prev)
-		}
-	}
-	if pc.InFlight() != shards {
-		t.Fatalf("InFlight = %d before Flush, want %d", pc.InFlight(), shards)
-	}
-	pc.Flush(record)
-	if pc.InFlight() != 0 {
-		t.Fatalf("InFlight = %d after Flush", pc.InFlight())
-	}
-	for i := uint64(0); i < 100; i++ {
-		if !got[i] {
-			t.Fatalf("result %d missing", i)
-		}
-	}
-	// Pipelining must actually have overlapped requests: depths > 1
-	// must appear in the histogram.
-	hist := pc.DepthHist()
-	deep := uint64(0)
-	for d := 2; d < len(hist); d++ {
-		deep += hist[d]
-	}
-	if deep == 0 {
-		t.Fatalf("depth histogram %v shows no overlap beyond 1", hist)
-	}
-}
-
-func TestPoolPipelineDeepWindow(t *testing.T) {
-	const shards, window = 2, 3
-	p := NewPool(shards, Config{MaxClients: window})
-	// Each shard server owns its own cell; no cross-server sharing.
-	sums := make([]uint64, shards)
-	add := p.RegisterAll(func(a *[MaxArgs]uint64) uint64 {
-		sums[a[1]] += a[0]
-		return a[0]
-	})
-	if err := p.StartAll(); err != nil {
-		t.Fatal(err)
-	}
-	defer p.StopAll()
-	pl, err := p.NewPipeline(window)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pl.Window() != window {
-		t.Fatalf("Window = %d", pl.Window())
-	}
-	var want [shards]uint64
-	var results []uint64
-	for i := uint64(1); i <= 60; i++ {
-		shard := int(i) % shards
-		want[shard] += i
-		if prev, ok := pl.IssueTo2(shard, add, i, uint64(shard)); ok {
-			results = append(results, prev)
-		}
-	}
-	maxDepth := 0
-	for d, n := range pl.DepthHist() {
-		if n > 0 && d > maxDepth {
-			maxDepth = d
-		}
-	}
-	if maxDepth <= 1 {
-		t.Fatalf("max observed pipeline depth = %d, want > 1", maxDepth)
-	}
-	pl.Flush(func(_ int, r uint64) { results = append(results, r) })
-	if pl.InFlight() != 0 {
-		t.Fatalf("InFlight = %d after Flush", pl.InFlight())
-	}
-	if len(results) != 60 {
-		t.Fatalf("collected %d results, want 60", len(results))
-	}
-	p.StopAll()
-	for i := range sums {
-		if sums[i] != want[i] {
-			t.Fatalf("shard %d sum = %d, want %d", i, sums[i], want[i])
-		}
-	}
-	pl.Close()
-}
-
-func TestPoolPipelinePartialFailureReleasesSlots(t *testing.T) {
-	p := NewPool(2, Config{MaxClients: 2, GroupSizeOverride: 2})
-	p.Server(1).MustNewClient() // leave only 1 free slot on server 1
-	if _, err := p.NewPipeline(2); err != ErrNoSlots {
-		t.Fatalf("NewPipeline = %v, want ErrNoSlots", err)
-	}
-	for i := 0; i < 2; i++ {
-		if _, err := p.Server(0).NewClient(); err != nil {
-			t.Fatalf("server 0 slot %d leaked by failed NewPipeline: %v", i, err)
-		}
-	}
-}
+// --- pipelined delegation ---
 
 func TestAsyncGroupFixedArityForms(t *testing.T) {
 	s := startServer(t, Config{MaxClients: 3})
@@ -443,10 +335,6 @@ func TestHotPathsAllocationFree(t *testing.T) {
 	}
 	defer p.StopAll()
 	pc := p.MustNewClient()
-	pl, err := p.NewPipeline(2)
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	// Force the one-time per-goroutine runtime timer allocation now so a
 	// Wait that reaches the sleep rung inside AllocsPerRun cannot be
@@ -461,14 +349,16 @@ func TestHotPathsAllocationFree(t *testing.T) {
 		{"Delegate1", func() { c.Delegate1(fid, 1) }},
 		{"Delegate2", func() { c.Delegate2(fid, 1, 2) }},
 		{"Delegate3", func() { c.Delegate3(fid, 1, 2, 3) }},
+		// The variadic forms: their argument slice does not escape, so it
+		// stays on the caller's stack.
+		{"DelegateVariadic", func() { c.Delegate(fid, 1, 2) }},
 		{"IssueWait", func() { c.issueHdr(fid, 0); c.Wait() }},
 		{"AsyncSubmit2", func() { g.Submit2(fid, 1, 2) }},
+		{"AsyncSubmitVariadic", func() { g.Submit(fid, 1, 2) }},
 		{"PoolDelegate0", func() { pc.Delegate0(3, pfid) }},
 		{"PoolDelegate1", func() { pc.Delegate1(3, pfid, 1) }},
 		{"PoolDelegate2", func() { pc.Delegate2(3, pfid, 1, 2) }},
 		{"PoolDelegate3", func() { pc.Delegate3(3, pfid, 1, 2, 3) }},
-		{"PoolIssueTo1", func() { pc.IssueTo1(0, pfid, 7) }},
-		{"PipelineIssueTo2", func() { pl.IssueTo2(1, pfid, 7, 8) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -478,33 +368,5 @@ func TestHotPathsAllocationFree(t *testing.T) {
 			}
 		})
 	}
-	pc.Flush(nil)
-	pl.Flush(nil)
 	g.Flush(nil)
-}
-
-// BenchmarkCorePipelinedPool measures key-routed delegation with and
-// without cross-shard pipelining from a single goroutine.
-func BenchmarkCorePipelinedPool(b *testing.B) {
-	const shards = 4
-	run := func(b *testing.B, issue func(pc *PoolClient, fid FuncID, i uint64)) {
-		p := NewPool(shards, Config{MaxClients: 2})
-		fid := p.RegisterAll(func(a *[MaxArgs]uint64) uint64 { return a[0] })
-		if err := p.StartAll(); err != nil {
-			b.Fatal(err)
-		}
-		defer p.StopAll()
-		pc := p.MustNewClient()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			issue(pc, fid, uint64(i))
-		}
-		pc.Flush(nil)
-	}
-	b.Run("sync", func(b *testing.B) {
-		run(b, func(pc *PoolClient, fid FuncID, i uint64) { pc.Delegate1(i, fid, i) })
-	})
-	b.Run("pipelined", func(b *testing.B) {
-		run(b, func(pc *PoolClient, fid FuncID, i uint64) { pc.IssueTo1(int(i%shards), fid, i) })
-	})
 }

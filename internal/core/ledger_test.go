@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -60,62 +61,110 @@ func TestLedgerFencesCrashRedelivery(t *testing.T) {
 }
 
 // TestLedgerGroupFlushCrashRedelivery pins exactly-once at group-flush
-// granularity: three requests from three clients of one response group
-// are executed in one sweep, and the injected kill fires on the third —
-// after all three applied records landed in the ledger, but before the
-// group's single write-combined response flush. The crash therefore
-// loses all three responses at once; after the restart all three
-// requests are re-delivered, and each must be answered from the ledger
-// without a second application.
+// granularity: three requests of one response group are picked up by one
+// sweep and the injected kill fires before the group's single
+// write-combined response flush, so the crash loses every response at
+// once. After the restart each request that ran must be answered from the
+// ledger without a second application. From three plain clients the kill
+// fires on the third request, after all three applied records landed.
+// From one window it fires on the second, so the restarted server replays
+// two and must then run the third — a replay that moved the window's
+// cursor would leave it waiting forever — and the window must keep
+// executing in submit order afterwards.
 func TestLedgerGroupFlushCrashRedelivery(t *testing.T) {
 	const n = 3
-	s := NewServer(Config{MaxClients: n, Hooks: fault.New(fault.Plan{KillAtOp: n})})
-	var applied [n]int
-	fids := make([]FuncID, n)
-	for i := range fids {
-		i := i
-		fids[i] = s.Register(func(*[MaxArgs]uint64) uint64 {
-			applied[i]++
-			return uint64(100*(i+1) + applied[i])
-		})
-	}
-	// Issue all three before Start so one sweep picks up the whole group.
-	clients := make([]*Client, n)
-	for i := range clients {
-		clients[i] = s.MustNewClient()
-		defer clients[i].Close()
-		clients[i].Issue(fids[i])
-	}
-	if err := s.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer s.Stop()
+	for _, tc := range []struct {
+		name   string
+		window bool
+		killAt int
+	}{{"clients", false, n}, {"window", true, n - 1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewServer(Config{MaxClients: n, Hooks: fault.New(fault.Plan{KillAtOp: uint64(tc.killAt)})})
+			var applied [n]int
+			var order []int
+			fids := make([]FuncID, n)
+			for i := range fids {
+				i := i
+				fids[i] = s.Register(func(*[MaxArgs]uint64) uint64 {
+					applied[i]++
+					order = append(order, i)
+					return uint64(100*(i+1) + applied[i])
+				})
+			}
+			// Issue all three before Start so one sweep picks up the whole
+			// group. collect gathers what has completed, in issue order.
+			var collect func(time.Duration) ([]uint64, error)
+			var g *AsyncGroup
+			if tc.window {
+				var err error
+				if g, err = NewAsyncGroup(s, n); err != nil {
+					t.Fatal(err)
+				}
+				for _, fid := range fids {
+					g.Submit(fid)
+				}
+				collect = func(d time.Duration) (got []uint64, err error) {
+					err = g.FlushTimeout(d, func(r uint64) { got = append(got, r) })
+					return got, err
+				}
+			} else {
+				clients := make([]*Client, n)
+				for i := range clients {
+					clients[i] = s.MustNewClient()
+					defer clients[i].Close()
+					clients[i].Issue(fids[i])
+				}
+				collect = func(d time.Duration) (got []uint64, first error) {
+					for _, c := range clients {
+						if r, err := c.WaitFor(d); err == nil {
+							got = append(got, r)
+						} else if first == nil {
+							first = err
+						}
+					}
+					return got, first
+				}
+			}
+			if err := s.Start(); err != nil {
+				t.Fatal(err)
+			}
+			defer s.Stop()
 
-	// The kill ate the group flush: every wait must fail, not hang.
-	for i, c := range clients {
-		if _, err := c.WaitFor(500 * time.Millisecond); !errors.Is(err, ErrServerStopped) && !errors.Is(err, ErrTimeout) {
-			t.Fatalf("client %d wait across the kill: %v, want ErrServerStopped/ErrTimeout", i, err)
-		}
-	}
-	for !s.RestartIfCrashed() {
-		time.Sleep(100 * time.Microsecond) // goroutine still unwinding
-	}
-	for i, c := range clients {
-		got, err := c.WaitFor(2 * time.Second)
-		if err != nil {
-			t.Fatalf("client %d wait after restart: %v", i, err)
-		}
-		if want := uint64(100*(i+1) + 1); got != want {
-			t.Fatalf("client %d got %d, want the ledgered first application %d", i, got, want)
-		}
-	}
-	for i, a := range applied {
-		if a != 1 {
-			t.Fatalf("function %d applied %d times, want exactly once", i, a)
-		}
-	}
-	if st := s.Stats(); st.LedgerSkips != n {
-		t.Fatalf("LedgerSkips = %d, want %d (one per re-delivered group member)", st.LedgerSkips, n)
+			// The kill ate the group flush: every wait must fail, not hang.
+			if got, err := collect(500 * time.Millisecond); len(got) != 0 || (!errors.Is(err, ErrServerStopped) && !errors.Is(err, ErrTimeout)) {
+				t.Fatalf("wait across the kill: %v, %v; want nothing and ErrServerStopped/ErrTimeout", got, err)
+			}
+			for !s.RestartIfCrashed() {
+				time.Sleep(100 * time.Microsecond) // goroutine still unwinding
+			}
+			got, err := collect(2 * time.Second)
+			if want := []uint64{101, 201, 301}; err != nil || !slices.Equal(got, want) {
+				t.Fatalf("after restart: %v, %v; want each first application %v", got, err, want)
+			}
+			if st := s.Stats(); st.LedgerSkips != uint64(tc.killAt) {
+				t.Fatalf("LedgerSkips = %d, want %d (one per re-delivered request)", st.LedgerSkips, tc.killAt)
+			}
+			if g != nil {
+				for round := 0; round < 2; round++ {
+					for _, fid := range fids {
+						g.Submit(fid)
+					}
+				}
+				g.Flush(nil)
+				g.Close()
+			}
+			s.Stop()
+			for i, a := range applied {
+				if want := len(order) / n; a != want {
+					t.Fatalf("function %d applied %d times, want %d: exactly once per request", i, a, want)
+				}
+			}
+			for j, i := range order {
+				if i != j%n {
+					t.Fatalf("executed in order %v, want 0 1 2 repeating", order)
+				}
+			}
+		})
 	}
 }
 
@@ -235,44 +284,6 @@ func TestRetryPolicyBackoffBounds(t *testing.T) {
 	if !hitCapRegion {
 		t.Fatal("backoff never approached the cap")
 	}
-}
-
-// TestPoolDelegateRetryDrainsPipedPredecessor: a pipelined request
-// abandoned by FlushTimeout must be drained (and its in-flight
-// accounting released) by a later DelegateRetry on the same shard.
-func TestPoolDelegateRetryDrainsPipedPredecessor(t *testing.T) {
-	p := NewPool(2, Config{MaxClients: 2})
-	echo := p.RegisterAll(boundedEcho)
-	pc := p.MustNewClient()
-
-	// Pipeline one request per shard into stopped servers, time out.
-	pc.IssueTo1(0, echo, 100)
-	pc.IssueTo1(1, echo, 101)
-	if err := pc.FlushTimeout(time.Millisecond, nil); err == nil {
-		t.Fatal("FlushTimeout on stopped servers returned nil")
-	}
-	if pc.InFlight() != 2 {
-		t.Fatalf("InFlight = %d, want 2 abandoned", pc.InFlight())
-	}
-	if err := p.StartAll(); err != nil {
-		t.Fatal(err)
-	}
-	defer p.StopAll()
-
-	// Key 0 routes to shard 0: the stale piped 100 is drained, then the
-	// new op round-trips.
-	got, err := pc.DelegateRetry(RetryPolicy{}, time.Second, 0, echo, 200)
-	if err != nil || got != 200 {
-		t.Fatalf("DelegateRetry over piped predecessor: got %d err %v", got, err)
-	}
-	if pc.InFlight() != 1 {
-		t.Fatalf("InFlight = %d after shard 0 drained, want shard 1's lone request", pc.InFlight())
-	}
-	pc.Flush(nil)
-	if pc.InFlight() != 0 {
-		t.Fatalf("InFlight = %d after full flush", pc.InFlight())
-	}
-	pc.Close()
 }
 
 // TestLedgerSeqAdoptionRecycleTimeout covers seq adoption across slot

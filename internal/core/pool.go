@@ -82,35 +82,18 @@ func (p *Pool) Healthy() bool {
 }
 
 // PoolClient bundles one Client per server so a goroutine can delegate to
-// any shard. Beyond the synchronous key-routed Delegate family it offers a
-// pipelined mode — IssueTo/IssueTo0–3 plus Flush — that keeps one request
-// in flight per shard, so a goroutine touching k different shards overlaps
-// k round trips (the FFWDx2 idea generalised across a sharded pool; see
-// Pool.NewPipeline for depth beyond one per shard).
+// any shard: the synchronous key-routed Delegate family, and Client for
+// callers that route by something other than key modulus.
 type PoolClient struct {
 	p       *Pool
 	clients []*Client
-	// inFlight counts shards with an outstanding IssueTo; depthHist[d]
-	// counts issues observed with d requests in flight (after the
-	// issue), quantifying how much pipelining a workload achieves.
-	inFlight  int
-	depthHist []uint64
-	// piped[i] marks shard i's pending request as pipeline-issued
-	// (IssueTo), distinguishing it from an abandoned synchronous
-	// DelegateTimeout for the in-flight accounting under failures.
-	piped []bool
 }
 
 // NewClient allocates one client slot on every server of the pool. On
 // partial failure every slot already allocated is released — a failed
 // NewClient consumes nothing.
 func (p *Pool) NewClient() (*PoolClient, error) {
-	pc := &PoolClient{
-		p:         p,
-		clients:   make([]*Client, len(p.servers)),
-		depthHist: make([]uint64, len(p.servers)+1),
-		piped:     make([]bool, len(p.servers)),
-	}
+	pc := &PoolClient{p: p, clients: make([]*Client, len(p.servers))}
 	for i, s := range p.servers {
 		c, err := s.NewClient()
 		if err != nil {
@@ -133,8 +116,7 @@ func (p *Pool) MustNewClient() *PoolClient {
 	return pc
 }
 
-// Close releases every per-shard client slot. All pipelined requests must
-// have been Flushed first.
+// Close releases every per-shard client slot.
 func (pc *PoolClient) Close() {
 	for _, c := range pc.clients {
 		c.Close()
@@ -172,320 +154,21 @@ func (pc *PoolClient) Delegate3(key uint64, fid FuncID, a0, a1, a2 uint64) uint6
 // than wholesale.
 func (pc *PoolClient) ShardHealthy(i int) bool { return pc.p.servers[i].Alive() }
 
-// DelegateTimeout is the key-routed Delegate with a deadline covering the
-// whole round trip. A request abandoned by an earlier timeout on the same
-// shard is drained first (within the same deadline); delegated-function
-// panics surface as *PanicRecord errors, and a dead shard fails fast with
-// ErrServerStopped instead of wedging.
+// DelegateTimeout is the key-routed Client.DelegateTimeout: a dead shard
+// fails its keys fast with ErrServerStopped instead of wedging, and a
+// request an earlier timeout abandoned on the same shard is drained first,
+// within the same deadline.
 func (pc *PoolClient) DelegateTimeout(timeout time.Duration, key uint64, fid FuncID, args ...uint64) (uint64, error) {
-	shard := pc.p.ShardOf(key)
-	c := pc.clients[shard]
-	deadline := time.Now().Add(timeout)
-	if c.pending && c.abandoned {
-		if _, err := c.waitUntil(deadline); err != nil {
-			return 0, err
-		}
-		if pc.piped[shard] {
-			pc.inFlight--
-			pc.piped[shard] = false
-		}
-	}
-	return c.delegateUntil(deadline, fid, args)
+	return pc.clients[pc.p.ShardOf(key)].DelegateTimeout(timeout, fid, args...)
 }
 
 // DelegateRetry is the key-routed exactly-once automatic-retry round
-// trip (see Client.DelegateRetry): the request is issued once on key's
-// shard and re-waited — never re-issued — across up to p.MaxAttempts
-// bounded waits with capped, jittered exponential backoff, riding out
-// timeouts, shard crashes, and supervised restarts. A pipelined request
-// abandoned on the same shard by an earlier timeout is drained first
-// (under the same policy) and its completion folded into the in-flight
-// accounting.
+// trip (see Client.DelegateRetry), riding out timeouts, shard crashes,
+// and supervised restarts.
 func (pc *PoolClient) DelegateRetry(p RetryPolicy, perTry time.Duration, key uint64, fid FuncID, args ...uint64) (uint64, error) {
-	p = p.withDefaults()
-	shard := pc.p.ShardOf(key)
-	c := pc.clients[shard]
-	if c.pending && c.abandoned && pc.piped[shard] {
-		drained := false
-		var lastErr error
-		for attempt := 0; attempt < p.MaxAttempts && !drained; attempt++ {
-			if attempt > 0 {
-				c.retrySleep(p, attempt)
-			}
-			_, lastErr = c.waitUntil(time.Now().Add(perTry))
-			drained = lastErr == nil
-		}
-		if !drained {
-			return 0, lastErr
-		}
-		pc.inFlight--
-		pc.piped[shard] = false
-	}
-	return c.DelegateRetry(p, perTry, fid, args...)
+	return pc.clients[pc.p.ShardOf(key)].DelegateRetry(p, perTry, fid, args...)
 }
 
 // Client returns the underlying client for shard i, for callers that
 // route by something other than key modulus.
 func (pc *PoolClient) Client(i int) *Client { return pc.clients[i] }
-
-// InFlight returns the number of shards with an outstanding pipelined
-// request.
-func (pc *PoolClient) InFlight() int { return pc.inFlight }
-
-// DepthHist returns the pipeline depth histogram: DepthHist()[d] is the
-// number of IssueTo calls that left d requests in flight. Indices above 1
-// measure genuine cross-shard overlap.
-func (pc *PoolClient) DepthHist() []uint64 { return pc.depthHist }
-
-// reap completes shard's outstanding request, if any. The wait is bounded
-// by shard liveness: a dead shard leaves the request abandoned and
-// reports (0, false) instead of wedging — surface the error itself with
-// FlushTimeout, and liveness with ShardHealthy.
-func (pc *PoolClient) reap(shard int) (ret uint64, completed bool) {
-	c := pc.clients[shard]
-	if !c.pending {
-		return 0, false
-	}
-	ret, err := c.waitUntil(time.Time{})
-	if err != nil {
-		return 0, false
-	}
-	pc.inFlight--
-	pc.piped[shard] = false
-	return ret, true
-}
-
-// noteIssued records shard's pipelined issue in the depth accounting.
-func (pc *PoolClient) noteIssued(shard int) {
-	pc.piped[shard] = true
-	pc.inFlight++
-	pc.depthHist[pc.inFlight]++
-}
-
-// IssueTo issues fid(args...) on shard without waiting for the response.
-// If that shard already had a request in flight, IssueTo first completes
-// it and returns (its result, true). Requests to different shards proceed
-// in parallel on their servers; collect stragglers with Flush.
-func (pc *PoolClient) IssueTo(shard int, fid FuncID, args ...uint64) (prev uint64, completed bool) {
-	prev, completed = pc.reap(shard)
-	pc.clients[shard].Issue(fid, args...)
-	pc.noteIssued(shard)
-	return prev, completed
-}
-
-// IssueTo0 is the allocation-free zero-argument form of IssueTo.
-func (pc *PoolClient) IssueTo0(shard int, fid FuncID) (prev uint64, completed bool) {
-	prev, completed = pc.reap(shard)
-	pc.clients[shard].issueHdr(fid, 0)
-	pc.noteIssued(shard)
-	return prev, completed
-}
-
-// IssueTo1 is the allocation-free one-argument form of IssueTo.
-func (pc *PoolClient) IssueTo1(shard int, fid FuncID, a0 uint64) (prev uint64, completed bool) {
-	prev, completed = pc.reap(shard)
-	c := pc.clients[shard]
-	c.req[1] = a0
-	c.issueHdr(fid, 1)
-	pc.noteIssued(shard)
-	return prev, completed
-}
-
-// IssueTo2 is the allocation-free two-argument form of IssueTo.
-func (pc *PoolClient) IssueTo2(shard int, fid FuncID, a0, a1 uint64) (prev uint64, completed bool) {
-	prev, completed = pc.reap(shard)
-	c := pc.clients[shard]
-	c.req[1] = a0
-	c.req[2] = a1
-	c.issueHdr(fid, 2)
-	pc.noteIssued(shard)
-	return prev, completed
-}
-
-// IssueTo3 is the allocation-free three-argument form of IssueTo.
-func (pc *PoolClient) IssueTo3(shard int, fid FuncID, a0, a1, a2 uint64) (prev uint64, completed bool) {
-	prev, completed = pc.reap(shard)
-	c := pc.clients[shard]
-	c.req[1] = a0
-	c.req[2] = a1
-	c.req[3] = a2
-	c.issueHdr(fid, 3)
-	pc.noteIssued(shard)
-	return prev, completed
-}
-
-// WaitShard completes shard's outstanding pipelined request, if any,
-// reporting whether there was one.
-func (pc *PoolClient) WaitShard(shard int) (ret uint64, completed bool) {
-	return pc.reap(shard)
-}
-
-// Flush completes every outstanding pipelined request, invoking fn (if
-// non-nil) with each shard index and result, in shard order. A dead
-// shard's request is skipped (left abandoned) rather than wedging the
-// whole flush; use FlushTimeout to observe the per-shard errors.
-func (pc *PoolClient) Flush(fn func(shard int, ret uint64)) {
-	for i := range pc.clients {
-		if ret, ok := pc.reap(i); ok && fn != nil {
-			fn(i, ret)
-		}
-	}
-}
-
-// FlushTimeout completes every outstanding pipelined request within one
-// shared deadline, invoking fn (if non-nil) with each shard index and
-// either its result or its error, in shard order. A shard that fails —
-// ErrTimeout, or ErrServerStopped for a killed shard — leaves its request
-// abandoned so a later FlushTimeout (for example after a Supervisor
-// restart) can still collect it. Returns the first error observed.
-func (pc *PoolClient) FlushTimeout(timeout time.Duration, fn func(shard int, ret uint64, err error)) error {
-	deadline := time.Now().Add(timeout)
-	var first error
-	for i, c := range pc.clients {
-		if !pc.piped[i] {
-			continue
-		}
-		ret, err := c.waitUntil(deadline)
-		if err != nil {
-			if first == nil {
-				first = err
-			}
-			if fn != nil {
-				fn(i, 0, err)
-			}
-			continue
-		}
-		pc.inFlight--
-		pc.piped[i] = false
-		if fn != nil {
-			fn(i, ret, nil)
-		}
-	}
-	return first
-}
-
-// PoolPipeline deepens PoolClient's pipelining: one AsyncGroup of window
-// k per server, so up to k requests per shard — k × Pool.Size() in total —
-// stay in flight from a single goroutine. Within a shard, responses
-// complete in issue order (the AsyncGroup guarantee); across shards,
-// completion order is unspecified.
-type PoolPipeline struct {
-	p      *Pool
-	groups []*AsyncGroup
-	// inFlight counts outstanding requests across all shards;
-	// depthHist[d] counts issues that left d requests in flight.
-	inFlight  int
-	depthHist []uint64
-}
-
-// NewPipeline allocates an AsyncGroup of window k on every server. On
-// partial failure every slot already allocated is released.
-func (p *Pool) NewPipeline(k int) (*PoolPipeline, error) {
-	if k < 1 {
-		k = 1
-	}
-	pl := &PoolPipeline{
-		p:         p,
-		groups:    make([]*AsyncGroup, len(p.servers)),
-		depthHist: make([]uint64, k*len(p.servers)+1),
-	}
-	for i, s := range p.servers {
-		g, err := NewAsyncGroup(s, k)
-		if err != nil {
-			for _, prev := range pl.groups[:i] {
-				prev.Close()
-			}
-			return nil, err
-		}
-		pl.groups[i] = g
-	}
-	return pl, nil
-}
-
-// Window returns the per-shard pipeline depth k.
-func (pl *PoolPipeline) Window() int { return pl.groups[0].Window() }
-
-// InFlight returns the number of outstanding requests across all shards.
-func (pl *PoolPipeline) InFlight() int { return pl.inFlight }
-
-// DepthHist returns the pipeline depth histogram: DepthHist()[d] is the
-// number of issues that left d requests in flight across all shards.
-func (pl *PoolPipeline) DepthHist() []uint64 { return pl.depthHist }
-
-// Close releases every slot of every shard's group. Flush first.
-func (pl *PoolPipeline) Close() {
-	for _, g := range pl.groups {
-		g.Close()
-	}
-}
-
-// note updates the depth accounting around an issue: completed reports
-// whether the issue displaced (and completed) the shard's oldest request.
-func (pl *PoolPipeline) note(completed bool) {
-	if completed {
-		pl.inFlight--
-	}
-	pl.inFlight++
-	pl.depthHist[pl.inFlight]++
-}
-
-// IssueTo issues fid(args...) on shard. If that shard's window was full,
-// the oldest request is completed first and returned as (prev, true).
-func (pl *PoolPipeline) IssueTo(shard int, fid FuncID, args ...uint64) (prev uint64, completed bool) {
-	prev, completed = pl.groups[shard].Submit(fid, args...)
-	pl.note(completed)
-	return prev, completed
-}
-
-// IssueTo0 is the allocation-free zero-argument form of IssueTo.
-func (pl *PoolPipeline) IssueTo0(shard int, fid FuncID) (prev uint64, completed bool) {
-	prev, completed = pl.groups[shard].Submit0(fid)
-	pl.note(completed)
-	return prev, completed
-}
-
-// IssueTo1 is the allocation-free one-argument form of IssueTo.
-func (pl *PoolPipeline) IssueTo1(shard int, fid FuncID, a0 uint64) (prev uint64, completed bool) {
-	prev, completed = pl.groups[shard].Submit1(fid, a0)
-	pl.note(completed)
-	return prev, completed
-}
-
-// IssueTo2 is the allocation-free two-argument form of IssueTo.
-func (pl *PoolPipeline) IssueTo2(shard int, fid FuncID, a0, a1 uint64) (prev uint64, completed bool) {
-	prev, completed = pl.groups[shard].Submit2(fid, a0, a1)
-	pl.note(completed)
-	return prev, completed
-}
-
-// IssueTo3 is the allocation-free three-argument form of IssueTo.
-func (pl *PoolPipeline) IssueTo3(shard int, fid FuncID, a0, a1, a2 uint64) (prev uint64, completed bool) {
-	prev, completed = pl.groups[shard].Submit3(fid, a0, a1, a2)
-	pl.note(completed)
-	return prev, completed
-}
-
-// FlushShard completes every in-flight request on shard, invoking fn (in
-// issue order) if non-nil.
-func (pl *PoolPipeline) FlushShard(shard int, fn func(uint64)) {
-	g := pl.groups[shard]
-	n := g.InFlight()
-	g.Flush(fn)
-	pl.inFlight -= n
-}
-
-// Flush completes every in-flight request on every shard, invoking fn (if
-// non-nil) with each shard index and result — issue order within a shard,
-// shard order across shards.
-func (pl *PoolPipeline) Flush(fn func(shard int, ret uint64)) {
-	for i, g := range pl.groups {
-		n := g.InFlight()
-		if fn == nil {
-			g.Flush(nil)
-		} else {
-			i := i
-			g.Flush(func(r uint64) { fn(i, r) })
-		}
-		pl.inFlight -= n
-	}
-}

@@ -110,117 +110,3 @@ func (c *ShardedClient) Len() int {
 }
 
 var _ ds.Set = (*ShardedClient)(nil)
-
-// ShardedPipeClient is a pipelined per-goroutine handle: batch operations
-// keep up to depth requests in flight on every shard server
-// simultaneously, overlapping the request/response round trips that a
-// ShardedClient pays one at a time. This is the paper's FFWDx2
-// over-subscription generalised across the FFWD-S4 sharded configuration.
-type ShardedPipeClient struct {
-	s  *ShardedSet
-	pl *core.PoolPipeline
-
-	// Per-shard rings of caller key indices, mirroring each shard's
-	// in-flight window: responses complete in issue order within a
-	// shard, so the oldest ring entry names the key a result belongs to.
-	idx  [][]int
-	head []int
-	cnt  []int
-
-	// Per-batch state threaded to flushFn, which is built once so
-	// batches allocate nothing.
-	out      []bool
-	curShard int
-	flushFn  func(uint64)
-}
-
-// NewPipelinedClient allocates depth delegation channels per shard
-// server. depth is clamped to at least 1.
-func (s *ShardedSet) NewPipelinedClient(depth int) (*ShardedPipeClient, error) {
-	if depth < 1 {
-		depth = 1
-	}
-	pl, err := s.pool.NewPipeline(depth)
-	if err != nil {
-		return nil, err
-	}
-	c := &ShardedPipeClient{
-		s:    s,
-		pl:   pl,
-		idx:  make([][]int, s.pool.Size()),
-		head: make([]int, s.pool.Size()),
-		cnt:  make([]int, s.pool.Size()),
-	}
-	for i := range c.idx {
-		c.idx[i] = make([]int, depth)
-	}
-	c.flushFn = func(r uint64) { c.pop(c.curShard, r) }
-	return c, nil
-}
-
-// Close releases every delegation channel. Only call between batches.
-func (c *ShardedPipeClient) Close() { c.pl.Close() }
-
-func (c *ShardedPipeClient) push(shard, i int) {
-	ring := c.idx[shard]
-	ring[(c.head[shard]+c.cnt[shard])%len(ring)] = i
-	c.cnt[shard]++
-}
-
-func (c *ShardedPipeClient) pop(shard int, r uint64) {
-	ring := c.idx[shard]
-	j := ring[c.head[shard]]
-	c.head[shard] = (c.head[shard] + 1) % len(ring)
-	c.cnt[shard]--
-	c.out[j] = r == 1
-}
-
-// batch pipelines op(keys[i]) across the shard servers, filling
-// out[i] with each boolean result and returning the number of true
-// results. It allocates nothing.
-func (c *ShardedPipeClient) batch(fid core.FuncID, keys []uint64, out []bool) int {
-	if len(out) < len(keys) {
-		panic("delegated: batch output slice shorter than keys")
-	}
-	c.out = out
-	for i, k := range keys {
-		shard := int(c.s.shardOf(k))
-		if r, ok := c.pl.IssueTo2(shard, fid, k, uint64(shard)); ok {
-			c.pop(shard, r)
-		}
-		c.push(shard, i)
-	}
-	for g := range c.idx {
-		c.curShard = g
-		c.pl.FlushShard(g, c.flushFn)
-	}
-	c.out = nil
-	n := 0
-	for _, ok := range out[:len(keys)] {
-		if ok {
-			n++
-		}
-	}
-	return n
-}
-
-// ContainsBatch looks up every key, filling out[i] with the result, and
-// returns the number of keys present.
-func (c *ShardedPipeClient) ContainsBatch(keys []uint64, out []bool) int {
-	return c.batch(c.s.fidContains, keys, out)
-}
-
-// InsertBatch inserts every key, filling out[i] with whether it was newly
-// inserted, and returns the number of new keys.
-func (c *ShardedPipeClient) InsertBatch(keys []uint64, out []bool) int {
-	return c.batch(c.s.fidInsert, keys, out)
-}
-
-// RemoveBatch removes every key, filling out[i] with whether it was
-// present, and returns the number removed.
-func (c *ShardedPipeClient) RemoveBatch(keys []uint64, out []bool) int {
-	return c.batch(c.s.fidRemove, keys, out)
-}
-
-// DepthHist exposes the underlying pipeline depth histogram.
-func (c *ShardedPipeClient) DepthHist() []uint64 { return c.pl.DepthHist() }

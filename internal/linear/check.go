@@ -10,17 +10,28 @@ import "sort"
 // never.
 func Check(m Model, h []Op) bool { return FailingPartition(m, h) < 0 }
 
+// CheckSessions is Check for histories whose clients are sessions that
+// pipeline: a session (Op.Client) invokes its next operation before the
+// last one returned, so real time alone leaves their order open. The
+// linearization must also keep every session's program order — an
+// operation takes effect after each operation its session invoked before
+// it. That is core.AsyncGroup's ordering contract, and what a connection
+// that reads its own pipelined writes relies on.
+func CheckSessions(m Model, h []Op) bool { return failingPartition(m, h, true) < 0 }
+
 // FailingPartition is Check with a diagnosis: it returns the index of
 // the first subhistory (per m.Partition; the whole history is partition
 // 0 when m.Partition is nil) that admits no linearization, or -1 if the
 // history is linearizable.
-func FailingPartition(m Model, h []Op) int {
+func FailingPartition(m Model, h []Op) int { return failingPartition(m, h, false) }
+
+func failingPartition(m Model, h []Op, sessions bool) int {
 	parts := [][]Op{h}
 	if m.Partition != nil {
 		parts = m.Partition(h)
 	}
 	for i, part := range parts {
-		if !checkOne(m, part) {
+		if !checkOne(m, part, sessions) {
 			return i
 		}
 	}
@@ -36,12 +47,15 @@ type checker struct {
 	mask []uint64
 	dead map[string]struct{}
 	key  []byte // scratch for memo keys
+	// prev[i] is the op its session invoked just before op i (-1: none),
+	// which must linearize first; nil when sessions are not ordered.
+	prev []int
 }
 
 // checkOne runs the WGL search over one subhistory.
-func checkOne(m Model, ops []Op) bool {
-	// Sorting by call time makes candidate scans hit minimal ops early;
-	// correctness does not depend on it.
+func checkOne(m Model, ops []Op, sessions bool) bool {
+	// Sorting by call time makes candidate scans hit minimal ops early, and
+	// puts each session's ops in the order it invoked them (prev below).
 	sorted := make([]Op, len(ops))
 	copy(sorted, ops)
 	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Call < sorted[j].Call })
@@ -56,6 +70,18 @@ func checkOne(m Model, ops []Op) bool {
 		ops:  sorted,
 		mask: make([]uint64, (len(sorted)+63)/64),
 		dead: make(map[string]struct{}),
+	}
+	if sessions {
+		c.prev = make([]int, len(sorted))
+		last := make(map[int]int)
+		for i := range sorted {
+			if p, ok := last[sorted[i].Client]; ok {
+				c.prev[i] = p
+			} else {
+				c.prev[i] = -1
+			}
+			last[sorted[i].Client] = i
+		}
 	}
 	return c.dfs(m.Init(), remaining)
 }
@@ -101,7 +127,7 @@ func (c *checker) dfs(state []byte, remaining int) bool {
 	}
 	for i := range c.ops {
 		op := &c.ops[i]
-		if c.taken(i) || op.Call > minRet {
+		if c.taken(i) || op.Call > minRet || (c.prev != nil && c.prev[i] >= 0 && !c.taken(c.prev[i])) {
 			continue
 		}
 		next, ok := c.m.Step(state, op)
