@@ -3,10 +3,14 @@ package main
 import (
 	"bufio"
 	"fmt"
+	"io"
+	"net"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"syscall"
 	"testing"
@@ -49,6 +53,7 @@ func TestMain(m *testing.M) {
 var (
 	textAddrRE = regexp.MustCompile(`backend listening on (\S+)`)
 	binAddrRE  = regexp.MustCompile(`binary frontend listening on (\S+)`)
+	activeRE   = regexp.MustCompile(`(?m)^ffwd_frontend_active_conns (\d+)$`)
 )
 
 // startServer runs ffwdserve -proto both on ephemeral ports and returns
@@ -113,11 +118,79 @@ func startServer(t *testing.T, extra ...string) (textAddr, binAddr string) {
 	return textAddr, binAddr
 }
 
+// freeAddr returns a loopback address nothing listens on (ffwdserve logs
+// -stats-addr as given, so an ephemeral :0 could not be scraped).
+func freeAddr(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	return ln.Addr().String()
+}
+
+// activeConns scrapes the binary frontend's open-connection gauge.
+func activeConns(statsAddr string) (int, error) {
+	resp, err := http.Get("http://" + statsAddr + "/metrics")
+	if err != nil {
+		return 0, err
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return 0, err
+	}
+	m := activeRE.FindSubmatch(body)
+	if m == nil {
+		return 0, fmt.Errorf("no ffwd_frontend_active_conns in /metrics")
+	}
+	return strconv.Atoi(string(m[1]))
+}
+
 // TestLoadSmoke is the `make loadtest` gate: a short open-loop run
 // against each frontend must complete operations and attribute tail
-// latency, or the serving path is broken.
+// latency, or the serving path is broken. The benchmark's workloads
+// hold one or two connections, so the binary frontend also takes two
+// closed-loop many-connection shapes here: no error, no connection left
+// unserved, none left open once the generator is gone.
 func TestLoadSmoke(t *testing.T) {
-	textAddr, binAddr := startServer(t)
+	statsAddr := freeAddr(t)
+	textAddr, binAddr := startServer(t, "-stats-addr", statsAddr)
+	for _, shape := range []struct{ conns, outstanding int }{{64, 1}, {32, 8}} {
+		t.Run(fmt.Sprintf("binary-%dx%d", shape.conns, shape.outstanding), func(t *testing.T) {
+			res, err := runLoad(loadConfig{
+				addr:        binAddr,
+				proto:       "binary",
+				conns:       shape.conns,
+				duration:    1200 * time.Millisecond,
+				warmup:      200 * time.Millisecond,
+				getPct:      90,
+				keys:        4096,
+				outstanding: shape.outstanding,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Ops == 0 || res.Errors != 0 || res.IdleConns != 0 {
+				t.Fatalf("ops=%d errors=%d connections without an op=%d, want >0, 0, 0", res.Ops, res.Errors, res.IdleConns)
+			}
+			for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+				active, err := activeConns(statsAddr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if active == 0 {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("server still holds %d connections after the generator exited", active)
+				}
+			}
+			t.Logf("%d conns x %d outstanding: %.0f ops/s p50=%.1fµs p99=%.1fµs", shape.conns, shape.outstanding,
+				res.OpsPerSec, res.quantileUS(0.5), res.quantileUS(0.99))
+		})
+	}
 	for _, tc := range []struct {
 		proto, addr string
 	}{

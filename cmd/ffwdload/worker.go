@@ -45,6 +45,7 @@ type loadResult struct {
 	Ops       uint64 // completions recorded after warmup
 	Errors    uint64 // ERROR/BUSY replies (recorded window)
 	Stalls    uint64 // sends that blocked on the outstanding cap
+	IdleConns int    // connections that recorded no completion
 	Elapsed   time.Duration
 	Hist      stats.Histogram
 	OpsPerSec float64
@@ -123,6 +124,9 @@ func runLoad(cfg loadConfig) (*loadResult, error) {
 			return nil, fmt.Errorf("conn %d: %w", i, errs[i])
 		}
 		total.Ops += r.Ops
+		if r.Ops == 0 {
+			total.IdleConns++
+		}
 		total.Errors += r.Errors
 		total.Stalls += r.Stalls
 		total.Hist.Merge(&r.Hist)

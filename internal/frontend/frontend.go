@@ -1,9 +1,9 @@
 // Package frontend is the binary dataplane serving path of ffwdserve: a
-// small fixed pool of event-loop reader goroutines batch-decodes
-// wireproto frames from many connections into per-shard request queues,
-// a shard executor drains each queue and runs the operations through
-// the delegation pool as one pipelined batch, and responses are flushed
-// back with one buffered write per connection per batch.
+// reader goroutine per connection batch-decodes wireproto frames into
+// per-shard request queues, a shard executor drains each queue and runs
+// the operations through the delegation pool as one pipelined batch, and
+// responses are flushed back with one buffered write per connection per
+// batch.
 //
 // The layering mirrors the thesis of the ffwd paper applied to a
 // network server: the expensive part of a request is not the hash-table
@@ -11,10 +11,10 @@
 // per-request overheads around it — syscalls, goroutine wakeups,
 // allocation, lock handoffs. The frontend amortizes all four:
 //
-//	conns ──► reader (epoll, batch decode) ──► shard queues
-//	                                               │ drain ≤ MaxBatch
-//	                                               ▼
-//	conns ◄── one write per conn per batch ◄── shard executor (Exec)
+//	conns ──► reader (blocking Read, batch decode) ──► shard queues
+//	                                                       │ drain ≤ MaxBatch
+//	                                                       ▼
+//	conns ◄────── one write per conn per batch ◄────── shard executor (Exec)
 //
 // Responses complete out of order across shards; clients match them to
 // requests by ID (see internal/wireproto). Ordering within a single
@@ -23,11 +23,12 @@
 // head-of-line-blocking fast ones.
 //
 // Ownership rules, which keep the hot path allocation- and lock-free:
-// a connection is owned by exactly one reader; only that reader closes
-// it. Executors that hit a write error mark the connection dead and
-// wake the reader. Read buffers are touched only by the owning reader;
-// write buffers are guarded by a per-connection mutex because reader
-// (error replies) and executor (batch replies) both append.
+// a connection's lifetime ends in one place, its reader's deferred
+// close. Executors that hit a write error mark the connection dead and
+// close the socket only to unblock that reader. Read buffers are touched
+// only by the reader; write buffers are guarded by a per-connection
+// mutex because reader (error replies) and executor (batch replies)
+// both append.
 package frontend
 
 import (
@@ -47,11 +48,6 @@ type Config struct {
 	// a per-connection shard. Required: at least one.
 	Execs []Exec
 
-	// Readers is the event-loop reader pool size. Default 1: on a small
-	// host one epoll loop feeding pipelined delegation is faster than
-	// many loops contending for it.
-	Readers int
-
 	// QueueDepth is each shard queue's capacity. A full queue sheds with
 	// RespBusy rather than blocking the reader. Default 1024.
 	QueueDepth int
@@ -64,8 +60,9 @@ type Config struct {
 	// RespBusy frame and are closed. 0 = unlimited.
 	MaxConns int
 
-	// IdleTimeout reaps connections with no readable data for this
-	// long. 0 = never.
+	// IdleTimeout reaps a connection that sends nothing: no earlier than
+	// IdleTimeout and no later than 2 × IdleTimeout after its last byte
+	// (the deadline is re-armed only when it fires). 0 = never.
 	IdleTimeout time.Duration
 
 	// WriteTimeout bounds each response flush. 0 = no deadline.
@@ -77,16 +74,14 @@ type Server struct {
 	cfg     Config
 	met     Metrics
 	shards  []*shard
-	readers []*reader
 	mgFree  chan *mgetBuf
-
 	connSeq atomic.Uint64
-	nextRdr atomic.Uint64
 
 	stopping  atomic.Bool
 	closeOnce sync.Once
-	lmu       sync.Mutex
+	mu        sync.Mutex // guards lns, conns and the stopping transition
 	lns       []net.Listener
+	conns     map[*conn]struct{}
 
 	readerWG sync.WaitGroup
 	execWG   sync.WaitGroup
@@ -97,8 +92,6 @@ type Server struct {
 type conn struct {
 	srv *Server
 	nc  net.Conn
-	rd  *reader
-	fd  int
 
 	shard int // fixed shard for conn-affine ops (mget/len/stats)
 
@@ -110,8 +103,7 @@ type conn struct {
 	wmu  sync.Mutex
 	wbuf []byte
 
-	dead     atomic.Bool
-	lastRead atomic.Int64
+	dead atomic.Bool
 }
 
 // mgetBuf carries an mget key list from reader to executor without
@@ -129,8 +121,8 @@ var errNoExecs = errors.New("frontend: Config.Execs is empty")
 // connections.
 var busyFrame = wireproto.AppendResponse(nil, &wireproto.Response{Type: wireproto.RespBusy})
 
-// NewServer starts the reader pool and one executor goroutine per shard.
-// The caller feeds it listeners via Serve.
+// NewServer starts one executor goroutine per shard. The caller feeds it
+// listeners via Serve.
 func NewServer(cfg Config) (*Server, error) {
 	if len(cfg.Execs) == 0 {
 		return nil, errNoExecs
@@ -144,25 +136,12 @@ func NewServer(cfg Config) (*Server, error) {
 	if cfg.MaxBatch > cfg.QueueDepth {
 		cfg.MaxBatch = cfg.QueueDepth
 	}
-	if cfg.Readers <= 0 {
-		cfg.Readers = 1
-	}
-	s := &Server{cfg: cfg, mgFree: make(chan *mgetBuf, cfg.QueueDepth)}
+	s := &Server{cfg: cfg, mgFree: make(chan *mgetBuf, cfg.QueueDepth), conns: make(map[*conn]struct{})}
 	for _, e := range cfg.Execs {
 		sh := newShard(s, e, cfg.QueueDepth, cfg.MaxBatch)
 		s.shards = append(s.shards, sh)
 		s.execWG.Add(1)
 		go sh.run()
-	}
-	for i := 0; i < cfg.Readers; i++ {
-		r, err := newReader(s)
-		if err != nil {
-			s.Close()
-			return nil, err
-		}
-		s.readers = append(s.readers, r)
-		s.readerWG.Add(1)
-		go r.run()
 	}
 	return s, nil
 }
@@ -187,14 +166,14 @@ func (s *Server) QueueDepth() (depth, capacity int) {
 // Serve accepts connections on ln until the listener closes. It returns
 // nil when the server is shutting down.
 func (s *Server) Serve(ln net.Listener) error {
-	s.lmu.Lock()
+	s.mu.Lock()
 	if s.stopping.Load() {
-		s.lmu.Unlock()
+		s.mu.Unlock()
 		ln.Close()
 		return nil
 	}
 	s.lns = append(s.lns, ln)
-	s.lmu.Unlock()
+	s.mu.Unlock()
 	for {
 		nc, err := ln.Accept()
 		if err != nil {
@@ -212,13 +191,17 @@ func (s *Server) Serve(ln net.Listener) error {
 		if tc, ok := nc.(*net.TCPConn); ok {
 			tc.SetNoDelay(true)
 		}
-		c := s.newConn(nc)
-		r := s.readers[int(s.nextRdr.Add(1))%len(s.readers)]
-		if err := r.add(c); err != nil {
-			c.dead.Store(true)
+		s.mu.Lock()
+		if s.stopping.Load() {
+			s.mu.Unlock()
 			nc.Close()
-			s.met.Active.Add(-1)
+			return nil
 		}
+		c := s.newConn(nc)
+		s.conns[c] = struct{}{}
+		s.readerWG.Add(1)
+		s.mu.Unlock()
+		go s.serveConn(c)
 	}
 }
 
@@ -242,18 +225,19 @@ func (s *Server) Drain(timeout time.Duration) int {
 }
 
 // Close stops listeners, readers, and executors, closing every
-// connection. Idempotent.
+// connection; it returns after every reader goroutine has exited.
+// Idempotent.
 func (s *Server) Close() {
 	s.closeOnce.Do(func() {
+		s.mu.Lock()
 		s.stopping.Store(true)
-		s.lmu.Lock()
 		for _, ln := range s.lns {
 			ln.Close()
 		}
-		s.lmu.Unlock()
-		for _, r := range s.readers {
-			r.stop()
+		for c := range s.conns {
+			c.kill()
 		}
+		s.mu.Unlock()
 		s.readerWG.Wait()
 		for _, sh := range s.shards {
 			close(sh.q)
@@ -266,18 +250,14 @@ func (s *Server) newConn(nc net.Conn) *conn {
 	c := &conn{
 		srv:  s,
 		nc:   nc,
-		fd:   -1,
 		rbuf: make([]byte, initialRbuf),
 		wbuf: make([]byte, 0, initialRbuf),
 	}
 	c.shard = int(s.connSeq.Add(1) % uint64(len(s.shards)))
 	c.req.Keys = c.keys[:0]
-	c.lastRead.Store(nowNS())
 	s.met.Active.Add(1)
 	return c
 }
-
-func nowNS() int64 { return time.Now().UnixNano() }
 
 // shardOfKey spreads single-key ops across shards with a Fibonacci
 // multiplicative hash — sequential keys must not all land on one shard.
@@ -388,7 +368,7 @@ func (c *conn) appendResp(r *wireproto.Response) {
 }
 
 // flush writes the buffered responses in one syscall. A write error
-// marks the connection dead and wakes its reader to reap it.
+// kills the connection.
 func (c *conn) flush() {
 	c.wmu.Lock()
 	if len(c.wbuf) == 0 || c.dead.Load() {
@@ -409,14 +389,12 @@ func (c *conn) flush() {
 	}
 }
 
-// kill marks the connection dead and hands it to the owning reader for
-// closing. Safe from any goroutine.
+// kill marks the connection dead and closes the socket to unblock its
+// reader, which does the accounting and the final close on its way out
+// (serveConn). Safe from any goroutine.
 func (c *conn) kill() {
-	if c.dead.Swap(true) {
-		return
-	}
-	if c.rd != nil {
-		c.rd.notifyDead(c)
+	if !c.dead.Swap(true) {
+		c.nc.Close()
 	}
 }
 

@@ -157,7 +157,7 @@ func (c *tclient) tryRecv() (wireproto.Response, error) {
 }
 
 // TestEndToEndOps drives every operation through a real TCP connection
-// and the epoll reader, with and without CRC framing.
+// and its reader, with and without CRC framing.
 func TestEndToEndOps(t *testing.T) {
 	_, addr := startServer(t, Config{Execs: []Exec{newMapExec()}})
 	c := dialT(t, addr)
@@ -399,22 +399,60 @@ func TestDrain(t *testing.T) {
 	}
 }
 
-// TestIdleReap pins that connections with no traffic are closed after
-// IdleTimeout.
+// TestIdleReap pins the lazily armed idle deadline: a connection that
+// keeps talking is never reaped and its reads never touch the deadline,
+// a silent one is reaped within [IdleTimeout, 2 × IdleTimeout] of its
+// last byte, and a deadline that fires on an active connection is a
+// re-arm, not a counted reap.
 func TestIdleReap(t *testing.T) {
-	s, addr := startServer(t, Config{Execs: []Exec{newMapExec()}, IdleTimeout: 100 * time.Millisecond})
-	c := dialT(t, addr)
-	c.send(&wireproto.Request{Op: wireproto.OpLen, ID: 1})
-	c.recv()
-	deadline := time.Now().Add(3 * time.Second)
-	for s.Metrics().IdleReaps.Load() == 0 && time.Now().Before(deadline) {
-		time.Sleep(20 * time.Millisecond)
+	const idle = 300 * time.Millisecond
+	s, wl := startWrapped(t, Config{Execs: []Exec{newMapExec()}, IdleTimeout: idle})
+	opened := time.Now()
+	c := dialT(t, wl.Addr().String())
+	ping := func(id uint64) {
+		t.Helper()
+		c.send(&wireproto.Request{Op: wireproto.OpLen, ID: id})
+		if r := c.recv(); r.ID != id {
+			t.Fatalf("reply id %d, want %d", r.ID, id)
+		}
 	}
-	if s.Metrics().IdleReaps.Load() == 0 {
-		t.Fatal("connection never idle-reaped")
+
+	// A ping-pong burst: the deadline was armed once, at accept, and no
+	// read that follows another this closely may arm it again.
+	for id := uint64(1); id <= 100; id++ {
+		ping(id)
 	}
+	if burst := time.Since(opened); burst < idle/2 {
+		if n := wl.last().readDeadlines.Load(); n != 1 {
+			t.Fatalf("%d SetReadDeadline calls across a %v burst of 100 requests, want 1 (armed at accept)", n, burst)
+		}
+	}
+
+	// One request every IdleTimeout/3 for 3 × IdleTimeout: deadlines fire
+	// in between, every one finds the connection active and re-arms.
+	var sent time.Time
+	for i := uint64(0); i < 9; i++ {
+		time.Sleep(idle / 3)
+		sent = time.Now()
+		ping(200 + i)
+	}
+	if n := s.Metrics().IdleReaps.Load(); n != 0 {
+		t.Fatalf("%d idle reaps on a connection that never went quiet", n)
+	}
+
+	// Silence: the server read the last byte between sent and answered.
+	answered := time.Now()
 	if _, err := c.tryRecv(); err == nil {
 		t.Fatal("read succeeded on reaped connection")
+	}
+	if quiet := time.Since(sent); quiet < idle {
+		t.Fatalf("reaped %v after its last byte, before IdleTimeout %v", quiet, idle)
+	}
+	if quiet, slack := time.Since(answered), idle/2; quiet > 2*idle+slack {
+		t.Fatalf("reaped %v after its last byte, want within 2 × IdleTimeout %v (+%v slack)", quiet, idle, slack)
+	}
+	if n := s.Metrics().IdleReaps.Load(); n != 1 {
+		t.Fatalf("idle reaps: %d, want 1", n)
 	}
 }
 
