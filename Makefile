@@ -3,7 +3,7 @@
 GO ?= go
 CHAOS_SEED ?= 1
 
-.PHONY: all build vet test test-cpus race bench bench-hot bench-smoke bench-e2e-smoke check chaos replica-chaos proc-chaos linear expiry loadtest fuzz trace figures ablations coverage loc clean
+.PHONY: all build vet test test-cpus race bench bench-hot bench-smoke bench-e2e-smoke check chaos replica-chaos proc-chaos linear expiry loadtest fuzz trace figures ablations coverage loc loc-check clean
 
 all: build vet test
 
@@ -90,16 +90,16 @@ expiry:
 
 # Serving-path loadtest smoke: build the real ffwdserve binary, serve
 # both protocols, and drive each with the open-loop coordinated-omission-
-# safe generator. Fails if either frontend completes zero ops or records
+# safe generator. Fails if either protocol completes zero ops or records
 # no tail latency, and exercises the real ffwdload binary's exit-code
 # contract.
 loadtest:
 	$(GO) test -count=1 -run 'TestLoad' -v ./cmd/ffwdload/
 
-# Fuzz the two text/binary protocol surfaces for a bounded while: the
-# text command dispatcher and the binary frame decoder (Split +
-# DecodeRequest/DecodeResponse). Not part of check; run before protocol
-# changes.
+# Fuzz the two protocol surfaces for a bounded while: the line codec's
+# decode (frontend.Text, and the execute/format path behind it) and the
+# binary frame decoder (Split + DecodeRequest/DecodeResponse). Not part
+# of check; run before protocol changes.
 FUZZ_TIME ?= 15s
 fuzz:
 	$(GO) test -run=none -fuzz FuzzDispatch -fuzztime $(FUZZ_TIME) ./cmd/ffwdserve/
@@ -174,6 +174,15 @@ loc:
 		{ dir = FILENAME; sub(/\/[^\/]*$$/, "", dir); pkg[dir]++; total++ } \
 		END { for (d in pkg) printf "%7d %s\n", pkg[d], d | "sort -k2"; close("sort -k2"); \
 		      printf "%7d total (non-test, excluding benchmark/)\n", total }'
+
+# The ratchet on that number: the total may not exceed LOC_BUDGET. A PR
+# that shrinks the code lowers the budget to its own total; one that must
+# grow it edits this one number and says why.
+LOC_BUDGET = 17740
+loc-check:
+	@$(MAKE) --no-print-directory loc | awk -v budget=$(LOC_BUDGET) ' \
+		{ print } / total / { total = $$1 } \
+		END { if (total == "" || total > budget) { printf "loc-check: %d code lines, over LOC_BUDGET %d\n", total, budget; exit 1 } }'
 
 clean:
 	rm -f coverage.out test_output.txt bench_output.txt

@@ -1,11 +1,7 @@
 package main
 
 import (
-	"fmt"
-	"strconv"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"ffwd/internal/apps"
 	"ffwd/internal/frontend"
@@ -15,21 +11,20 @@ import (
 
 // This file is the protocol-independent core of ffwdserve. Every store
 // configuration is a frontend.Exec — typed Op batches in, typed Result
-// batches out — and both wire frontends sit on that one interface: the
-// binary dataplane (internal/frontend) hands its shard batches to an
-// Exec directly, and the text frontend (textfront.go) is a parser and a
-// formatter around the same call. The mutex exec is here; the ffwd exec
-// is in binaryfront.go and the replicated one in replicated.go.
+// batches out — and that is all internal/frontend knows of a store: one
+// frontend.Server per served protocol runs batches on these executors,
+// whichever codec decoded them. The mutex exec is here; the ffwd exec is
+// in binaryfront.go and the replicated one in replicated.go.
 
 // backend is what every store configuration builds for main: the
-// executors the two frontends run on, and what to do with the store at
+// executors its servers run on, and what to do with the store at
 // shutdown. Its builders register the store's stats rows as they go.
 type backend struct {
-	text   []frontend.Exec // pooled behind the text frontend
+	text   []frontend.Exec // the pool text connections borrow from
 	binary []frontend.Exec // one per binary shard
-	// statsReply, when set, answers the text stats verb in place of the
-	// executor (see textFrontend.statsReply).
-	statsReply func() string
+	// groupStats, when set, answers the text stats verb in place of an
+	// executor (see frontend.Text.Stats).
+	groupStats func() string
 	// sink is the delegation lifecycle trace, when one is captured.
 	sink *obs.TraceSink
 	// stop shuts the store down, after the last executor has returned.
@@ -47,56 +42,6 @@ type storeOpts struct {
 	chaosSeed uint64        // -chaos-seed
 	trace     bool          // capture the delegation lifecycle trace
 }
-
-// mgetMax bounds the number of keys per mget so one command line cannot
-// monopolize an executor. It equals wireproto.MGetMax so the two
-// frontends admit identical batches (pinned by test).
-const mgetMax = wireproto.MGetMax
-
-// execPool lends executors to text connections. Delegation client slots
-// are a bounded resource, so they live in a fixed channel-based pool: a
-// connection borrows an executor for one batch and returns it.
-// (sync.Pool is wrong here — it may drop items, leaking slots.)
-type execPool struct {
-	execs chan frontend.Exec
-	// shedAfter bounds how long a batch waits for an executor when the
-	// pool is saturated before being answered BUSY (0 = wait forever).
-	// sheds counts the batches shed that way.
-	shedAfter time.Duration
-	sheds     atomic.Uint64
-}
-
-func newExecPool(execs []frontend.Exec, shedAfter time.Duration) *execPool {
-	p := &execPool{execs: make(chan frontend.Exec, len(execs)), shedAfter: shedAfter}
-	for _, e := range execs {
-		p.execs <- e
-	}
-	return p
-}
-
-// get borrows an executor, or returns nil once the shed timeout passes
-// with the pool still saturated.
-func (p *execPool) get() frontend.Exec {
-	if p.shedAfter <= 0 {
-		return <-p.execs
-	}
-	select {
-	case e := <-p.execs:
-		return e
-	default:
-	}
-	t := time.NewTimer(p.shedAfter)
-	defer t.Stop()
-	select {
-	case e := <-p.execs:
-		return e
-	case <-t.C:
-		p.sheds.Add(1)
-		return nil
-	}
-}
-
-func (p *execPool) put(e frontend.Exec) { p.execs <- e }
 
 // nExecs builds n executors with mk.
 func nExecs(n int, mk func() frontend.Exec) []frontend.Exec {
@@ -116,7 +61,7 @@ func found(ok bool, hit uint8) uint8 {
 	return wireproto.RespNotFound
 }
 
-// mutexExec is the global-lock baseline behind either frontend: every
+// mutexExec is the global-lock baseline behind either protocol: every
 // executor funnels into the one LockedKV, so an A/B against -backend
 // mutex measures the frontend and the lock separately. It runs a batch
 // one op at a time, each complete before the next starts.
@@ -185,150 +130,4 @@ func (e *mutexExec) ExecBatch(ops []frontend.Op, results []frontend.Result) {
 			res.Hits, res.Misses, res.Evictions, res.Expired = e.kv.Stats()
 		}
 	}
-}
-
-// The text protocol: a command line parses to one frontend.Op (or to an
-// immediate reply when it is malformed), and one Result formats to one
-// reply line. Both frontends therefore answer from the same executor
-// results; the parity test pins that the renderings agree.
-
-const usageMsg = "ERROR usage: get k | mget k... | set k v | setx k v ttl | touch k ttl | del k | len | stats | quit"
-
-const (
-	busyPool  = "BUSY delegation pool saturated"
-	busyShard = "BUSY replicated shard unavailable"
-)
-
-// textCmd is what one command line asks for.
-type textCmd uint8
-
-const (
-	cmdOp    textCmd = iota // run the parsed Op
-	cmdReply                // answer with the reply parse produced
-	cmdStats                // the stats verb (answered by the executor, or by the frontend's override)
-	cmdQuit
-	cmdNone // a blank line: no command, no reply
-)
-
-// isWord reports whether tok spells the lower-case ASCII word w in any
-// case.
-func isWord(tok []byte, w string) bool {
-	if len(tok) != len(w) {
-		return false
-	}
-	for i := range tok {
-		if tok[i]|0x20 != w[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func isSpace(c byte) bool { return c == ' ' || (c >= '\t' && c <= '\r') }
-
-// parse splits a command line into its verb and numeric arguments and
-// maps it to an Op. args is scratch for the numbers (returned regrown);
-// an mget Op's Keys alias it, so the Op is good until the next parse
-// into the same scratch. cmdReply carries the reply line.
-func parse(line []byte, op *frontend.Op, args []uint64) (textCmd, string, []uint64) {
-	var verb []byte
-	args = args[:0]
-	for i := 0; i < len(line); {
-		if isSpace(line[i]) {
-			i++
-			continue
-		}
-		j := i
-		for j < len(line) && !isSpace(line[j]) {
-			j++
-		}
-		if verb == nil {
-			verb = line[i:j]
-		} else {
-			v, err := strconv.ParseUint(string(line[i:j]), 10, 64)
-			if err != nil {
-				return cmdReply, fmt.Sprintf("ERROR bad number %q", line[i:j]), args
-			}
-			args = append(args, v)
-		}
-		i = j
-	}
-	if verb == nil {
-		return cmdNone, "", args
-	}
-	*op = frontend.Op{}
-	n := len(args)
-	switch {
-	case isWord(verb, "get") && n == 1:
-		op.Kind, op.Key = wireproto.OpGet, args[0]
-	case isWord(verb, "mget") && n >= 1:
-		if n > mgetMax {
-			return cmdReply, fmt.Sprintf("ERROR mget limited to %d keys", mgetMax), args
-		}
-		op.Kind, op.Keys = wireproto.OpMGet, args
-	case isWord(verb, "set") && n == 2:
-		op.Kind, op.Key, op.Val = wireproto.OpSet, args[0], args[1]
-	case isWord(verb, "setx") && n == 3:
-		op.Kind, op.Key, op.Val, op.TTL = wireproto.OpSetTTL, args[0], args[1], args[2]
-	case isWord(verb, "touch") && n == 2:
-		op.Kind, op.Key, op.TTL = wireproto.OpTouch, args[0], args[1]
-	case isWord(verb, "del") && n == 1:
-		op.Kind, op.Key = wireproto.OpDel, args[0]
-	case isWord(verb, "len") && n == 0:
-		op.Kind = wireproto.OpLen
-	case isWord(verb, "stats") && n == 0:
-		op.Kind = wireproto.OpStats
-		return cmdStats, "", args
-	case isWord(verb, "quit") && n == 0:
-		return cmdQuit, "", args
-	default:
-		return cmdReply, usageMsg, args
-	}
-	if (op.Kind == wireproto.OpSet || op.Kind == wireproto.OpSetTTL) && op.Val == wireproto.MissValue {
-		return cmdReply, "ERROR value reserved", args
-	}
-	return cmdOp, "", args
-}
-
-// appendReply renders one executor result as a reply line (no newline).
-// Both frontends' replies come through here (the binary one's in the
-// parity test), so their wording cannot drift.
-func appendReply(out []byte, res *frontend.Result) []byte {
-	switch res.Status {
-	case wireproto.RespValue:
-		return strconv.AppendUint(append(out, "VALUE "...), res.Val, 10)
-	case wireproto.RespNotFound:
-		return append(out, "NOT_FOUND"...)
-	case wireproto.RespStored:
-		return append(out, "STORED"...)
-	case wireproto.RespDeleted:
-		return append(out, "DELETED"...)
-	case wireproto.RespTouched:
-		return append(out, "TOUCHED"...)
-	case wireproto.RespValues:
-		out = append(out, "VALUES"...)
-		for _, v := range res.Vals {
-			if v == wireproto.MissValue {
-				out = append(out, " -"...)
-			} else {
-				out = strconv.AppendUint(append(out, ' '), v, 10)
-			}
-		}
-		return out
-	case wireproto.RespLen:
-		return strconv.AppendUint(append(out, "LEN "...), res.Val, 10)
-	case wireproto.RespStats:
-		return fmt.Appendf(out, "STATS hits=%d misses=%d evictions=%d expired=%d", res.Hits, res.Misses, res.Evictions, res.Expired)
-	case wireproto.RespBusy:
-		return append(out, busyShard...)
-	case wireproto.RespError:
-		switch res.Code {
-		case wireproto.CodeValueReserved:
-			return append(out, "ERROR value reserved"...)
-		case wireproto.CodeBadOp:
-			// A command this backend does not serve is an unknown command.
-			return append(out, usageMsg...)
-		}
-	}
-	return append(out, "ERROR internal"...)
 }

@@ -21,9 +21,9 @@ import (
 // four counter reads.
 
 // The executors' windows: how many requests each keeps in flight. Every
-// occupied slot is loaded on every sweep, and the text frontend has one
-// executor per -clients while binary has one per shard, so a text window
-// is the shallower.
+// occupied slot is loaded on every sweep, and text connections share a
+// pool of -clients executors where binary has one per shard, so a text
+// window is the shallower.
 const (
 	ffwdBinaryWindow = 16
 	ffwdTextWindow   = 8

@@ -1,16 +1,18 @@
 package main
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
 	"ffwd/internal/frontend"
 )
 
-// FuzzDispatch throws arbitrary command lines at the text protocol's
-// parse → ExecBatch → format path: it must never panic and must answer
-// every line with exactly one well-formed response (none for a blank
-// line or a bare quit, which have no reply).
+// FuzzDispatch throws arbitrary bytes at the line codec's decode and, for
+// what decodes to a request, the ExecBatch → format path behind it.
+// Decode must never panic, never consume nothing from a buffer holding a
+// newline, never consume more than it was given, and answer every line
+// with at most one well-formed reply line.
 func FuzzDispatch(f *testing.F) {
 	for _, seed := range []string{
 		"get 1", "set 1 2", "del 1", "len", "", " ", "get", "set 1",
@@ -21,26 +23,37 @@ func FuzzDispatch(f *testing.F) {
 	} {
 		f.Add(seed)
 	}
-	fe := mutexText(1024, nil)
-	f.Fuzz(func(t *testing.T, line string) {
-		out := handle(fe, line)
-		if out == "" {
-			var op frontend.Op
-			if cmd, _, _ := parse([]byte(line), &op, nil); cmd != cmdNone && cmd != cmdQuit {
-				t.Fatalf("empty response for %q", line)
+	ex := mutexText(1024, nil).Execs[0]
+	f.Fuzz(func(t *testing.T, in string) {
+		var r frontend.Request
+		for buf := []byte(in + "\n"); len(buf) > 0; {
+			n, v := frontend.Text{}.Decode(buf, &r)
+			if n <= 0 || n > len(buf) {
+				t.Fatalf("decode consumed %d of %d bytes of %q", n, len(buf), buf)
 			}
-			return
-		}
-		if strings.ContainsRune(out, '\n') {
-			t.Fatalf("multi-line response for %q: %q", line, out)
-		}
-		switch {
-		case strings.HasPrefix(out, "VALUE "), strings.HasPrefix(out, "VALUES"),
-			out == "NOT_FOUND", out == "STORED", out == "DELETED",
-			strings.HasPrefix(out, "LEN "), strings.HasPrefix(out, "STATS "),
-			strings.HasPrefix(out, "ERROR "):
-		default:
-			t.Fatalf("malformed response for %q: %q", line, out)
+			buf = buf[n:]
+			out := r.Reply
+			if v == frontend.Run {
+				ops := []frontend.Op{{Kind: r.Op, Key: r.Key, Val: r.Val, TTL: r.TTL, Keys: r.Keys}}
+				results := []frontend.Result{{Vals: make([]uint64, len(r.Keys))}}
+				ex.ExecBatch(ops, results)
+				out = frontend.Text{}.Append(nil, 0, 0, &results[0])
+			}
+			if len(out) == 0 {
+				continue // a blank line, a quit, the tail of an over-long line
+			}
+			line, ok := bytes.CutSuffix(out, []byte("\n"))
+			if !ok || bytes.IndexByte(line, '\n') >= 0 {
+				t.Fatalf("reply to %q is not one line: %q", in, out)
+			}
+			switch s := string(line); {
+			case strings.HasPrefix(s, "VALUE "), strings.HasPrefix(s, "VALUES"),
+				s == "NOT_FOUND", s == "STORED", s == "DELETED", s == "TOUCHED",
+				strings.HasPrefix(s, "LEN "), strings.HasPrefix(s, "STATS "),
+				strings.HasPrefix(s, "ERROR "):
+			default:
+				t.Fatalf("malformed reply to %q: %q", in, s)
+			}
 		}
 	})
 }

@@ -21,9 +21,10 @@
 // Malformed input draws an ERROR reply and the connection stays usable.
 //
 // Binary protocol (-proto binary): the length-prefixed frames of
-// internal/wireproto, served by the event-loop dataplane of
-// internal/frontend; requests carry IDs and may complete out of order.
-// -proto both serves text on -addr and binary on -binary-addr.
+// internal/wireproto; requests carry IDs and may complete out of order.
+// Either protocol is a codec on one internal/frontend server (a reader
+// goroutine per connection, batched execution, one flush per batch);
+// -proto both runs two, text on -addr and binary on -binary-addr.
 //
 // Usage:
 //
@@ -47,6 +48,7 @@ import (
 	"os/signal"
 	"runtime"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
@@ -68,17 +70,17 @@ func main() {
 		binAddr   = flag.String("binary-addr", "127.0.0.1:11212", "binary frontend listen address for -proto both")
 		shards    = flag.Int("shards", 0, "binary frontend shard executors (0 = one per two cores)")
 		queueLen  = flag.Int("frontend-queue", 0, "binary frontend per-shard queue depth (0 = default 1024)")
-		batchMax  = flag.Int("frontend-batch", 0, "max ops per executor batch, either frontend (0 = default 64)")
+		batchMax  = flag.Int("frontend-batch", 0, "max ops per executor batch (0 = default 64)")
 		capacity  = flag.Int("capacity", 1<<16, "store capacity: resident entries before scan-resistant eviction kicks in")
 		defTTLDur = flag.Duration("default-ttl", 0, "expiry applied to plain set commands, rounded to ms ticks (0 = never expire)")
 		kind      = flag.String("backend", "ffwd", "ffwd or mutex")
-		clients   = flag.Int("clients", 64, "pooled executors (and their delegation windows) behind the text frontend")
+		clients   = flag.Int("clients", 64, "pooled executors (and their delegation windows) text connections borrow from")
 		replicas  = flag.Int("replicas", 1, "replica group size for the ffwd backend; >1 quorum-replicates writes with failover")
 		parkAfter = flag.Int("idle-park-after", 0, "empty sweeps before the idle server parks (0 = default, negative = never park)")
 		chaosSeed = flag.Uint64("chaos-seed", 0, "inject a seed-derived fault mix into the delegation server (0 = off; ffwd backend)")
 		drainWait = flag.Duration("drain-timeout", 2*time.Second, "grace period for in-flight connections on SIGINT/SIGTERM")
-		maxConns  = flag.Int("max-conns", 256, "max concurrent connections per frontend; beyond it new arrivals are rejected BUSY (0 = unlimited)")
-		readWait  = flag.Duration("read-timeout", 2*time.Minute, "idle bound between commands before a connection is dropped (0 = none)")
+		maxConns  = flag.Int("max-conns", 256, "max concurrent connections per protocol; beyond it new arrivals are rejected BUSY (0 = unlimited)")
+		readWait  = flag.Duration("read-timeout", 2*time.Minute, "a connection silent this long is dropped, within twice it (0 = never)")
 		writeWait = flag.Duration("write-timeout", 10*time.Second, "bound on flushing one response (0 = none)")
 		shedWait  = flag.Duration("shed-timeout", 100*time.Millisecond, "how long a text command batch waits for a pooled executor before BUSY (0 = forever)")
 		statsAddr = flag.String("stats-addr", "", "expose serving stats over HTTP at this address: /metrics (Prometheus), /debug/vars (expvar), /debug/pprof, /debug/delegation-trace (empty = off)")
@@ -150,32 +152,18 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// The frontends, each listening before it is announced.
-	listen := func(at string) net.Listener {
-		ln, err := net.Listen("tcp", at)
-		if err != nil {
-			log.Fatal(err)
-		}
-		return ln
+	// One frontend.Server per served protocol — same lifecycle, different
+	// codec and executors — each listening before it is announced.
+	type front struct {
+		srv *frontend.Server
+		ln  net.Listener
 	}
-	var fe *textFrontend
-	var tln net.Listener
-	if needText {
-		fe = newTextFrontend(newExecPool(be.text, *shedWait))
-		if *batchMax > 0 {
-			fe.maxBatch = *batchMax
-		}
-		fe.maxConns, fe.readTimeout, fe.writeTimeout = *maxConns, *readWait, *writeWait
-		fe.statsReply = be.statsReply
-		reg.Add("conn stats", fe.statRows)
-		tln = listen(*addr)
-		log.Printf("ffwdserve: %s backend listening on %s", *kind, tln.Addr())
-	}
-	var bsrv *frontend.Server
-	var bln net.Listener
-	if needBin {
-		bsrv, err = frontend.NewServer(frontend.Config{
-			Execs:        be.binary,
+	var fronts []front
+	serve := func(at, group string, codec frontend.Codec, execs []frontend.Exec) front {
+		srv, err := frontend.NewServer(frontend.Config{
+			Codec:        codec,
+			Execs:        execs,
+			ShedTimeout:  *shedWait,
 			QueueDepth:   *queueLen,
 			MaxBatch:     *batchMax,
 			MaxConns:     *maxConns,
@@ -185,13 +173,25 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		reg.Add("binary stats", bsrv.StatRows)
-		if needText {
-			bln = listen(*binAddr)
-		} else {
-			bln = listen(*addr)
+		reg.Add(group, srv.StatRows)
+		ln, err := net.Listen("tcp", at)
+		if err != nil {
+			log.Fatal(err)
 		}
-		log.Printf("ffwdserve: binary frontend listening on %s (%d shards)", bln.Addr(), bsrv.Shards())
+		fronts = append(fronts, front{srv, ln})
+		return fronts[len(fronts)-1]
+	}
+	if needText {
+		f := serve(*addr, "text stats", frontend.Text{Stats: be.groupStats}, be.text)
+		log.Printf("ffwdserve: %s backend listening on %s", *kind, f.ln.Addr())
+	}
+	if needBin {
+		at := *addr
+		if needText {
+			at = *binAddr
+		}
+		f := serve(at, "binary stats", frontend.Binary{}, be.binary)
+		log.Printf("ffwdserve: binary frontend listening on %s (%d shards)", f.ln.Addr(), f.srv.Shards())
 	}
 	if *statsAddr != "" {
 		go statsEndpoint(*statsAddr, reg, be.sink)
@@ -204,28 +204,22 @@ func main() {
 	go func() {
 		sig := <-sigc
 		log.Printf("ffwdserve: %v: stopped accepting, draining connections (up to %v)", sig, *drainWait)
-		for _, ln := range []net.Listener{tln, bln} {
-			if ln != nil {
-				ln.Close()
-			}
+		for _, f := range fronts {
+			f.ln.Close()
 		}
 	}()
-	if fe == nil {
-		bsrv.Serve(bln)
-	} else {
-		if bsrv != nil {
-			go bsrv.Serve(bln)
-		}
-		fe.acceptLoop(tln)
+	var accepting sync.WaitGroup
+	for _, f := range fronts {
+		accepting.Add(1)
+		go func() {
+			defer accepting.Done()
+			f.srv.Serve(f.ln)
+		}()
 	}
-	if fe != nil {
-		if n := fe.drain(*drainWait); n > 0 {
+	accepting.Wait()
+	for _, f := range fronts {
+		if n := f.srv.Drain(*drainWait); n > 0 {
 			log.Printf("ffwdserve: drain timeout: force-closed %d connection(s)", n)
-		}
-	}
-	if bsrv != nil {
-		if n := bsrv.Drain(*drainWait); n > 0 {
-			log.Printf("ffwdserve: binary drain timeout: force-closed %d connection(s)", n)
 		}
 	}
 

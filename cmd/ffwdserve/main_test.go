@@ -16,73 +16,84 @@ import (
 	"ffwd/internal/wireproto"
 )
 
-// ffwdText builds a text frontend over the ffwd backend main would build
-// for `clients` text executors on a fresh delegated store.
-func ffwdText(t *testing.T, capacity, clients int) *textFrontend {
+// ffwdText configures a text server over the ffwd backend main would
+// build for `clients` text executors on a fresh delegated store.
+func ffwdText(t *testing.T, capacity, clients int) frontend.Config {
 	t.Helper()
 	be, err := newFFWDBackend(storeOpts{capacity: capacity, clients: clients}, obs.NewRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(be.stop)
-	return newTextFrontend(newExecPool(be.text, 0))
+	return frontend.Config{Codec: frontend.Text{}, Execs: be.text}
 }
 
 // mutexText is the same over the global-lock backend; a nil tick freezes
 // the clock at zero.
-func mutexText(capacity int, tick func() uint64) *textFrontend {
+func mutexText(capacity int, tick func() uint64) frontend.Config {
 	if tick == nil {
 		tick = func() uint64 { return 0 }
 	}
 	be := newMutexBackend(storeOpts{capacity: capacity, clients: 1, tick: tick}, obs.NewRegistry())
-	return newTextFrontend(newExecPool(be.text, 0))
+	return frontend.Config{Codec: frontend.Text{}, Execs: be.text}
 }
 
-// handle runs one command line the way a connection would — parse, one
-// ExecBatch on a pooled executor, format — as a batch of one, and returns
-// the reply line ("" for a blank line or quit, which have none).
-func handle(fe *textFrontend, line string) string {
-	var b textBatch
-	if b.add([]byte(line)) {
-		return ""
+// listen starts the server cfg describes — the one main starts, for
+// either protocol — on an ephemeral port and returns it and its address.
+func listen(t *testing.T, cfg frontend.Config) (*frontend.Server, string) {
+	t.Helper()
+	srv, err := frontend.NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	fe.run(&b)
-	return strings.TrimSuffix(string(b.out), "\n")
+	t.Cleanup(srv.Close)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	return srv, ln.Addr().String()
+}
+
+// decode runs one command line through the line codec.
+func decode(line string) (frontend.Request, frontend.Verdict) {
+	var r frontend.Request
+	_, v := frontend.Text{}.Decode([]byte(line+"\n"), &r)
+	return r, v
 }
 
 func TestParse(t *testing.T) {
-	var op frontend.Op
-	cmd, _, _ := parse([]byte("set 1 42"), &op, nil)
-	if cmd != cmdOp || op.Kind != wireproto.OpSet || op.Key != 1 || op.Val != 42 {
-		t.Fatalf("parse(set 1 42) = %v %+v", cmd, op)
+	if r, v := decode("set 1 42"); v != frontend.Run || r.Op != wireproto.OpSet || r.Key != 1 || r.Val != 42 {
+		t.Fatalf("decode(set 1 42) = %v %+v", v, r.Request)
 	}
-	if cmd, _, _ := parse([]byte(" \t"), &op, nil); cmd != cmdNone {
-		t.Fatalf("blank line parsed as %v", cmd)
+	if r, v := decode(" \t"); v != frontend.Reply || len(r.Reply) != 0 {
+		t.Fatalf("blank line decoded as %v %q", v, r.Reply)
 	}
-	if cmd, reply, _ := parse([]byte("get abc"), &op, nil); cmd != cmdReply || reply != `ERROR bad number "abc"` {
-		t.Fatalf("non-numeric arg: %v %q", cmd, reply)
+	if r, v := decode("get abc"); v != frontend.Reply || string(r.Reply) != "ERROR bad number \"abc\"\n" {
+		t.Fatalf("non-numeric arg: %v %q", v, r.Reply)
 	}
-	if cmd, _, _ := parse([]byte("GET 1"), &op, nil); cmd != cmdOp || op.Kind != wireproto.OpGet {
-		t.Fatalf("case-insensitive op broken: %v %+v", cmd, op)
+	if r, v := decode("GET 1"); v != frontend.Run || r.Op != wireproto.OpGet {
+		t.Fatalf("case-insensitive op broken: %v %+v", v, r.Request)
 	}
-	cmd, _, keys := parse([]byte("mget 3 4 5"), &op, make([]uint64, 0, 8))
-	if cmd != cmdOp || op.Kind != wireproto.OpMGet || len(op.Keys) != 3 || &op.Keys[0] != &keys[0] {
-		t.Fatalf("mget keys must alias the scratch: %v %+v", cmd, op)
+	if r, v := decode("mget 3 4 5"); v != frontend.Run || r.Op != wireproto.OpMGet || !slices.Equal(r.Keys, []uint64{3, 4, 5}) {
+		t.Fatalf("mget: %v %+v", v, r.Request)
 	}
-	if cmd, _, _ := parse([]byte("QUIT"), &op, nil); cmd != cmdQuit {
-		t.Fatalf("quit parsed as %v", cmd)
+	if r, v := decode("QUIT"); v != frontend.Close || len(r.Reply) != 0 {
+		t.Fatalf("quit decoded as %v %q", v, r.Reply)
 	}
 }
 
 func TestDispatchProtocol(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		fe   *textFrontend
+		cfg  frontend.Config
 	}{
 		{"ffwd", ffwdText(t, 128, 4)},
 		{"mutex", mutexText(128, nil)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			_, addr := listen(t, tc.cfg)
+			_, _, send := dialText(t, addr)
 			steps := []struct{ in, want string }{
 				{"get 1", "NOT_FOUND"},
 				{"set 1 42", "STORED"},
@@ -94,25 +105,25 @@ func TestDispatchProtocol(t *testing.T) {
 				{"del 1", "NOT_FOUND"},
 				{"get 1", "NOT_FOUND"},
 				{"set 2 18446744073709551615", "ERROR value reserved"},
-				{"bogus", usageMsg},
+				{"bogus", frontend.UsageMsg},
 				{"set x y", "ERROR bad number \"x\""},
-				{"get 1 2", usageMsg},
+				{"get 1 2", frontend.UsageMsg},
 				{"set 10 100", "STORED"},
 				{"set 12 120", "STORED"},
 				{"mget 10 11 12", "VALUES 100 - 120"},
-				{"mget", usageMsg},
+				{"mget", frontend.UsageMsg},
 				{"setx 20 200 1000000", "STORED"},
 				{"setx 21 18446744073709551615 5", "ERROR value reserved"},
 				{"get 20", "VALUE 200"},
 				{"touch 20 2000000", "TOUCHED"},
 				{"touch 21 5", "NOT_FOUND"},
-				{"setx 20 200", usageMsg},
-				{"touch 20", usageMsg},
+				{"setx 20 200", frontend.UsageMsg},
+				{"touch 20", frontend.UsageMsg},
 				{"stats", "STATS hits=6 misses=4 evictions=0 expired=0"},
 			}
 			for _, s := range steps {
-				if got := handle(tc.fe, s.in); got != s.want {
-					t.Fatalf("handle(%q) = %q, want %q", s.in, got, s.want)
+				if got := send(s.in); got != s.want {
+					t.Fatalf("send(%q) = %q, want %q", s.in, got, s.want)
 				}
 			}
 		})
@@ -126,41 +137,29 @@ func TestDispatchProtocol(t *testing.T) {
 // anything.
 func TestMutexBackendReadExpiry(t *testing.T) {
 	var now atomic.Uint64
-	b := mutexText(128, now.Load)
-	if got := handle(b, "setx 1 10 5"); got != "STORED" {
+	_, addr := listen(t, mutexText(128, now.Load))
+	_, _, send := dialText(t, addr)
+	if got := send("setx 1 10 5"); got != "STORED" {
 		t.Fatalf("setx = %q", got)
 	}
-	if got := handle(b, "get 1"); got != "VALUE 10" {
+	if got := send("get 1"); got != "VALUE 10" {
 		t.Fatalf("get before expiry = %q", got)
 	}
 	now.Store(6)
 	// Pure reads from here on: only get/mget may advance the clock.
-	if got := handle(b, "get 1"); got != "NOT_FOUND" {
+	if got := send("get 1"); got != "NOT_FOUND" {
 		t.Fatalf("get after expiry = %q", got)
 	}
-	if got := handle(b, "mget 1 2"); got != "VALUES - -" {
+	if got := send("mget 1 2"); got != "VALUES - -" {
 		t.Fatalf("mget after expiry = %q", got)
 	}
-	if got := handle(b, "stats"); !strings.Contains(got, "expired=1") {
+	if got := send("stats"); !strings.Contains(got, "expired=1") {
 		t.Fatalf("stats = %q, want expired=1", got)
 	}
 }
 
-// listen starts fe accepting on an ephemeral port and returns its
-// address.
-func listen(t *testing.T, fe *textFrontend) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	go fe.acceptLoop(ln)
-	return ln.Addr().String()
-}
-
 func TestServeOverTCP(t *testing.T) {
-	addr := listen(t, ffwdText(t, 1024, 8))
+	_, addr := listen(t, ffwdText(t, 1024, 8))
 
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -194,7 +193,7 @@ func TestServeOverTCP(t *testing.T) {
 }
 
 func TestServeConcurrentConnections(t *testing.T) {
-	addr := listen(t, ffwdText(t, 1<<12, 16))
+	_, addr := listen(t, ffwdText(t, 1<<12, 16))
 
 	const conns, opsEach = 8, 200
 	var wg sync.WaitGroup
@@ -231,7 +230,7 @@ func TestServeConcurrentConnections(t *testing.T) {
 // TestPipelinedBurstProgramOrder: one TCP write carrying a burst of
 // commands on one key must be answered as if they ran one after another
 // — a read sees the write pipelined ahead of it, on every backend, through
-// either frontend and at every GOMAXPROCS. This is the per-connection
+// either protocol and at every GOMAXPROCS. This is the per-connection
 // order DESIGN.md promises. Nothing flushes between the commands to get
 // it: the ffwd executors overlap the whole burst in one delegation
 // window, which executes in submit order (core.AsyncGroup's ordering
@@ -244,10 +243,10 @@ func TestPipelinedBurstProgramOrder(t *testing.T) {
 		runtime.GOMAXPROCS(procs)
 		for _, tc := range []struct {
 			name   string
-			text   func(t *testing.T) *textFrontend
+			text   func(t *testing.T) frontend.Config
 			binary func(t *testing.T) []frontend.Exec
 		}{
-			{"ffwd", func(t *testing.T) *textFrontend { return ffwdText(t, 1024, 4) },
+			{"ffwd", func(t *testing.T) frontend.Config { return ffwdText(t, 1024, 4) },
 				func(t *testing.T) []frontend.Exec {
 					be, err := newFFWDBackend(storeOpts{capacity: 1024, shards: 2}, obs.NewRegistry())
 					if err != nil {
@@ -256,11 +255,11 @@ func TestPipelinedBurstProgramOrder(t *testing.T) {
 					t.Cleanup(be.stop)
 					return be.binary
 				}},
-			{"mutex", func(*testing.T) *textFrontend { return mutexText(1024, nil) },
+			{"mutex", func(*testing.T) frontend.Config { return mutexText(1024, nil) },
 				func(*testing.T) []frontend.Exec {
 					return newMutexBackend(storeOpts{capacity: 1024, shards: 2, tick: func() uint64 { return 0 }}, obs.NewRegistry()).binary
 				}},
-			{"replicated", func(t *testing.T) *textFrontend { return newRepBackend(t, 1024, 4, nil).fe },
+			{"replicated", func(t *testing.T) frontend.Config { return newRepBackend(t, 1024, 4, nil).cfg },
 				func(t *testing.T) []frontend.Exec {
 					rb := newRepBackend(t, 1024, 2, nil)
 					return newRepExecs(rb.r, 2, rb.cnt)
@@ -270,7 +269,8 @@ func TestPipelinedBurstProgramOrder(t *testing.T) {
 				return []string{fmt.Sprintf("set %d 1", k), fmt.Sprintf("set %d 2", k), fmt.Sprintf("get %d", k), fmt.Sprintf("del %d", k), fmt.Sprintf("get %d", k)}
 			}
 			t.Run(fmt.Sprintf("%s/procs=%d", tc.name, procs), func(t *testing.T) {
-				conn, r, _ := dialText(t, listen(t, tc.text(t)))
+				_, addr := listen(t, tc.text(t))
+				conn, r, _ := dialText(t, addr)
 				for k := 0; k < 200; k++ {
 					if _, err := conn.Write([]byte(strings.Join(burst(k), "\n") + "\n")); err != nil {
 						t.Fatal(err)
@@ -284,7 +284,8 @@ func TestPipelinedBurstProgramOrder(t *testing.T) {
 				}
 			})
 			t.Run(fmt.Sprintf("%s/binary/procs=%d", tc.name, procs), func(t *testing.T) {
-				bc := dialBinary(t, listenBinary(t, tc.binary(t)))
+				_, addr := listen(t, frontend.Config{Execs: tc.binary(t)})
+				bc := dialBinary(t, addr)
 				for k := 0; k < 200; k++ {
 					if got := bc.burst(burst(k)); !slices.Equal(got, want) {
 						t.Fatalf("key %d replies %q, want %q", k, got, want)

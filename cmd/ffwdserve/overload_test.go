@@ -8,6 +8,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"ffwd/internal/frontend"
+	"ffwd/internal/wireproto"
 )
 
 // dialText opens a connection with a line-oriented send/recv helper.
@@ -38,25 +41,25 @@ func dialText(t *testing.T, addr string) (net.Conn, *bufio.Reader, func(cmd stri
 // reply and leave the connection serving — no silent truncation, no
 // silent disconnect.
 func TestProtocolRobustness(t *testing.T) {
-	addr := listen(t, ffwdText(t, 1024, 4))
+	_, addr := listen(t, ffwdText(t, 1024, 4))
 	_, _, send := dialText(t, addr)
 
-	long := "set 1 " + strings.Repeat("9", maxLine+100)
+	long := "set 1 " + strings.Repeat("9", frontend.MaxLine+100)
 	hugeMget := "mget"
-	for i := 0; i <= mgetMax; i++ {
+	for i := 0; i <= wireproto.MGetMax; i++ {
 		hugeMget += fmt.Sprintf(" %d", i)
 	}
 	steps := []struct{ in, want string }{
 		{"set 5 50", "STORED"},
 		{long, "ERROR line too long"},
 		{"get 5", "VALUE 50"}, // the overlong line did not desync the stream
-		{hugeMget, fmt.Sprintf("ERROR mget limited to %d keys", mgetMax)},
+		{hugeMget, fmt.Sprintf("ERROR mget limited to %d keys", wireproto.MGetMax)},
 		{"get 5", "VALUE 50"},
-		{"bogus", usageMsg},
+		{"bogus", frontend.UsageMsg},
 		{"get x", "ERROR bad number \"x\""},
-		{"set 1", usageMsg},
-		{"set 1 2 3", usageMsg},
-		{"\x00\x01\x02", usageMsg}, // binary junk is an unknown op, not a crash
+		{"set 1", frontend.UsageMsg},
+		{"set 1 2 3", frontend.UsageMsg},
+		{"\x00\x01\x02", frontend.UsageMsg}, // binary junk is an unknown op, not a crash
 		{"get 18446744073709551616", "ERROR bad number \"18446744073709551616\""},
 		{"get 5", "VALUE 50"},
 	}
@@ -69,12 +72,13 @@ func TestProtocolRobustness(t *testing.T) {
 
 // TestStalledConnectionHitsReadDeadline is the idle-leak regression: a
 // quit-less client that goes silent must be told and dropped by the read
-// deadline, not held open forever — and the frontend must keep serving
-// fresh connections afterwards.
+// deadline (within [IdleTimeout, 2 × IdleTimeout] of its last byte), not
+// held open forever — and the server must keep serving fresh connections
+// afterwards.
 func TestStalledConnectionHitsReadDeadline(t *testing.T) {
-	fe := ffwdText(t, 64, 2)
-	fe.readTimeout = 50 * time.Millisecond
-	addr := listen(t, fe)
+	cfg := ffwdText(t, 64, 2)
+	cfg.IdleTimeout = 50 * time.Millisecond
+	srv, addr := listen(t, cfg)
 
 	conn, r, send := dialText(t, addr)
 	if got := send("set 1 10"); got != "STORED" {
@@ -89,8 +93,8 @@ func TestStalledConnectionHitsReadDeadline(t *testing.T) {
 	if _, err := r.ReadString('\n'); err != io.EOF {
 		t.Fatalf("connection still open after idle timeout: %v", err)
 	}
-	if got := fe.stats.readTimeouts.Load(); got != 1 {
-		t.Fatalf("readTimeouts = %d, want 1", got)
+	if got := srv.Metrics().IdleReaps.Load(); got != 1 {
+		t.Fatalf("idle reaps = %d, want 1", got)
 	}
 	// The frontend is unharmed: a fresh connection serves normally.
 	_, _, send2 := dialText(t, addr)
@@ -103,9 +107,9 @@ func TestStalledConnectionHitsReadDeadline(t *testing.T) {
 // closed without a serving goroutine; when a slot frees, admission
 // resumes.
 func TestMaxConnsAdmission(t *testing.T) {
-	fe := ffwdText(t, 64, 2)
-	fe.maxConns = 1
-	addr := listen(t, fe)
+	cfg := ffwdText(t, 64, 2)
+	cfg.MaxConns = 1
+	srv, addr := listen(t, cfg)
 
 	conn1, _, send := dialText(t, addr)
 	if got := send("len"); got != "LEN 0" {
@@ -120,13 +124,13 @@ func TestMaxConnsAdmission(t *testing.T) {
 	if _, err := r2.ReadString('\n'); err != io.EOF {
 		t.Fatalf("rejected connection not closed: %v", err)
 	}
-	if got := fe.stats.rejected.Load(); got != 1 {
+	if got := srv.Metrics().Rejected.Load(); got != 1 {
 		t.Fatalf("rejected = %d, want 1", got)
 	}
 	// Free the slot and get admitted.
 	conn1.Close()
 	deadline := time.Now().Add(2 * time.Second)
-	for fe.stats.active.Load() != 0 {
+	for srv.Metrics().Active.Load() != 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("slot never freed")
 		}
@@ -138,53 +142,113 @@ func TestMaxConnsAdmission(t *testing.T) {
 	}
 }
 
+// heldExec wraps an executor so a test can hold it mid-batch: ExecBatch
+// announces itself on entered and blocks until release closes.
+type heldExec struct {
+	frontend.Exec
+	entered, release chan struct{}
+}
+
+func (h *heldExec) ExecBatch(ops []frontend.Op, results []frontend.Result) {
+	select {
+	case h.entered <- struct{}{}:
+	default:
+	}
+	<-h.release
+	h.Exec.ExecBatch(ops, results)
+}
+
 // TestPoolSaturationSheds: with every pooled executor borrowed, a
 // command batch must be answered BUSY within the shed timeout instead of
 // queueing indefinitely — every command of it, and only those that
-// needed an executor — and served again once an executor returns.
+// needed an executor: a malformed line is still told so, and the
+// replicated stats verb, which reads the group and not the store, is
+// still answered — and served again once an executor returns.
 func TestPoolSaturationSheds(t *testing.T) {
-	fe := ffwdText(t, 64, 1) // a single pooled executor
-	fe.pool.shedAfter = time.Millisecond
+	const busy = "BUSY delegation pool saturated"
+	for _, tc := range []struct {
+		name  string
+		cfg   frontend.Config
+		stats string // what the stats verb answers while saturated
+		sheds uint64 // commands shed, of set, get and stats
+	}{
+		{"ffwd", ffwdText(t, 64, 1), busy, 3},
+		{"replicated", newRepBackend(t, 64, 1, nil).cfg, "STATS term=1 ", 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			held := &heldExec{Exec: tc.cfg.Execs[0], entered: make(chan struct{}, 1), release: make(chan struct{})}
+			tc.cfg.Execs, tc.cfg.ShedTimeout = []frontend.Exec{held}, time.Millisecond // a single pooled executor
+			srv, addr := listen(t, tc.cfg)
 
-	held := fe.pool.get() // saturate the pool
-	if got := handle(fe, "len"); got != "BUSY delegation pool saturated" {
-		t.Fatalf("saturated handle = %q, want BUSY", got)
-	}
-	if got := fe.pool.sheds.Load(); got != 1 {
-		t.Fatalf("sheds = %d, want 1", got)
-	}
-	var b textBatch
-	for _, line := range []string{"set 1 1", "bogus", "get 1"} {
-		b.add([]byte(line))
-	}
-	fe.run(&b)
-	if want := busyPool + "\n" + usageMsg + "\n" + busyPool + "\n"; string(b.out) != want {
-		t.Fatalf("saturated batch = %q, want %q", b.out, want)
-	}
-	fe.pool.put(held)
-	if got := handle(fe, "len"); got != "LEN 0" {
-		t.Fatalf("post-release handle = %q", got)
+			holder, hr, _ := dialText(t, addr)
+			fmt.Fprintf(holder, "len\n")
+			<-held.entered // the pool is saturated
+
+			conn, r, send := dialText(t, addr)
+			fmt.Fprintf(conn, "set 1 1\nbogus\nget 1\nstats\n")
+			for i, want := range []string{busy, frontend.UsageMsg, busy, tc.stats} {
+				if line, err := r.ReadString('\n'); err != nil || !strings.HasPrefix(line, want) {
+					t.Fatalf("saturated reply %d = %q, %v; want %q", i, line, err, want)
+				}
+			}
+			if got := srv.Metrics().QueueSheds.Load(); got != tc.sheds {
+				t.Fatalf("sheds = %d, want %d", got, tc.sheds)
+			}
+			close(held.release)
+			if line, _ := hr.ReadString('\n'); line != "LEN 0\n" {
+				t.Fatalf("held command = %q", line)
+			}
+			if got := send("len"); got != "LEN 0" {
+				t.Fatalf("post-release = %q", got)
+			}
+		})
 	}
 }
 
-// TestReadLineBounds pins readLine's contract: exact-fit lines pass,
-// one-over lines come back as errLineTooLong with the stream intact.
+// TestReadLineBounds pins the line codec's bound: exact-fit lines pass,
+// one-over lines cost one ERROR with the stream intact.
 func TestReadLineBounds(t *testing.T) {
-	fits := strings.Repeat("a", maxLine-1) + "\n"
-	over := strings.Repeat("b", maxLine) + "\n"
-	r := bufio.NewReaderSize(strings.NewReader(fits+over+"next\n"), maxLine)
-	if line, err := readLine(r); err != nil || string(line) != fits {
-		t.Fatalf("exact-fit line: %q, %v", line[:16], err)
+	const tooLong = "ERROR line too long\n"
+	fits := strings.Repeat("a", frontend.MaxLine-1) + "\n"
+	over := strings.Repeat("b", frontend.MaxLine) + "\n"
+	buf := []byte(fits + over + "next\n")
+	var r frontend.Request
+	next := func() (frontend.Verdict, string) {
+		n, v := frontend.Text{}.Decode(buf, &r)
+		buf = buf[n:]
+		return v, string(r.Reply)
 	}
-	if _, err := readLine(r); err != errLineTooLong {
-		t.Fatalf("over line: %v, want errLineTooLong", err)
+	if v, reply := next(); v != frontend.Reply || reply != frontend.UsageMsg+"\n" {
+		t.Fatalf("exact-fit line: %v %q", v, reply)
 	}
-	if line, err := readLine(r); err != nil || string(line) != "next\n" {
-		t.Fatalf("stream desynced after overlong line: %q, %v", line, err)
+	if v, reply := next(); v != frontend.Reply|frontend.Malformed || reply != tooLong {
+		t.Fatalf("over line: %v %q, want the too-long error", v, reply)
 	}
-	// A trailing line without a newline is still a command.
-	r = bufio.NewReaderSize(strings.NewReader("quit"), maxLine)
-	if line, err := readLine(r); err != nil || string(line) != "quit" {
-		t.Fatalf("unterminated final line: %q, %v", line, err)
+	if v, reply := next(); v != frontend.Reply || reply != frontend.UsageMsg+"\n" || len(buf) != 0 {
+		t.Fatalf("stream desynced after overlong line: %v %q, %d bytes left", v, reply, len(buf))
+	}
+	// The same line arriving through a connection's MaxLine-byte buffer:
+	// one error for its first buffer-full, the rest discarded through the
+	// newline, and the command behind it intact.
+	buf = []byte(over[:frontend.MaxLine])
+	if v, reply := next(); v != frontend.Reply|frontend.Malformed || reply != tooLong || len(buf) != 0 {
+		t.Fatalf("buffer-full of an over line: %v %q", v, reply)
+	}
+	buf = []byte(over[frontend.MaxLine:] + "len\n")
+	if v, reply := next(); v != frontend.Reply || reply != "" {
+		t.Fatalf("tail of an over line: %v %q, want it discarded without a word", v, reply)
+	}
+	if v, _ := next(); v != frontend.Run || r.Op != wireproto.OpLen {
+		t.Fatalf("command behind an over line: %v %+v", v, r.Request)
+	}
+	// A trailing line without a newline waits for more — until the peer
+	// has closed, when it is still a command.
+	buf = []byte("quit")
+	if v, _ := next(); v != frontend.More {
+		t.Fatalf("unterminated line before EOF: %v, want More", v)
+	}
+	r.EOF = true
+	if v, _ := next(); v != frontend.Close {
+		t.Fatalf("unterminated final line: %v, want the quit", v)
 	}
 }

@@ -3,7 +3,9 @@ package main
 import (
 	"errors"
 	"net"
+	"slices"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -14,7 +16,7 @@ import (
 
 // binParityClient speaks the binary protocol one request at a time and
 // renders each response in the text protocol's reply format, so the
-// parity test can compare the two frontends verbatim.
+// parity test can compare the two protocols verbatim.
 type binParityClient struct {
 	t    *testing.T
 	c    net.Conn
@@ -75,30 +77,27 @@ func (b *binParityClient) recv() wireproto.Response {
 }
 
 // request maps one text-protocol command to the binary request that
-// carries the same frontend.Op: the command goes through the text parser
-// and the Op's fields ride the request.
+// carries the same op: whatever the line codec decodes it to.
 func (b *binParityClient) request(line string) wireproto.Request {
 	b.t.Helper()
-	var op frontend.Op
-	// (A reserved-value set parses to its Op and a refusal; send the Op
-	// anyway — the binary frontend must refuse it in the same words.)
-	if parse([]byte(line), &op, nil); op.Kind == wireproto.OpNop {
+	r, v := decode(line)
+	if v != frontend.Run {
 		b.t.Fatalf("no binary equivalent for %q", line)
 	}
-	return wireproto.Request{Op: op.Kind, Key: op.Key, Val: op.Val, TTL: op.TTL, Keys: op.Keys}
+	return wireproto.Request{Op: r.Op, Key: r.Key, Val: r.Val, TTL: r.TTL, Keys: slices.Clone(r.Keys)}
 }
 
-// render formats a binary response through the text formatter.
+// render formats a binary response through the line codec.
 func render(resp *wireproto.Response) string {
-	return string(appendReply(nil, &frontend.Result{
+	return strings.TrimSuffix(string(frontend.Text{}.Append(nil, 0, 0, &frontend.Result{
 		Status: resp.Type, Val: resp.Val, Code: resp.Code, Vals: resp.Vals,
 		Hits: resp.Hits, Misses: resp.Misses, Evictions: resp.Evictions, Expired: resp.Expired,
-	}))
+	})), "\n")
 }
 
 // handle runs one text-protocol command through the binary frontend and
 // renders the reply in the text reply format. Parity then says exactly
-// that both frontends hand the executor the same Op and get the same
+// that both protocols hand the executor the same Op and get the same
 // Result back.
 func (b *binParityClient) handle(line string) string {
 	b.t.Helper()
@@ -134,39 +133,20 @@ func (b *binParityClient) burst(lines []string) []string {
 	return replies
 }
 
-// listenBinary serves execs, one per shard, on the binary dataplane.
-func listenBinary(t *testing.T, execs []frontend.Exec) string {
-	t.Helper()
-	bsrv, err := frontend.NewServer(frontend.Config{Execs: execs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(bsrv.Close)
-	bln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { bln.Close() })
-	go bsrv.Serve(bln)
-	return bln.Addr().String()
-}
-
-// TestFrontendParity runs one op sequence through both frontends over
-// TCP — the text protocol against a textFrontend, the binary protocol
-// against the internal/frontend dataplane — each over its own
-// identically configured store, for every backend, and requires every
-// reply to match verbatim once the binary responses are rendered in text
-// form. The stats step pins that both frontends report identical stats
-// fields.
+// TestFrontendParity runs one op sequence through both protocols over
+// TCP — one frontend.Server per codec, each over its own identically
+// configured store, for every backend — and requires every reply to
+// match verbatim once the binary responses are rendered in text form.
+// The stats step pins that both protocols report identical stats fields.
 func TestFrontendParity(t *testing.T) {
 	const (
 		capacity = 1024
 		shards   = 2
 	)
-	// A full-width multi-get, most of it misses, through each frontend's
+	// A full-width multi-get, most of it misses, through each protocol's
 	// one-handle executor, which fences it inside its window.
 	wideMget := "mget"
-	for k := 1; k <= mgetMax; k++ {
+	for k := 1; k <= wireproto.MGetMax; k++ {
 		wideMget += " " + strconv.Itoa(k)
 	}
 	steps := []string{
@@ -196,13 +176,13 @@ func TestFrontendParity(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name string
-		// build returns a text frontend and a shard executor list, each
-		// over a fresh store.
-		build func(t *testing.T) (*textFrontend, []frontend.Exec)
-		// skip names a step the two frontends answer differently by design.
+		// build returns a text server configuration and a shard executor
+		// list, each over a fresh store.
+		build func(t *testing.T) (frontend.Config, []frontend.Exec)
+		// skip names a step the two protocols answer differently by design.
 		skip string
 	}{
-		{name: "ffwd", build: func(t *testing.T) (*textFrontend, []frontend.Exec) {
+		{name: "ffwd", build: func(t *testing.T) (frontend.Config, []frontend.Exec) {
 			be, err := newFFWDBackend(storeOpts{capacity: capacity, shards: shards}, obs.NewRegistry())
 			if err != nil {
 				t.Fatal(err)
@@ -210,21 +190,22 @@ func TestFrontendParity(t *testing.T) {
 			t.Cleanup(be.stop)
 			return ffwdText(t, capacity, 4), be.binary
 		}},
-		{name: "mutex", build: func(t *testing.T) (*textFrontend, []frontend.Exec) {
+		{name: "mutex", build: func(t *testing.T) (frontend.Config, []frontend.Exec) {
 			return mutexText(capacity, nil), newMutexBackend(storeOpts{capacity: capacity, shards: shards, tick: func() uint64 { return 0 }}, obs.NewRegistry()).binary
 		}},
 		// The replicated text stats verb reports the group; the binary
 		// stats response has no fields for one and is refused.
-		{name: "replicated", skip: "stats", build: func(t *testing.T) (*textFrontend, []frontend.Exec) {
+		{name: "replicated", skip: "stats", build: func(t *testing.T) (frontend.Config, []frontend.Exec) {
 			rb := newRepBackend(t, capacity, shards, nil)
-			return newRepBackend(t, capacity, 4, nil).fe, newRepExecs(rb.r, shards, rb.cnt)
+			return newRepBackend(t, capacity, 4, nil).cfg, newRepExecs(rb.r, shards, rb.cnt)
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			fe, execs := tc.build(t)
-			_, _, textHandle := dialText(t, listen(t, fe))
-
-			bc := dialBinary(t, listenBinary(t, execs))
+			cfg, execs := tc.build(t)
+			_, addr := listen(t, cfg)
+			_, _, textHandle := dialText(t, addr)
+			_, baddr := listen(t, frontend.Config{Execs: execs})
+			bc := dialBinary(t, baddr)
 
 			for _, cmd := range steps {
 				if cmd == tc.skip {

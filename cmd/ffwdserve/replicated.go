@@ -67,7 +67,7 @@ func newReplicatedBackend(o storeOpts, rcfg apps.ReplicatedConfig, reg *obs.Regi
 	}
 	cnt := &repCounters{}
 	be.text, be.binary = newRepExecs(rkv, o.clients, cnt), newRepExecs(rkv, o.shards, cnt)
-	be.statsReply = func() string { return repStatsLine(rkv.Group()) }
+	be.groupStats = func() string { return repStatsLine(rkv.Group()) }
 	be.stop = rkv.Stop
 	// The report keeps replicated writes separate from leader-local
 	// reads: a replicated op in flight at shutdown was force-closed
@@ -206,7 +206,7 @@ func (e *repExec) read(op *frontend.Op, res *frontend.Result) {
 	}
 }
 
-// repStatsLine is the replicated text frontend's stats reply.
+// repStatsLine is the replicated backend's reply to the text stats verb.
 func repStatsLine(g *replica.Group) string {
 	st := g.Stats()
 	return fmt.Sprintf("STATS term=%d leader=%d alive=%d/%d commit_index=%d commits=%d ledger_hits=%d apply_dups=%d append_drops=%d failovers=%d snapshots=%d snapshot_installs=%d log_truncated=%d remote_acks=%d remote_nacks=%d",

@@ -9,11 +9,13 @@ import (
 	"ffwd/internal/apps"
 	"ffwd/internal/core"
 	"ffwd/internal/fault"
+	"ffwd/internal/frontend"
 )
 
-// repBackend is a text frontend over a fresh 3-replica in-process group.
+// repBackend is a text server configuration over a fresh 3-replica
+// in-process group.
 type repBackend struct {
-	fe  *textFrontend
+	cfg frontend.Config
 	r   *apps.ReplicatedKV
 	cnt *repCounters
 }
@@ -33,8 +35,7 @@ func newRepBackend(t *testing.T, capacity, clients int, hooks core.Hooks) *repBa
 	}
 	t.Cleanup(r.Stop)
 	rb := &repBackend{r: r, cnt: &repCounters{}}
-	rb.fe = newTextFrontend(newExecPool(newRepExecs(r, clients, rb.cnt), 0))
-	rb.fe.statsReply = func() string { return repStatsLine(r.Group()) }
+	rb.cfg = frontend.Config{Codec: frontend.Text{Stats: func() string { return repStatsLine(r.Group()) }}, Execs: newRepExecs(r, clients, rb.cnt)}
 	return rb
 }
 
@@ -43,7 +44,7 @@ func newRepBackend(t *testing.T, capacity, clients int, hooks core.Hooks) *repBa
 // replication counters.
 func TestReplicatedServeOverTCP(t *testing.T) {
 	rb := newRepBackend(t, 1024, 4, nil)
-	addr := listen(t, rb.fe)
+	_, addr := listen(t, rb.cfg)
 	_, _, send := dialText(t, addr)
 
 	if got := send("set 7 700"); got != "STORED" {
@@ -73,7 +74,7 @@ func TestReplicatedServeOverTCP(t *testing.T) {
 	if got := send("set 1 18446744073709551613"); got != "ERROR value reserved" {
 		t.Fatalf("reserved value: %q", got)
 	}
-	if got := send("bogus"); got != usageMsg {
+	if got := send("bogus"); got != frontend.UsageMsg {
 		t.Fatalf("bogus: %q", got)
 	}
 	// The drain-report split: 5 local reads (get, mget, len, and the two
@@ -99,7 +100,7 @@ func TestReplicatedServeOverTCP(t *testing.T) {
 func TestReplicatedServeFailover(t *testing.T) {
 	inj := fault.New(fault.Plan{KillAtOp: 4})
 	rb := newRepBackend(t, 1024, 2, inj)
-	addr := listen(t, rb.fe)
+	_, addr := listen(t, rb.cfg)
 	_, _, send := dialText(t, addr)
 
 	for i := 1; i <= 6; i++ {
@@ -129,7 +130,8 @@ func itoa(n int) string { return strconv.Itoa(n) }
 // sees the burst's last write.
 func TestReplicatedBurstIsOneGroupCommit(t *testing.T) {
 	rb := newRepBackend(t, 1024, 2, nil)
-	conn, r, send := dialText(t, listen(t, rb.fe))
+	_, addr := listen(t, rb.cfg)
+	conn, r, send := dialText(t, addr)
 	if got := send("set 1 1"); got != "STORED" { // binds the executor's handle
 		t.Fatalf("set: %q", got)
 	}

@@ -2,7 +2,6 @@ package main
 
 import (
 	"bufio"
-	"net"
 	"regexp"
 	"sort"
 	"strconv"
@@ -36,12 +35,12 @@ ffwd_frontend_queue_capacity gauge
 ffwd_frontend_queue_depth gauge
 ffwd_frontend_queue_sheds_total counter
 ffwd_frontend_rejected_total counter
-ffwdserve_busy_sheds_total counter
-ffwdserve_connections_accepted_total counter
-ffwdserve_connections_active gauge
-ffwdserve_connections_rejected_total counter
-ffwdserve_long_lines_total counter
-ffwdserve_read_timeouts_total counter`
+ffwd_text_queue_sheds_total counter
+ffwd_text_accepted_total counter
+ffwd_text_active_conns gauge
+ffwd_text_rejected_total counter
+ffwd_text_decode_errors_total counter
+ffwd_text_idle_reaps_total counter`
 	parentStore = `
 ffwd_evict_evictions_total counter
 ffwd_expiry_expired_total counter`
@@ -75,8 +74,20 @@ ffwdserve_replicated_ops_total counter`
 // What the registry added: rows that used to reach only the shutdown
 // report or /debug/vars now reach every sink. (The replicated leader's
 // delegation server, of which only ffwd_requests_total was exported,
-// also gains the rest of the core rows.)
+// also gains the rest of the core rows; the text server, which had six
+// rows of its own, declares the binary one's sixteen under its prefix.)
 const (
+	addedText = `
+ffwd_text_batch_ops_total counter
+ffwd_text_batch_p50 gauge
+ffwd_text_batch_p99 gauge
+ffwd_text_batches_total counter
+ffwd_text_bytes_in_total counter
+ffwd_text_bytes_out_total counter
+ffwd_text_flushes_total counter
+ffwd_text_frames_in_total counter
+ffwd_text_queue_capacity gauge
+ffwd_text_queue_depth gauge`
 	addedStore = `
 ffwd_store_hits_total counter
 ffwd_store_misses_total counter`
@@ -101,7 +112,7 @@ ffwd_replicas gauge`
 var benchmarkStatsLine = regexp.MustCompile(`(?:final stats|leader server stats): requests=([0-9]+) sweeps=([0-9]+) batches=([0-9]+)`)
 
 // TestStatsSinksAgree builds, for each backend kind, the registry main
-// builds, drives a few ops through both frontends, renders one sample
+// builds, drives a few ops through both protocols, renders one sample
 // through all three sinks, and requires them to agree row for row, the
 // Prometheus name/type set to be the parent commit's plus the declared
 // additions, and the report to carry the line the benchmark parses.
@@ -115,12 +126,12 @@ func TestStatsSinksAgree(t *testing.T) {
 		benchLine bool
 	}{
 		{"ffwd", func(reg *obs.Registry) (*backend, error) { return newFFWDBackend(o, reg) },
-			parentFrontends + parentStore + parentRequests + parentCore, addedStore + addedCore, true},
+			parentFrontends + parentStore + parentRequests + parentCore, addedText + addedStore + addedCore, true},
 		{"mutex", func(reg *obs.Registry) (*backend, error) { return newMutexBackend(o, reg), nil },
-			parentFrontends + parentStore, addedStore, false},
+			parentFrontends + parentStore, addedText + addedStore, false},
 		{"replicated", func(reg *obs.Registry) (*backend, error) {
 			return newReplicatedBackend(o, apps.ReplicatedConfig{Replicas: 3}, reg)
-		}, parentFrontends + parentReplicated + parentRequests, parentCore + addedCore + addedReplicated, true},
+		}, parentFrontends + parentReplicated + parentRequests, addedText + parentCore + addedCore + addedReplicated, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			reg := obs.NewRegistry()
@@ -129,24 +140,15 @@ func TestStatsSinksAgree(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Cleanup(be.stop)
-			fe := newTextFrontend(newExecPool(be.text, 0))
-			fe.statsReply = be.statsReply
-			reg.Add("conn stats", fe.statRows)
-			bsrv, err := frontend.NewServer(frontend.Config{Execs: be.binary})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(bsrv.Close)
+			// Both groups in one registry, as under -proto both: Add panics
+			// on a name or key collision.
+			tsrv, taddr := listen(t, frontend.Config{Codec: frontend.Text{Stats: be.groupStats}, Execs: be.text})
+			reg.Add("text stats", tsrv.StatRows)
+			bsrv, baddr := listen(t, frontend.Config{Execs: be.binary})
 			reg.Add("binary stats", bsrv.StatRows)
-			bln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { bln.Close() })
-			go bsrv.Serve(bln)
 
-			_, _, text := dialText(t, listen(t, fe))
-			bin := dialBinary(t, bln.Addr().String())
+			_, _, text := dialText(t, taddr)
+			bin := dialBinary(t, baddr)
 			for _, cmd := range []string{"set 1 10", "get 1", "get 2", "mget 1 2 3"} {
 				text(cmd)
 				bin.handle(cmd)
@@ -181,8 +183,8 @@ func TestStatsSinksAgree(t *testing.T) {
 			}
 
 			// The rows are live: both connections and their ops are counted.
-			if vars["accepted"] != 1 || vars["bin_accepted"] != 1 || vars["bin_frames"] != 4 {
-				t.Errorf("accepted=%v bin_accepted=%v bin_frames=%v, want 1, 1, 4", vars["accepted"], vars["bin_accepted"], vars["bin_frames"])
+			if vars["text_accepted"] != 1 || vars["text_frames"] != 4 || vars["bin_accepted"] != 1 || vars["bin_frames"] != 4 {
+				t.Errorf("text_accepted=%v text_frames=%v bin_accepted=%v bin_frames=%v, want 1, 4, 1, 4", vars["text_accepted"], vars["text_frames"], vars["bin_accepted"], vars["bin_frames"])
 			}
 			if hits, ok := vars["store_hits"]; ok && hits != 4 { // get 1 and mget's key 1, twice over
 				t.Errorf("store_hits = %v, want 4", hits)
@@ -252,7 +254,7 @@ func TestFFWDExecOneHandle(t *testing.T) {
 		t.Errorf("a binary shard holds %d delegation slots, want %d (and never above the 25 it replaces)", n, ffwdBinaryWindow)
 	}
 
-	keys := make([]uint64, mgetMax)
+	keys := make([]uint64, wireproto.MGetMax)
 	for i := range keys {
 		keys[i] = uint64(i)
 	}

@@ -1,6 +1,7 @@
 package frontend
 
 import (
+	"fmt"
 	"net"
 	"runtime"
 	"sync/atomic"
@@ -109,5 +110,40 @@ func TestMGetHotPathAllocFree(t *testing.T) {
 	iter()
 	if n := testing.AllocsPerRun(100, iter); n != 0 {
 		t.Fatalf("mget path allocates %.1f allocs/op, want 0", n)
+	}
+}
+
+// TestTextHotPathAllocFree is the same pin for an ordered connection: a
+// 64-line get/set burst through decode, the connection's own batch on a
+// borrowed executor, the line formatter and the flush allocates nothing.
+func TestTextHotPathAllocFree(t *testing.T) {
+	e := newMapExec()
+	s, err := NewServer(Config{Codec: Text{}, Execs: []Exec{e}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	d := &discardConn{}
+	c := s.newConn(d)
+
+	var lines, replies []byte
+	for i := uint64(0); i < 32; i++ {
+		lines = fmt.Appendf(lines, "set %d %d\nget %d\n", i, i+1000, i)
+		replies = fmt.Appendf(replies, "STORED\nVALUE %d\n", i+1000)
+	}
+	var want uint64
+	iter := func() {
+		c.rlen = copy(c.rbuf, lines)
+		if !s.decodeConn(c) || c.rlen != 0 {
+			panic("decodeConn left part of a burst of complete lines")
+		}
+		if want += uint64(len(replies)); d.bytes.Load() != want {
+			panic("an ordered batch returned before its replies were flushed")
+		}
+	}
+	iter()
+	if n := testing.AllocsPerRun(100, iter); n != 0 {
+		t.Fatalf("text hot path allocates %.1f allocs per 64-line burst, want 0", n)
 	}
 }

@@ -1,6 +1,11 @@
 package frontend
 
-import "ffwd/internal/wireproto"
+import (
+	"slices"
+	"time"
+
+	"ffwd/internal/wireproto"
+)
 
 // Op is one request handed to an Exec. Kind is a wireproto op constant.
 // For OpMGet, Keys holds the key list and Key/Val are zero; for the
@@ -39,8 +44,23 @@ type Exec interface {
 	ExecBatch(ops []Op, results []Result)
 }
 
-// task is one queued request. It travels by value through the shard
-// channel; mg (mget keys only) cycles through the server's buffer pool.
+// Results the server answers with itself: shed for a request no executor
+// ran (its shard queue was full, or the pool stayed empty past
+// ShedTimeout), whose Code tells it from an executor's own RespBusy for a
+// codec that words the two differently; reservedValue for a set of
+// wireproto.MissValue.
+const codeShed = 1
+
+var (
+	shed          = Result{Status: wireproto.RespBusy, Code: codeShed}
+	reservedValue = Result{Status: wireproto.RespError, Code: wireproto.CodeValueReserved}
+)
+
+// task is one request on its way through a batch. It travels by value
+// (through the shard channel, for an unordered codec); mg cycles through
+// the server's buffer pool. An OpNop task is a reply decode already knew,
+// riding an ordered connection's batch in position: the next val bytes of
+// batch.pre.
 type task struct {
 	c     *conn
 	op    uint8
@@ -52,122 +72,173 @@ type task struct {
 	mg    *mgetBuf
 }
 
-// shard is one executor loop: drain up to MaxBatch tasks, run them as a
-// single Exec batch, encode every response, flush each touched
-// connection exactly once.
-type shard struct {
+// mgetBuf carries an mget's keys to the executor and its values back
+// without allocating; buffers cycle through Server.mgFree.
+type mgetBuf struct {
+	n          int
+	keys, vals [wireproto.MGetMax]uint64
+}
+
+func (s *Server) newTask(c *conn, r *Request) task {
+	t := task{c: c, op: r.Op, flags: r.Flags, id: r.ID, key: r.Key, val: r.Val, ttl: r.TTL}
+	if r.Op == wireproto.OpMGet {
+		select {
+		case t.mg = <-s.mgFree:
+		default:
+			t.mg = new(mgetBuf)
+		}
+		t.mg.n = copy(t.mg.keys[:], r.Keys)
+	}
+	return t
+}
+
+// putMG recycles a task's mget buffer, if it has one.
+func (s *Server) putMG(mg *mgetBuf) {
+	if mg == nil {
+		return
+	}
+	select {
+	case s.mgFree <- mg:
+	default:
+	}
+}
+
+// batch is the one path from requests to reply bytes, for either codec:
+// run the tasks' ops as a single Exec batch, encode every reply in task
+// order, flush each touched connection exactly once. A shard's batch has
+// its own executor and is filled from the queue; an ordered connection's
+// is filled by its reader and borrows an executor per run.
+type batch struct {
 	s    *Server
-	exec Exec
-	q    chan task
+	exec Exec // nil: borrowed from s.pool
 
 	tasks   []task
+	pre     []byte
 	ops     []Op
 	results []Result
-	valBack [][]uint64
 	touched []*conn
-	resp    wireproto.Response
+}
+
+func (b *batch) process() {
+	if len(b.tasks) == 0 {
+		return
+	}
+	b.ops, b.results = b.ops[:0], b.results[:0]
+	for i := range b.tasks {
+		t := &b.tasks[i]
+		if t.op == wireproto.OpNop {
+			continue
+		}
+		op, res := Op{Kind: t.op, Key: t.key, Val: t.val, TTL: t.ttl}, Result{}
+		if t.mg != nil {
+			op.Keys, res.Vals = t.mg.keys[:t.mg.n], t.mg.vals[:t.mg.n]
+		}
+		b.ops, b.results = append(b.ops, op), append(b.results, res)
+	}
+	ran := len(b.ops) == 0 || b.run()
+
+	b.touched = b.touched[:0]
+	n, pre := 0, b.pre
+	for i := range b.tasks {
+		t := &b.tasks[i]
+		c := t.c
+		t.c = nil
+		c.wmu.Lock()
+		switch {
+		case t.op == wireproto.OpNop:
+			c.wbuf, pre = append(c.wbuf, pre[:t.val]...), pre[t.val:]
+		case !ran:
+			c.wbuf = b.s.cfg.Codec.Append(c.wbuf, t.id, t.flags, &shed)
+		default:
+			c.wbuf = b.s.cfg.Codec.Append(c.wbuf, t.id, t.flags, &b.results[n])
+			n++
+		}
+		c.wmu.Unlock()
+		b.s.putMG(t.mg)
+		t.mg = nil
+		if !slices.Contains(b.touched, c) {
+			b.touched = append(b.touched, c)
+		}
+	}
+	for i, c := range b.touched {
+		c.flush()
+		b.touched[i] = nil
+	}
+	b.tasks, b.pre = b.tasks[:0], b.pre[:0]
+}
+
+// run executes b.ops on the batch's executor, or on one borrowed from the
+// pool for the call, and reports false when none could be had.
+func (b *batch) run() bool {
+	exec := b.exec
+	if exec == nil {
+		if exec = b.s.borrow(); exec == nil {
+			b.s.met.QueueSheds.Add(uint64(len(b.ops)))
+			return false
+		}
+	}
+	exec.ExecBatch(b.ops, b.results)
+	b.s.met.observeBatch(len(b.ops))
+	if b.exec == nil {
+		b.s.pool <- exec
+	}
+	return true
+}
+
+// borrow takes an executor from the pool for one batch, or returns nil
+// once ShedTimeout passes with the pool still empty (0 = wait forever).
+// Delegation handles are a bounded resource, hence a fixed channel and
+// not a sync.Pool, which may drop what it is given.
+func (s *Server) borrow() Exec {
+	select {
+	case e := <-s.pool:
+		return e
+	default:
+	}
+	if s.cfg.ShedTimeout <= 0 {
+		return <-s.pool
+	}
+	t := time.NewTimer(s.cfg.ShedTimeout)
+	defer t.Stop()
+	select {
+	case e := <-s.pool:
+		return e
+	case <-t.C:
+		return nil
+	}
+}
+
+// shard is one queue executor of an unordered codec: drain up to MaxBatch
+// queued tasks, process them as one batch.
+type shard struct {
+	batch
+	q chan task
 }
 
 func newShard(s *Server, e Exec, depth, maxBatch int) *shard {
-	sh := &shard{
-		s:       s,
-		exec:    e,
-		q:       make(chan task, depth),
-		tasks:   make([]task, maxBatch),
-		ops:     make([]Op, maxBatch),
-		results: make([]Result, maxBatch),
-		valBack: make([][]uint64, maxBatch),
-		touched: make([]*conn, maxBatch),
+	return &shard{
+		batch: batch{s: s, exec: e, tasks: make([]task, 0, maxBatch), ops: make([]Op, 0, maxBatch),
+			results: make([]Result, 0, maxBatch), touched: make([]*conn, 0, maxBatch)},
+		q: make(chan task, depth),
 	}
-	for i := range sh.valBack {
-		sh.valBack[i] = make([]uint64, wireproto.MGetMax)
-	}
-	return sh
 }
 
 func (sh *shard) run() {
 	defer sh.s.execWG.Done()
 	for t := range sh.q {
-		sh.tasks[0] = t
-		n := 1
+		sh.tasks = append(sh.tasks, t)
 	drain:
-		for n < len(sh.tasks) {
+		for len(sh.tasks) < sh.s.cfg.MaxBatch {
 			select {
 			case t2, ok := <-sh.q:
 				if !ok {
 					break drain
 				}
-				sh.tasks[n] = t2
-				n++
+				sh.tasks = append(sh.tasks, t2)
 			default:
 				break drain
 			}
 		}
-		sh.process(n)
-	}
-}
-
-func (sh *shard) process(n int) {
-	for i := 0; i < n; i++ {
-		t := &sh.tasks[i]
-		op := &sh.ops[i]
-		res := &sh.results[i]
-		op.Kind, op.Key, op.Val, op.TTL = t.op, t.key, t.val, t.ttl
-		op.Keys = nil
-		*res = Result{}
-		if t.op == wireproto.OpMGet {
-			op.Keys = t.mg.keys[:t.mg.n]
-			res.Vals = sh.valBack[i][:t.mg.n]
-		}
-	}
-
-	sh.exec.ExecBatch(sh.ops[:n], sh.results[:n])
-	sh.s.met.observeBatch(n)
-
-	nt := 0
-	for i := 0; i < n; i++ {
-		t := &sh.tasks[i]
-		if t.mg != nil {
-			sh.s.putMG(t.mg)
-			t.mg = nil
-		}
-		c := t.c
-		t.c = nil
-		if c.dead.Load() {
-			continue
-		}
-		res := &sh.results[i]
-		st, code := res.Status, res.Code
-		if st == 0 {
-			st, code = wireproto.RespError, wireproto.CodeInternal
-		}
-		sh.resp = wireproto.Response{
-			Type:      st,
-			Flags:     t.flags & wireproto.FlagCRC,
-			ID:        t.id,
-			Val:       res.Val,
-			Code:      code,
-			Hits:      res.Hits,
-			Misses:    res.Misses,
-			Evictions: res.Evictions,
-			Expired:   res.Expired,
-			Vals:      res.Vals,
-		}
-		c.appendResp(&sh.resp)
-		dup := false
-		for j := 0; j < nt; j++ {
-			if sh.touched[j] == c {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			sh.touched[nt] = c
-			nt++
-		}
-	}
-	for j := 0; j < nt; j++ {
-		sh.touched[j].flush()
-		sh.touched[j] = nil
+		sh.process()
 	}
 }

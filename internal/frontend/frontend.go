@@ -1,9 +1,8 @@
-// Package frontend is the binary dataplane serving path of ffwdserve: a
-// reader goroutine per connection batch-decodes wireproto frames into
-// per-shard request queues, a shard executor drains each queue and runs
-// the operations through the delegation pool as one pipelined batch, and
-// responses are flushed back with one buffered write per connection per
-// batch.
+// Package frontend is the serving path of ffwdserve, one connection
+// lifecycle for every wire protocol: a reader goroutine per connection
+// batch-decodes requests through the Server's Codec, executors run them
+// through the delegation pool as pipelined batches, and replies are
+// flushed back with one buffered write per connection per batch.
 //
 // The layering mirrors the thesis of the ffwd paper applied to a
 // network server: the expensive part of a request is not the hash-table
@@ -16,11 +15,18 @@
 //	                                                       ▼
 //	conns ◄────── one write per conn per batch ◄────── shard executor (Exec)
 //
-// Responses complete out of order across shards; clients match them to
-// requests by ID (see internal/wireproto). Ordering within a single
-// shard follows submission order, but the frontend makes no cross-shard
-// promise — that is what buys slow operations freedom from
-// head-of-line-blocking fast ones.
+// That is the path of the binary codec. Its responses complete out of
+// order across shards; clients match them to requests by ID (see
+// internal/wireproto). Ordering within a single shard follows submission
+// order, but there is no cross-shard promise — that is what buys slow
+// operations freedom from head-of-line-blocking fast ones.
+//
+// A codec whose clients match replies by position (Text) is ordered: its
+// reader skips the queues, collects what one Read decoded (≤ MaxBatch),
+// borrows an executor from the pool of Config.Execs and runs the same
+// batch code itself, so replies leave in request order by construction:
+//
+//	conn ──► reader ─ decode ─ borrow Exec ─ batch ─ one write ──► conn
 //
 // Ownership rules, which keep the hot path allocation- and lock-free:
 // a connection's lifetime ends in one place, its reader's deferred
@@ -43,21 +49,31 @@ import (
 
 // Config sizes a Server. Zero values pick sane defaults.
 type Config struct {
-	// Execs is the shard executor list; one goroutine drains each. Keyed
-	// single-op requests hash to a shard by key; mget/len/stats stick to
-	// a per-connection shard. Required: at least one.
+	// Codec is the wire format. nil = Binary.
+	Codec Codec
+
+	// Execs is the executor list. Required: at least one. Under an
+	// unordered codec each is a shard and one goroutine drains its queue:
+	// keyed single-op requests hash to a shard by key, mget/len/stats stick
+	// to a per-connection shard. Under an ordered codec they form the pool
+	// connections borrow from, one executor per batch.
 	Execs []Exec
+
+	// ShedTimeout bounds how long an ordered connection's batch waits for
+	// a pooled executor before every request in it is answered busy.
+	// 0 = wait forever.
+	ShedTimeout time.Duration
 
 	// QueueDepth is each shard queue's capacity. A full queue sheds with
 	// RespBusy rather than blocking the reader. Default 1024.
 	QueueDepth int
 
-	// MaxBatch bounds how many queued requests one executor drain may
-	// run as a single pipelined batch. Default 64.
+	// MaxBatch bounds how many requests run as a single pipelined batch.
+	// Default 64.
 	MaxBatch int
 
-	// MaxConns bounds concurrent connections; excess accepts receive a
-	// RespBusy frame and are closed. 0 = unlimited.
+	// MaxConns bounds concurrent connections; excess accepts receive the
+	// codec's Reject bytes and are closed. 0 = unlimited.
 	MaxConns int
 
 	// IdleTimeout reaps a connection that sends nothing: no earlier than
@@ -72,8 +88,10 @@ type Config struct {
 // Server accepts connections and runs the reader/executor loops.
 type Server struct {
 	cfg     Config
+	traits  Traits
 	met     Metrics
-	shards  []*shard
+	shards  []*shard  // unordered codec: one queue executor per Exec
+	pool    chan Exec // ordered codec: the executors, lent a batch at a time
 	mgFree  chan *mgetBuf
 	connSeq atomic.Uint64
 
@@ -93,12 +111,12 @@ type conn struct {
 	srv *Server
 	nc  net.Conn
 
-	shard int // fixed shard for conn-affine ops (mget/len/stats)
+	shard int    // fixed shard for conn-affine ops (mget/len/stats)
+	b     *batch // ordered codec: this connection's batch, grown on demand
 
 	rbuf []byte
 	rlen int
-	req  wireproto.Request
-	keys [wireproto.MGetMax]uint64
+	req  Request
 
 	wmu  sync.Mutex
 	wbuf []byte
@@ -106,23 +124,13 @@ type conn struct {
 	dead atomic.Bool
 }
 
-// mgetBuf carries an mget key list from reader to executor without
-// allocating; buffers cycle through Server.mgFree.
-type mgetBuf struct {
-	n    int
-	keys [wireproto.MGetMax]uint64
-}
-
 const initialRbuf = 4096
 
 var errNoExecs = errors.New("frontend: Config.Execs is empty")
 
-// busyFrame is the pre-encoded RespBusy (id 0) sent to admission-rejected
-// connections.
-var busyFrame = wireproto.AppendResponse(nil, &wireproto.Response{Type: wireproto.RespBusy})
-
-// NewServer starts one executor goroutine per shard. The caller feeds it
-// listeners via Serve.
+// NewServer starts one executor goroutine per shard (unordered codec) or
+// fills the executor pool (ordered). The caller feeds it listeners via
+// Serve.
 func NewServer(cfg Config) (*Server, error) {
 	if len(cfg.Execs) == 0 {
 		return nil, errNoExecs
@@ -136,7 +144,18 @@ func NewServer(cfg Config) (*Server, error) {
 	if cfg.MaxBatch > cfg.QueueDepth {
 		cfg.MaxBatch = cfg.QueueDepth
 	}
-	s := &Server{cfg: cfg, mgFree: make(chan *mgetBuf, cfg.QueueDepth), conns: make(map[*conn]struct{})}
+	if cfg.Codec == nil {
+		cfg.Codec = Binary{}
+	}
+	s := &Server{cfg: cfg, traits: cfg.Codec.Traits(),
+		mgFree: make(chan *mgetBuf, cfg.QueueDepth), conns: make(map[*conn]struct{})}
+	if s.traits.Ordered {
+		s.pool = make(chan Exec, len(cfg.Execs))
+		for _, e := range cfg.Execs {
+			s.pool <- e
+		}
+		return s, nil
+	}
 	for _, e := range cfg.Execs {
 		sh := newShard(s, e, cfg.QueueDepth, cfg.MaxBatch)
 		s.shards = append(s.shards, sh)
@@ -150,7 +169,7 @@ func NewServer(cfg Config) (*Server, error) {
 // them for the stats sinks.
 func (s *Server) Metrics() *Metrics { return &s.met }
 
-// Shards returns the executor count.
+// Shards returns the queue executor count (0 under an ordered codec).
 func (s *Server) Shards() int { return len(s.shards) }
 
 // QueueDepth returns the current total queued requests across shards and
@@ -185,7 +204,9 @@ func (s *Server) Serve(ln net.Listener) error {
 		s.met.Accepted.Add(1)
 		if s.cfg.MaxConns > 0 && s.met.Active.Load() >= int64(s.cfg.MaxConns) {
 			s.met.Rejected.Add(1)
-			rejectBusy(nc)
+			nc.SetWriteDeadline(time.Now().Add(time.Second))
+			nc.Write(s.traits.Reject)
+			nc.Close()
 			continue
 		}
 		if tc, ok := nc.(*net.TCPConn); ok {
@@ -203,12 +224,6 @@ func (s *Server) Serve(ln net.Listener) error {
 		s.mu.Unlock()
 		go s.serveConn(c)
 	}
-}
-
-func rejectBusy(nc net.Conn) {
-	nc.SetWriteDeadline(time.Now().Add(time.Second))
-	nc.Write(busyFrame)
-	nc.Close()
 }
 
 // Drain waits up to timeout for all connections to disappear, then
@@ -253,8 +268,11 @@ func (s *Server) newConn(nc net.Conn) *conn {
 		rbuf: make([]byte, initialRbuf),
 		wbuf: make([]byte, 0, initialRbuf),
 	}
-	c.shard = int(s.connSeq.Add(1) % uint64(len(s.shards)))
-	c.req.Keys = c.keys[:0]
+	if s.traits.Ordered {
+		c.b = &batch{s: s}
+	} else {
+		c.shard = int(s.connSeq.Add(1) % uint64(len(s.shards)))
+	}
 	s.met.Active.Add(1)
 	return c
 }
@@ -265,106 +283,90 @@ func shardOfKey(key uint64, n int) int {
 	return int((key * 0x9E3779B97F4A7C15 >> 33) % uint64(n))
 }
 
-func (s *Server) getMG() *mgetBuf {
-	select {
-	case b := <-s.mgFree:
-		return b
-	default:
-		return new(mgetBuf)
-	}
-}
-
-func (s *Server) putMG(b *mgetBuf) {
-	select {
-	case s.mgFree <- b:
-	default:
-	}
-}
-
-// decodeConn decodes every complete frame currently in c's read buffer,
-// dispatching each to its shard queue, then compacts the buffer. It
-// returns false when the connection must close (framing lost); the last
-// error response has already been queued and flushed.
+// decodeConn decodes every complete request currently in c's read
+// buffer — each to its shard queue, or into the connection's own batch
+// when replies are ordered — then compacts the buffer. It returns false
+// when the connection must close (quit, or framing lost); everything owed
+// has already been flushed.
 func (s *Server) decodeConn(c *conn) bool {
-	consumed := 0
-	for {
-		body, n, err := wireproto.Split(c.rbuf[consumed:c.rlen])
-		if err == wireproto.ErrShort {
+	consumed, open := 0, true
+	r := &c.req
+	for open {
+		n, v := s.cfg.Codec.Decode(c.rbuf[consumed:c.rlen], r)
+		if v == More {
 			break
 		}
-		if err != nil {
-			s.met.DecodeErrors.Add(1)
-			c.sendError(0, 0, wireproto.CodeMalformed)
-			return false
-		}
 		consumed += n
-		if derr := wireproto.DecodeRequest(body, &c.req); derr != nil {
+		if v&Malformed != 0 {
 			s.met.DecodeErrors.Add(1)
-			code := wireproto.CodeMalformed
-			if derr == wireproto.ErrBadOp {
-				code = wireproto.CodeBadOp
-			}
-			c.sendError(0, 0, code)
-			return false
+			v &^= Malformed
 		}
-		s.met.FramesIn.Add(1)
-		s.dispatch(c, &c.req)
+		if v == Run {
+			s.met.FramesIn.Add(1)
+			if (r.Op == wireproto.OpSet || r.Op == wireproto.OpSetTTL) && r.Val == wireproto.MissValue {
+				r.Reply, v = s.cfg.Codec.Append(r.Reply[:0], r.ID, r.Flags, &reservedValue), Reply
+			}
+		}
+		open = v != Close
+		switch b := c.b; {
+		case v == Run && b == nil:
+			s.dispatch(c, r)
+		case v == Run:
+			b.tasks = append(b.tasks, s.newTask(c, r))
+		case b == nil:
+			c.send(r.Reply)
+		case len(r.Reply) > 0:
+			// Nothing overtakes: the reply waits its turn in the batch.
+			b.tasks, b.pre = append(b.tasks, task{c: c, val: uint64(len(r.Reply))}), append(b.pre, r.Reply...)
+		}
+		if c.b != nil && len(c.b.tasks) == s.cfg.MaxBatch {
+			c.b.process()
+		}
+	}
+	if c.b != nil {
+		c.b.process()
 	}
 	if consumed > 0 {
 		copy(c.rbuf, c.rbuf[consumed:c.rlen])
 		c.rlen -= consumed
 	}
-	// A frame larger than the buffer can never complete: grow toward the
-	// protocol bound. Split already rejected anything beyond it.
-	if c.rlen == len(c.rbuf) && len(c.rbuf) < wireproto.MaxFrame+4 {
-		nb := 2 * len(c.rbuf)
-		if nb > wireproto.MaxFrame+4 {
-			nb = wireproto.MaxFrame + 4
-		}
-		grown := make([]byte, nb)
+	// A request larger than the buffer can never complete: grow toward
+	// the codec's bound. Decode already refused anything beyond it.
+	if c.rlen == len(c.rbuf) && len(c.rbuf) < s.traits.MaxRequest {
+		grown := make([]byte, min(2*len(c.rbuf), s.traits.MaxRequest))
 		copy(grown, c.rbuf[:c.rlen])
 		c.rbuf = grown
 	}
-	return true
+	return open
 }
 
-// dispatch routes one decoded request to its shard queue, shedding with
-// RespBusy when the queue is full and pre-answering requests no executor
-// should see.
-func (s *Server) dispatch(c *conn, r *wireproto.Request) {
-	t := task{c: c, op: r.Op, flags: r.Flags, id: r.ID, key: r.Key, val: r.Val, ttl: r.TTL}
-	var sh *shard
+// dispatch routes one decoded request to its shard queue, shedding it
+// when the queue is full.
+func (s *Server) dispatch(c *conn, r *Request) {
+	sh := s.shards[c.shard] // mget, len, stats
 	switch r.Op {
 	case wireproto.OpGet, wireproto.OpSet, wireproto.OpDel, wireproto.OpSetTTL, wireproto.OpTouch:
-		if (r.Op == wireproto.OpSet || r.Op == wireproto.OpSetTTL) && r.Val == wireproto.MissValue {
-			c.sendError(r.ID, r.Flags, wireproto.CodeValueReserved)
-			return
-		}
 		sh = s.shards[shardOfKey(r.Key, len(s.shards))]
-	case wireproto.OpMGet:
-		mg := s.getMG()
-		mg.n = copy(mg.keys[:], r.Keys)
-		t.mg = mg
-		sh = s.shards[c.shard]
-	default: // OpLen, OpStats — DecodeRequest admits nothing else
-		sh = s.shards[c.shard]
 	}
+	t := s.newTask(c, r)
 	select {
 	case sh.q <- t:
 	default:
-		if t.mg != nil {
-			s.putMG(t.mg)
-		}
+		s.putMG(t.mg)
 		s.met.QueueSheds.Add(1)
-		c.sendBusy(r.ID, r.Flags)
+		c.wmu.Lock()
+		c.wbuf = s.cfg.Codec.Append(c.wbuf, r.ID, r.Flags, &shed)
+		c.wmu.Unlock()
+		c.flush()
 	}
 }
 
-// appendResp encodes one response into the connection's write buffer.
-func (c *conn) appendResp(r *wireproto.Response) {
+// send appends p to the write buffer and flushes it.
+func (c *conn) send(p []byte) {
 	c.wmu.Lock()
-	c.wbuf = wireproto.AppendResponse(c.wbuf, r)
+	c.wbuf = append(c.wbuf, p...)
 	c.wmu.Unlock()
+	c.flush()
 }
 
 // flush writes the buffered responses in one syscall. A write error
@@ -396,23 +398,4 @@ func (c *conn) kill() {
 	if !c.dead.Swap(true) {
 		c.nc.Close()
 	}
-}
-
-func (c *conn) sendError(id uint64, flags uint8, code uint16) {
-	c.appendResp(&wireproto.Response{
-		Type:  wireproto.RespError,
-		Flags: flags & wireproto.FlagCRC,
-		ID:    id,
-		Code:  code,
-	})
-	c.flush()
-}
-
-func (c *conn) sendBusy(id uint64, flags uint8) {
-	c.appendResp(&wireproto.Response{
-		Type:  wireproto.RespBusy,
-		Flags: flags & wireproto.FlagCRC,
-		ID:    id,
-	})
-	c.flush()
 }

@@ -481,3 +481,30 @@ func TestBatchingMetrics(t *testing.T) {
 		t.Fatalf("no write combining: %d flushes for %d ops", m.Flushes.Load(), n)
 	}
 }
+
+// TestOrderedRepliesInPosition pins what an ordered codec promises: the
+// replies to one write come back in request order — executor results and
+// the replies decode already knew interleaved as sent, a blank line
+// answered by nothing — and quit closes after everything before it has
+// been flushed, with nothing after it run.
+func TestOrderedRepliesInPosition(t *testing.T) {
+	e := newMapExec()
+	_, addr := startServer(t, Config{Codec: Text{}, Execs: []Exec{e, e}})
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	if _, err := nc.Write([]byte("set 1 1\nbogus\nget 1\nget x\n\nget 1\nquit\nset 1 2\n")); err != nil {
+		t.Fatal(err)
+	}
+	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+	got, err := io.ReadAll(nc)
+	want := "STORED\n" + UsageMsg + "\nVALUE 1\nERROR bad number \"x\"\nVALUE 1\n"
+	if err != nil || string(got) != want {
+		t.Fatalf("replies = %q, %v; want %q then EOF", got, err, want)
+	}
+	if v := e.m[1]; v != 1 {
+		t.Fatalf("key 1 = %d: the set behind quit ran", v)
+	}
+}

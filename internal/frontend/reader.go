@@ -2,14 +2,16 @@ package frontend
 
 import (
 	"errors"
+	"io"
 	"os"
 	"time"
 )
 
 // serveConn is a connection's reader and the one place it is closed: it
 // blocks in Read (the runtime netpoller parks and wakes it), decodes
-// whatever arrived into the shard queues, and returns on EOF, a read
-// error, lost framing, an idle reap or kill().
+// whatever arrived — into the shard queues, or through its own batch when
+// replies are ordered — and returns on EOF, a read error, a decoded
+// close, an idle reap or kill().
 //
 // The idle deadline is armed lazily so a busy connection never touches a
 // runtime timer: it is set once, and again only when it fires. A
@@ -33,8 +35,8 @@ func (s *Server) serveConn(c *conn) {
 	active := false
 	for {
 		if c.rlen == len(c.rbuf) {
-			// decodeConn grows the buffer up to the protocol bound; a
-			// still-full buffer here means a frame Split will reject.
+			// decodeConn grows the buffer up to the codec's bound; a
+			// still-full buffer here holds a request Decode will refuse.
 			if !s.decodeConn(c) || c.rlen == len(c.rbuf) {
 				return
 			}
@@ -50,10 +52,15 @@ func (s *Server) serveConn(c *conn) {
 		}
 		if err != nil {
 			if !errors.Is(err, os.ErrDeadlineExceeded) {
+				if err == io.EOF { // what is left may be a last, unterminated request
+					c.req.EOF = true
+					s.decodeConn(c)
+				}
 				return
 			}
 			if !active {
 				s.met.IdleReaps.Add(1)
+				c.send(s.traits.Idle)
 				return
 			}
 			active = false

@@ -87,7 +87,7 @@ func NewServer(ln net.Listener, cfg ServerConfig) *Server {
 	}
 	s := &Server{cfg: cfg, ln: ln, conns: make(map[net.Conn]struct{})}
 	s.wg.Add(1)
-	go s.acceptLoop()
+	go s.accept()
 	return s
 }
 
@@ -135,7 +135,7 @@ func (s *Server) logf(format string, args ...any) {
 	}
 }
 
-func (s *Server) acceptLoop() {
+func (s *Server) accept() {
 	defer s.wg.Done()
 	for {
 		c, err := s.ln.Accept()
