@@ -2,9 +2,10 @@ package replog
 
 import (
 	"encoding/binary"
-	"hash/crc32"
 	"os"
 	"path/filepath"
+
+	"ffwd/internal/frame"
 )
 
 // meta.bin records the durable scalars that are not log entries: the
@@ -27,25 +28,18 @@ type Meta struct {
 }
 
 func encodeMeta(m Meta) []byte {
-	buf := make([]byte, metaLen)
-	binary.LittleEndian.PutUint64(buf[0:], metaMagic)
-	binary.LittleEndian.PutUint64(buf[8:], m.Term)
-	binary.LittleEndian.PutUint64(buf[16:], m.Boots)
-	binary.LittleEndian.PutUint32(buf[24:], crc32.Checksum(buf[:24], castagnoli))
-	return buf
+	buf := binary.LittleEndian.AppendUint64(make([]byte, 0, metaLen), metaMagic)
+	buf = binary.LittleEndian.AppendUint64(buf, m.Term)
+	buf = binary.LittleEndian.AppendUint64(buf, m.Boots)
+	return frame.AppendCRC(buf, 0)
 }
 
 // loadMeta reads dir's meta.bin; a missing, short, or corrupt file is
 // the zero Meta.
 func loadMeta(dir string) Meta {
 	data, err := os.ReadFile(filepath.Join(dir, metaFile))
-	if err != nil || len(data) != metaLen {
-		return Meta{}
-	}
-	if crc32.Checksum(data[:24], castagnoli) != binary.LittleEndian.Uint32(data[24:]) {
-		return Meta{}
-	}
-	if binary.LittleEndian.Uint64(data[0:]) != metaMagic {
+	if _, ok := frame.CheckCRC(data); err != nil || len(data) != metaLen || !ok ||
+		binary.LittleEndian.Uint64(data[0:]) != metaMagic {
 		return Meta{}
 	}
 	return Meta{

@@ -3,20 +3,17 @@ package replog
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 
+	"ffwd/internal/frame"
 	"ffwd/internal/replica"
 )
 
-// WAL record framing: [len u32][crc u32][payload], little-endian, where
-// len is the payload length and crc is CRC32-C over the payload. An
-// entry payload is the 49-byte fixed encoding below; the length prefix
-// keeps the frame self-describing so future record kinds can ride the
-// same scanner.
+// A WAL record is one internal/frame header frame whose body is the
+// 49-byte fixed entry encoding below; the length prefix keeps the frame
+// self-describing so future record kinds can ride the same scanner.
 const (
-	recHeaderLen = 8
-	entryLen     = 49
+	entryLen = 49
 	// maxRecordLen bounds one record so a corrupt length prefix cannot
 	// drive a gigabyte allocation during recovery.
 	maxRecordLen = 1 << 20
@@ -61,19 +58,6 @@ func decodeEntry(b []byte) (replica.Entry, error) {
 	}, nil
 }
 
-// appendEntryRecord frames e onto buf — length, CRC, payload — encoding
-// the payload in place so a batch of records costs no allocation beyond
-// buf's own growth.
-func appendEntryRecord(buf []byte, e replica.Entry) []byte {
-	off := len(buf)
-	buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0)
-	buf = encodeEntry(buf, e)
-	payload := buf[off+recHeaderLen:]
-	binary.LittleEndian.PutUint32(buf[off:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[off+4:], crc32.Checksum(payload, castagnoli))
-	return buf
-}
-
 // scanResult reports one framed record read by scanRecords.
 type scanResult struct {
 	entry replica.Entry
@@ -89,41 +73,25 @@ type scanResult struct {
 // remainder was a torn tail (short/garbled trailing data) as opposed to
 // a clean EOF. Any read error other than EOF is returned as err.
 func scanRecords(r io.Reader, start int64) (recs []scanResult, validEnd int64, torn bool, err error) {
-	off := start
-	var hdr [recHeaderLen]byte
-	for {
-		n, rerr := io.ReadFull(r, hdr[:])
-		if rerr == io.EOF {
+	fr := frame.Reader{R: r, Max: maxRecordLen}
+	for off := start; ; {
+		body, err := fr.Next()
+		switch err {
+		case nil:
+		case io.EOF:
 			return recs, off, false, nil
-		}
-		if rerr == io.ErrUnexpectedEOF {
-			return recs, off, n > 0, nil
-		}
-		if rerr != nil {
-			return recs, off, false, rerr
-		}
-		plen := binary.LittleEndian.Uint32(hdr[0:])
-		crc := binary.LittleEndian.Uint32(hdr[4:])
-		if plen == 0 || plen > maxRecordLen {
-			// A zero or absurd length is either a torn header or
-			// corruption; either way validity ends here.
+		case io.ErrUnexpectedEOF, frame.ErrLength, frame.ErrCRC:
+			// A short, zero- or absurd-length, or mis-CRC'd record is a
+			// torn write or corruption; either way validity ends here.
 			return recs, off, true, nil
+		default:
+			return recs, off, false, err
 		}
-		payload := make([]byte, plen)
-		if _, rerr := io.ReadFull(r, payload); rerr != nil {
-			if rerr == io.EOF || rerr == io.ErrUnexpectedEOF {
-				return recs, off, true, nil
-			}
-			return recs, off, false, rerr
-		}
-		if crc32.Checksum(payload, castagnoli) != crc {
-			return recs, off, true, nil
-		}
-		e, derr := decodeEntry(payload)
+		e, derr := decodeEntry(body)
 		if derr != nil {
 			return recs, off, true, nil
 		}
-		size := int64(recHeaderLen) + int64(plen)
+		size := int64(frame.HeaderLen + len(body))
 		recs = append(recs, scanResult{entry: e, off: off, size: size})
 		off += size
 	}

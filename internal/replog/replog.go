@@ -7,10 +7,11 @@
 // The layout of a member's data directory:
 //
 //	wal-<firstIndex>.log   log segments: a 16-byte header followed by
-//	                       length+CRC32C-framed entry records
+//	                       entry records in internal/frame header frames
 //	snap-<lastIndex>.snap  snapshots: state machine image + replicated
-//	                       ledger, CRC-sealed, written temp+rename
-//	meta.bin               term / boot counter, CRC-sealed, temp+rename
+//	                       ledger, frame.AppendCRC-sealed, temp+rename
+//	meta.bin               term / boot counter, frame.AppendCRC-sealed,
+//	                       temp+rename
 //
 // Durability rules:
 //
@@ -37,7 +38,6 @@ package replog
 import (
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sync/atomic"
@@ -147,10 +147,6 @@ type statCounters struct {
 	snapshots    atomic.Uint64
 	snapBytes    atomic.Uint64
 }
-
-// castagnoli is the CRC32-C table used for every checksum in the
-// package (hardware-accelerated on amd64/arm64).
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // ErrCorrupt reports acknowledged (non-tail) data that fails
 // validation; recovery must not paper over it.

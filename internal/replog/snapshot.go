@@ -3,13 +3,13 @@ package replog
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
 
+	"ffwd/internal/frame"
 	"ffwd/internal/replica"
 )
 
@@ -19,14 +19,15 @@ import (
 //	magic u64 | lastIndex u64 | lastTerm u64
 //	stateLen u32 | state bytes
 //	ledgerLen u32 | (clientID u64, seq u64, ret u64) * ledgerLen
-//	crc u32   — CRC32-C over everything before it
+//	crc u32   — frame.AppendCRC over everything before it
 const (
 	snapMagic  = uint64(0x3150414e53445746) // "FWDSNAP1" little-endian
 	snapPrefix = "snap-"
 	snapSuffix = ".snap"
-	// maxSnapshotLen bounds a snapshot file so a corrupt header cannot
-	// drive an absurd allocation at load.
-	maxSnapshotLen = 1 << 30
+	// MaxSnapshotLen bounds a snapshot image so a corrupt header cannot
+	// drive an absurd allocation at load; reptrans derives its frame
+	// bound from it, so every snapshot a member loads can also be shipped.
+	MaxSnapshotLen = 1 << 30
 )
 
 func snapName(last uint64) string {
@@ -51,22 +52,14 @@ func parseSnapName(name string) (uint64, bool) {
 // EncodeSnapshot serializes s (CRC included), the wire and disk format
 // shared by replog and reptrans.
 func EncodeSnapshot(s *replica.Snapshot) []byte {
+	le := binary.LittleEndian
 	buf := make([]byte, 0, 8*3+4+len(s.State)+4+24*len(s.Ledger)+4)
-	var b [8]byte
-	p64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(b[:], v)
-		buf = append(buf, b[:]...)
-	}
-	p32 := func(v uint32) {
-		binary.LittleEndian.PutUint32(b[:4], v)
-		buf = append(buf, b[:4]...)
-	}
-	p64(snapMagic)
-	p64(s.LastIndex)
-	p64(s.LastTerm)
-	p32(uint32(len(s.State)))
+	buf = le.AppendUint64(buf, snapMagic)
+	buf = le.AppendUint64(buf, s.LastIndex)
+	buf = le.AppendUint64(buf, s.LastTerm)
+	buf = le.AppendUint32(buf, uint32(len(s.State)))
 	buf = append(buf, s.State...)
-	p32(uint32(len(s.Ledger)))
+	buf = le.AppendUint32(buf, uint32(len(s.Ledger)))
 	// Deterministic order so identical snapshots encode identically.
 	ids := make([]uint64, 0, len(s.Ledger))
 	for id := range s.Ledger {
@@ -75,12 +68,11 @@ func EncodeSnapshot(s *replica.Snapshot) []byte {
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	for _, id := range ids {
 		a := s.Ledger[id]
-		p64(id)
-		p64(a.Seq)
-		p64(a.Ret)
+		buf = le.AppendUint64(buf, id)
+		buf = le.AppendUint64(buf, a.Seq)
+		buf = le.AppendUint64(buf, a.Ret)
 	}
-	p32(crc32.Checksum(buf, castagnoli))
-	return buf
+	return frame.AppendCRC(buf, 0)
 }
 
 // DecodeSnapshot parses and CRC-validates an EncodeSnapshot image.
@@ -88,8 +80,8 @@ func DecodeSnapshot(buf []byte) (*replica.Snapshot, error) {
 	if len(buf) < 8*3+4+4+4 {
 		return nil, fmt.Errorf("replog: snapshot too short (%d bytes)", len(buf))
 	}
-	body, tail := buf[:len(buf)-4], buf[len(buf)-4:]
-	if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(tail) {
+	body, ok := frame.CheckCRC(buf)
+	if !ok {
 		return nil, fmt.Errorf("replog: snapshot CRC mismatch")
 	}
 	if binary.LittleEndian.Uint64(body[0:]) != snapMagic {
@@ -205,7 +197,7 @@ func loadSnapshot(dir string) (*replica.Snapshot, error) {
 	sort.Slice(idxs, func(i, j int) bool { return idxs[i] > idxs[j] })
 	for _, idx := range idxs {
 		path := filepath.Join(dir, snapName(idx))
-		if uint64(fileSize(path)) > maxSnapshotLen {
+		if uint64(fileSize(path)) > MaxSnapshotLen {
 			continue
 		}
 		data, err := os.ReadFile(path)

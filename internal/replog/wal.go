@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync/atomic"
 
+	"ffwd/internal/frame"
 	"ffwd/internal/replica"
 )
 
@@ -245,8 +246,8 @@ func (w *WAL) Append(ents []replica.Entry) error {
 				return err
 			}
 		}
-		start := len(w.buf)
-		w.buf = appendEntryRecord(w.buf, ents[i])
+		buf, start := frame.Begin(w.buf)
+		w.buf = frame.End(encodeEntry(buf, ents[i]), start)
 		framed++
 
 		// The chaos harness's mid-write kill: flush the records framed

@@ -6,8 +6,12 @@ import (
 	"path/filepath"
 	"testing"
 
+	"ffwd/internal/frame"
 	"ffwd/internal/replica"
 )
+
+// recHeaderLen is the framing a WAL record adds to its entry payload.
+const recHeaderLen = frame.HeaderLen
 
 // mkEntry builds a deterministic entry for index i.
 func mkEntry(i uint64) replica.Entry {

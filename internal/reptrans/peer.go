@@ -342,8 +342,9 @@ func (p *Peer) connect() bool {
 		c.Close()
 		return false
 	}
+	mr := newMsgReader(c)
 	c.SetReadDeadline(time.Now().Add(p.cfg.HelloTimeout))
-	f, err := readFrame(c)
+	f, err := mr.read()
 	if err != nil || f.typ != frameHelloAck {
 		p.logf("reptrans peer %d: hello ack: %v", p.cfg.ID, err)
 		c.Close()
@@ -364,18 +365,17 @@ func (p *Peer) connect() bool {
 	p.connected.Store(true)
 	p.nSessions.Add(1)
 	p.wg.Add(1)
-	go p.readLoop(c, epoch)
+	go p.readLoop(mr, epoch)
 	return true
 }
 
 // readLoop reads acks off one connection and forwards them tagged with
 // that connection's epoch. It exits on any read error, reporting the
 // epoch so the manager redials only if this is still the live session.
-func (p *Peer) readLoop(c net.Conn, epoch uint64) {
+func (p *Peer) readLoop(mr *msgReader, epoch uint64) {
 	defer p.wg.Done()
-	fr := frameReader{r: c}
 	for {
-		f, err := fr.read()
+		f, err := mr.read()
 		if err != nil {
 			select {
 			case p.errCh <- epoch:

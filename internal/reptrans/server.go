@@ -174,8 +174,9 @@ func (s *Server) handleConn(c net.Conn) {
 }
 
 func (s *Server) serveConn(c net.Conn) error {
+	mr := newMsgReader(c)
 	c.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
-	f, err := readFrame(c)
+	f, err := mr.read()
 	if err != nil {
 		return fmt.Errorf("reading hello: %w", err)
 	}
@@ -191,10 +192,9 @@ func (s *Server) serveConn(c net.Conn) error {
 	}
 	defer s.retire(c)
 	var buf []byte
-	fr := frameReader{r: c}
 	for {
 		c.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
-		f, err := fr.read()
+		f, err := mr.read()
 		if err != nil {
 			if s.isRetired(c) {
 				return nil // superseded mid-read; the close is expected
@@ -250,7 +250,7 @@ func (s *Server) isRetired(c net.Conn) bool {
 // handleFrame processes one admitted-session frame and writes its ack.
 // buf is a reusable encode buffer; the (possibly grown) buffer is
 // returned for the next frame.
-func (s *Server) handleFrame(c net.Conn, f frame, buf []byte) ([]byte, error) {
+func (s *Server) handleFrame(c net.Conn, f msg, buf []byte) ([]byte, error) {
 	var seq, term uint64
 	var ack appendAck
 	s.mu.Lock()

@@ -83,7 +83,7 @@ func dialHello(t *testing.T, addr string, epoch, term uint64) (net.Conn, helloAc
 		t.Fatalf("write hello: %v", err)
 	}
 	c.SetReadDeadline(time.Now().Add(2 * time.Second))
-	f, err := readFrame(c)
+	f, err := readMsg(c)
 	if err != nil || f.typ != frameHelloAck {
 		t.Fatalf("hello ack: %+v, %v", f, err)
 	}
@@ -114,7 +114,7 @@ func TestStaleEpochReconnectRejected(t *testing.T) {
 	// A's session was retired: the server closed its connection, so the
 	// stale session cannot push frames into the new one.
 	connA.SetReadDeadline(time.Now().Add(2 * time.Second))
-	if _, err := readFrame(connA); err == nil {
+	if _, err := readMsg(connA); err == nil {
 		t.Fatalf("retired connection still served a frame")
 	}
 
@@ -170,7 +170,7 @@ func TestServerAppendAndProbe(t *testing.T) {
 			t.Fatalf("write: %v", err)
 		}
 		conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-		f, err := readFrame(conn)
+		f, err := readMsg(conn)
 		if err != nil || f.typ != frameAppendAck {
 			t.Fatalf("ack: %+v, %v", f, err)
 		}

@@ -13,8 +13,7 @@
 // rest of the body (type, flags, id, payload) as the body's last four
 // bytes; responses mirror the flag of the request they answer, so a
 // client chooses per request whether to pay for integrity checking —
-// the same Castagnoli framing idiom as internal/reptrans, made
-// optional.
+// internal/frame's trailer seal, made optional.
 //
 // Request payloads:
 //
@@ -60,7 +59,8 @@ package wireproto
 import (
 	"encoding/binary"
 	"errors"
-	"hash/crc32"
+
+	"ffwd/internal/frame"
 )
 
 // Ops (requests) and response types. Response types have the high bit
@@ -141,8 +141,6 @@ var (
 	ErrBadFlags   = errors.New("wireproto: unknown flags")
 )
 
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
 // Request is one decoded request frame.
 type Request struct {
 	Op    uint8
@@ -197,32 +195,17 @@ func Split(buf []byte) (body []byte, consumed int, err error) {
 func header(buf []byte, typ, flags uint8, id uint64) ([]byte, int) {
 	off := len(buf)
 	buf = append(buf, 0, 0, 0, 0, typ, flags)
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], id)
-	return append(buf, b[:]...), off
+	return binary.LittleEndian.AppendUint64(buf, id), off
 }
 
 // seal backpatches the length word and, when flags carry FlagCRC,
 // appends the CRC32-C of the body.
 func seal(buf []byte, off int, flags uint8) []byte {
 	if flags&FlagCRC != 0 {
-		crc := crc32.Checksum(buf[off+4:], castagnoli)
-		var b [4]byte
-		binary.LittleEndian.PutUint32(b[:], crc)
-		buf = append(buf, b[:]...)
+		buf = frame.AppendCRC(buf, off+4)
 	}
 	binary.LittleEndian.PutUint32(buf[off:], uint32(len(buf)-off-4))
 	return buf
-}
-
-func append64(buf []byte, v uint64) []byte {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	return append(buf, b[:]...)
-}
-
-func append16(buf []byte, v uint16) []byte {
-	return append(buf, byte(v), byte(v>>8))
 }
 
 // AppendRequest appends r as one frame to buf and returns the extended
@@ -231,21 +214,21 @@ func AppendRequest(buf []byte, r *Request) []byte {
 	buf, off := header(buf, r.Op, r.Flags, r.ID)
 	switch r.Op {
 	case OpGet, OpDel:
-		buf = append64(buf, r.Key)
+		buf = binary.LittleEndian.AppendUint64(buf, r.Key)
 	case OpSet:
-		buf = append64(buf, r.Key)
-		buf = append64(buf, r.Val)
+		buf = binary.LittleEndian.AppendUint64(buf, r.Key)
+		buf = binary.LittleEndian.AppendUint64(buf, r.Val)
 	case OpSetTTL:
-		buf = append64(buf, r.Key)
-		buf = append64(buf, r.Val)
-		buf = append64(buf, r.TTL)
+		buf = binary.LittleEndian.AppendUint64(buf, r.Key)
+		buf = binary.LittleEndian.AppendUint64(buf, r.Val)
+		buf = binary.LittleEndian.AppendUint64(buf, r.TTL)
 	case OpTouch:
-		buf = append64(buf, r.Key)
-		buf = append64(buf, r.TTL)
+		buf = binary.LittleEndian.AppendUint64(buf, r.Key)
+		buf = binary.LittleEndian.AppendUint64(buf, r.TTL)
 	case OpMGet:
-		buf = append16(buf, uint16(len(r.Keys)))
+		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(r.Keys)))
 		for _, k := range r.Keys {
-			buf = append64(buf, k)
+			buf = binary.LittleEndian.AppendUint64(buf, k)
 		}
 	case OpLen, OpStats:
 	default:
@@ -260,20 +243,20 @@ func AppendResponse(buf []byte, r *Response) []byte {
 	buf, off := header(buf, r.Type, r.Flags, r.ID)
 	switch r.Type {
 	case RespValue, RespLen:
-		buf = append64(buf, r.Val)
+		buf = binary.LittleEndian.AppendUint64(buf, r.Val)
 	case RespNotFound, RespStored, RespDeleted, RespBusy, RespTouched:
 	case RespValues:
-		buf = append16(buf, uint16(len(r.Vals)))
+		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(r.Vals)))
 		for _, v := range r.Vals {
-			buf = append64(buf, v)
+			buf = binary.LittleEndian.AppendUint64(buf, v)
 		}
 	case RespStats:
-		buf = append64(buf, r.Hits)
-		buf = append64(buf, r.Misses)
-		buf = append64(buf, r.Evictions)
-		buf = append64(buf, r.Expired)
+		buf = binary.LittleEndian.AppendUint64(buf, r.Hits)
+		buf = binary.LittleEndian.AppendUint64(buf, r.Misses)
+		buf = binary.LittleEndian.AppendUint64(buf, r.Evictions)
+		buf = binary.LittleEndian.AppendUint64(buf, r.Expired)
 	case RespError:
-		buf = append16(buf, r.Code)
+		buf = binary.LittleEndian.AppendUint16(buf, r.Code)
 	default:
 		panic("wireproto: AppendResponse of unknown type")
 	}
@@ -296,11 +279,11 @@ func checkBody(body []byte) (typ, flags uint8, id uint64, payload []byte, err er
 		if len(payload) < 4 {
 			return 0, 0, 0, nil, ErrBadPayload
 		}
-		want := binary.LittleEndian.Uint32(body[len(body)-4:])
-		if crc32.Checksum(body[:len(body)-4], castagnoli) != want {
+		var ok bool
+		if body, ok = frame.CheckCRC(body); !ok {
 			return 0, 0, 0, nil, ErrCRC
 		}
-		payload = payload[:len(payload)-4]
+		payload = body[headerLen:]
 	}
 	return typ, flags, id, payload, nil
 }
