@@ -96,19 +96,23 @@ expiry:
 loadtest:
 	$(GO) test -count=1 -run 'TestLoad' -v ./cmd/ffwdload/
 
-# Fuzz every decoder that reads bytes from outside the process, each for
-# FUZZ_TIME: FuzzDispatch (the line codec's decode, frontend.Text, and
-# the execute/format path behind it), FuzzWireDecode (the binary
-# protocol's Split + DecodeRequest/DecodeResponse), FuzzFrameReader (the
-# shared length+CRC32-C framing under the WAL and the replication
-# transport) and FuzzReptransDecode (replication frame payloads and the
-# snapshot images they carry). CI runs it with FUZZ_TIME=5s.
+# Five fuzz targets, each for FUZZ_TIME. Four cover every decoder that
+# reads bytes from outside the process: FuzzDispatch (the line codec's
+# decode, frontend.Text, and the execute/format path behind it),
+# FuzzWireDecode (the binary protocol's Split + DecodeRequest/
+# DecodeResponse), FuzzFrameReader (the shared length+CRC32-C framing
+# under the WAL and the replication transport) and FuzzReptransDecode
+# (replication frame payloads and the snapshot images they carry). The
+# fifth, FuzzKVIndex, runs the KV store's open-addressed index against a
+# Go map, with the keys and hash seeds from the input. CI runs it with
+# FUZZ_TIME=5s.
 FUZZ_TIME ?= 15s
 fuzz:
 	$(GO) test -run=none -fuzz FuzzDispatch -fuzztime $(FUZZ_TIME) ./cmd/ffwdserve/
 	$(GO) test -run=none -fuzz FuzzWireDecode -fuzztime $(FUZZ_TIME) ./internal/wireproto/
 	$(GO) test -run=none -fuzz FuzzFrameReader -fuzztime $(FUZZ_TIME) ./internal/frame/
 	$(GO) test -run=none -fuzz FuzzReptransDecode -fuzztime $(FUZZ_TIME) ./internal/reptrans/
+	$(GO) test -run=none -fuzz FuzzKVIndex -fuzztime $(FUZZ_TIME) ./internal/apps/
 
 # Observability smoke: capture a delegation lifecycle trace from a real
 # traced workload under the race detector, then run ffwdtrace over it and
@@ -183,7 +187,7 @@ loc:
 # The ratchet on that number: the total may not exceed LOC_BUDGET. A PR
 # that shrinks the code lowers the budget to its own total; one that must
 # grow it edits this one number and says why.
-LOC_BUDGET = 17713
+LOC_BUDGET = 17719
 loc-check:
 	@$(MAKE) --no-print-directory loc | awk -v budget=$(LOC_BUDGET) ' \
 		{ print } / total / { total = $$1 } \

@@ -433,11 +433,12 @@ func TestDelegatedKVTTL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.SetTTL(1, 100, 0, 10)
-	c.SetTTL(2, 200, 0, 20)
-	c.SetTTL(3, 300, 0, 0)
-	if v, ok := c.GetAt(1, 5); !ok || v != 100 {
-		t.Fatalf("GetAt(1,5) = %d,%v", v, ok)
+	c.SetTTLNow(1, 100, 10)
+	c.SetTTLNow(2, 200, 20)
+	c.SetTTLNow(3, 300, 0)
+	c.AdvanceClock(5)
+	if v, ok := c.Get(1); !ok || v != 100 {
+		t.Fatalf("Get(1) at tick 5 = %d,%v", v, ok)
 	}
 	// Time passes on the server: key 1 (and only key 1) is reclaimed,
 	// whether by the background wheel drain or lazily by the read.
@@ -448,10 +449,12 @@ func TestDelegatedKVTTL(t *testing.T) {
 	if _, _, _, expired := c.Stats(); expired != 1 {
 		t.Fatalf("expired = %d after the clock reached 15, want 1", expired)
 	}
-	if _, ok := c.GetAt(2, 25); ok {
+	c.AdvanceClock(25)
+	if _, ok := c.Get(2); ok {
 		t.Fatal("key 2 survived past its expiry")
 	}
-	if v, ok := c.GetAt(3, 1<<40); !ok || v != 300 {
+	c.AdvanceClock(1 << 40)
+	if v, ok := c.Get(3); !ok || v != 300 {
 		t.Fatalf("no-expiry key = %d,%v", v, ok)
 	}
 }

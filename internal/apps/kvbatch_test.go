@@ -113,6 +113,54 @@ func TestBatchClientAllocFree(t *testing.T) {
 	_ = sink
 }
 
+// TestBatchClientChurnAllocFree is TestKVStoreChurnAllocFree's cycle
+// through the delegation server: inserts that evict, expiries the
+// server's background hook fires, deletes and re-inserts allocate
+// nothing on either side of the window.
+func TestBatchClientChurnAllocFree(t *testing.T) {
+	const capacity = 256
+	d := NewDelegatedKV(capacity, 4)
+	if err := d.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer d.Stop()
+	b, err := d.NewBatchClient(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	c, err := d.NewClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.OnDone(func(int, uint64) {})
+	for k := uint64(0); k < capacity; k++ {
+		b.Set(k, k)
+	}
+	b.Flush()
+	k, tick := uint64(capacity), uint64(0)
+	cycle := func() {
+		b.Set(k, 1)
+		b.SetTTL(k+1, 2, 3)
+		b.Flush()
+		tick += 4
+		c.AdvanceClock(tick)
+		b.Del(k)
+		b.Set(k, 3)
+		b.Touch(k, 1<<20)
+		b.Get(k + 2)
+		b.Flush()
+		k += 4
+	}
+	cycle()
+	if n := testing.AllocsPerRun(500, cycle); n != 0 {
+		t.Fatalf("churn cycle allocates %.2f objects per run, want 0", n)
+	}
+	if _, _, evictions, _ := c.Stats(); evictions == 0 {
+		t.Fatal("the cycle never evicted")
+	}
+}
+
 // TestKVMultiGet: a multi-get is its keys' gets through the window, then
 // one flush — values in key order, the miss sentinel for absent keys, and
 // each miss counted once in the store statistics, which the same window

@@ -17,7 +17,11 @@ import (
 // and amortizes expiry into its idle sweeps (server-owned time).
 type KVStore struct {
 	capacity int
-	table    map[uint64]*kvEntry
+	// index finds a key's entry in one probe (kvindex.go); free holds
+	// removed entries for insert to reuse, so steady-state churn
+	// allocates nothing (live plus free never exceeds capacity).
+	index kvIndex
+	free  []*kvEntry
 	// lru is the eviction policy: new entries are probationary, a second
 	// hit promotes to the protected segment, victims come from the
 	// probationary tail first — a scan of one-shot keys cannot flush the
@@ -44,6 +48,7 @@ type KVStore struct {
 	fireFn func(*expiry.Node)
 }
 
+// kvEntry is one cache line (TestKVEntryOneCacheLine).
 type kvEntry struct {
 	// node carries the key, the wheel scheduling state (its deadline is
 	// the entry's expiry tick; 0 = no expiry) and the LRU links.
@@ -51,47 +56,31 @@ type kvEntry struct {
 	value uint64
 }
 
-// kvEntryCost approximates one entry's resident bytes (struct + table
-// slot) for the policy's byte accounting.
-const kvEntryCost = 96
-
 // NewKVStore returns a store bounded to capacity entries (≥1).
 func NewKVStore(capacity int) *KVStore {
-	if capacity < 1 {
-		capacity = 1
-	}
-	s := &KVStore{capacity: capacity, table: make(map[uint64]*kvEntry, capacity)}
+	s := &KVStore{capacity: max(capacity, 1)}
+	s.reset()
+	return s
+}
+
+// reset empties the store and zeroes its clock and counters.
+func (s *KVStore) reset() {
+	*s = KVStore{capacity: s.capacity, index: newKVIndex()}
 	// Protect at most ~80% of capacity so the probationary segment always
 	// has churn room under scan pressure.
-	protCap := capacity * 4 / 5
-	if protCap < 1 {
-		protCap = 1
-	}
-	s.lru.Init(protCap)
+	s.lru.Init(max(s.capacity*4/5, 1))
 	s.fireFn = s.fireExpired
-	return s
 }
 
 // Get looks up key at the store's clock, reclaiming it if expired and
 // promoting it in the LRU order otherwise.
-func (s *KVStore) Get(key uint64) (uint64, bool) {
-	s.expireIfDue(key, s.clock)
-	e, ok := s.table[key]
-	if !ok {
-		s.misses++
-		return 0, false
-	}
-	s.hits++
-	s.lru.Touch(&e.node)
-	return e.value, true
-}
+func (s *KVStore) Get(key uint64) (uint64, bool) { return s.GetAt(key, s.clock) }
 
 // Set inserts or updates key, evicting at capacity. An update keeps a
 // live entry's existing expiry; a dead-but-unreclaimed entry is expired
 // first, so the outcome never depends on how far the wheel has drained.
 func (s *KVStore) Set(key, value uint64) {
-	s.expireIfDue(key, s.clock)
-	if e, ok := s.table[key]; ok {
+	if _, e := s.live(key, s.clock); e != nil {
 		e.value = value
 		s.lru.Touch(&e.node)
 		return
@@ -102,20 +91,16 @@ func (s *KVStore) Set(key, value uint64) {
 // Delete removes key; it reports whether it was present and live (an
 // expired entry reads as absent regardless of wheel progress).
 func (s *KVStore) Delete(key uint64) bool {
-	s.expireIfDue(key, s.clock)
-	e, ok := s.table[key]
-	if !ok {
+	i, e := s.live(key, s.clock)
+	if e == nil {
 		return false
 	}
-	s.removeNode(&e.node)
+	s.remove(i, e)
 	return true
 }
 
 // Len returns the number of stored entries.
-func (s *KVStore) Len() int { return len(s.table) }
-
-// Bytes returns the policy's byte accounting for the resident entries.
-func (s *KVStore) Bytes() uint64 { return s.lru.Bytes() }
+func (s *KVStore) Len() int { return s.index.n }
 
 // Stats returns hits, misses and evictions so far.
 func (s *KVStore) Stats() (hits, misses, evictions uint64) {
@@ -134,22 +119,45 @@ func StoreRows(hits, misses, evictions, expired uint64) []obs.Row {
 	}
 }
 
+// live is every op's one lookup: key's slot and entry if it is present
+// and not due at now. A due entry it finds is reclaimed on the spot and
+// reads as absent, the correctness backstop for a wheel that has not
+// reached it yet.
+func (s *KVStore) live(key, now uint64) (int, *kvEntry) {
+	i, e := s.index.find(key)
+	if e == nil {
+		return i, nil
+	}
+	if d := e.node.Deadline(); d != 0 && now >= d {
+		s.remove(i, e)
+		s.expired++
+		return i, nil
+	}
+	return i, e
+}
+
 // insert adds a new entry (caller has established key is absent), making
-// room first and scheduling its expiry if it has one.
-func (s *KVStore) insert(key, value, deadline uint64) {
-	for len(s.table) >= s.capacity {
+// room first, reusing a removed entry if there is one, and scheduling its
+// expiry if it has one.
+func (s *KVStore) insert(key, value, deadline uint64) *kvEntry {
+	for s.index.n >= s.capacity {
 		if !s.evictOne() {
 			break
 		}
 	}
-	e := &kvEntry{value: value}
-	e.node.Key = key
-	e.node.Cost = kvEntryCost
-	s.table[key] = e
+	var e *kvEntry
+	if n := len(s.free); n > 0 {
+		e, s.free = s.free[n-1], s.free[:n-1]
+	} else {
+		e = new(kvEntry)
+	}
+	e.node.Key, e.value = key, value
+	s.index.put(key, e)
 	s.lru.Insert(&e.node)
 	if deadline != 0 {
 		s.wheel.Schedule(&e.node, deadline)
 	}
+	return e
 }
 
 // evictOne removes the policy's victim (probationary tail first), O(1).
@@ -158,16 +166,18 @@ func (s *KVStore) evictOne() bool {
 	if n == nil {
 		return false
 	}
-	s.removeNode(n)
+	s.remove(s.index.find(n.Key))
 	s.evictions++
 	return true
 }
 
-// removeNode unlinks an entry from the policy, the wheel and the table.
-func (s *KVStore) removeNode(n *expiry.Node) {
-	s.lru.Remove(n)
-	s.wheel.Cancel(n)
-	delete(s.table, n.Key)
+// remove unlinks the entry in slot i from the policy, the wheel and the
+// index, and keeps it for reuse.
+func (s *KVStore) remove(i int, e *kvEntry) {
+	s.lru.Remove(&e.node)
+	s.wheel.Cancel(&e.node)
+	s.index.deleteAt(i)
+	s.free = append(s.free, e)
 }
 
 // KV is the common interface of the synchronized store variants.
@@ -287,7 +297,6 @@ type DelegatedKV struct {
 	tick func() uint64
 
 	fidGet, fidSet, fidDelete, fidLen core.FuncID
-	fidGetAt, fidSetTTL               core.FuncID
 	fidSetTTLNow, fidTouch, fidTick   core.FuncID
 	fidStats                          [4]core.FuncID
 }
@@ -327,17 +336,6 @@ func NewDelegatedKVConfig(capacity int, cfg core.Config) *DelegatedKV {
 	})
 	d.fidLen = d.srv.Register(func(*[core.MaxArgs]uint64) uint64 {
 		return uint64(d.s.Len())
-	})
-	d.fidGetAt = d.srv.Register(func(a *[core.MaxArgs]uint64) uint64 {
-		v, ok := d.s.GetAt(a[0], a[1])
-		if !ok {
-			return kvMissSentinel
-		}
-		return v
-	})
-	d.fidSetTTL = d.srv.Register(func(a *[core.MaxArgs]uint64) uint64 {
-		d.s.SetTTL(a[0], a[1], a[2], a[3])
-		return 0
 	})
 	// Server-owned-time variants: the deadline is computed from the
 	// store's clock at apply time, so wire clients never ship absolute
@@ -435,24 +433,6 @@ func (k *KVClient) Delete(key uint64) bool {
 
 // Len returns the store size.
 func (k *KVClient) Len() int { return int(k.c.Delegate0(k.d.fidLen)) }
-
-// GetAt looks up key at logical time now, reclaiming it if expired.
-func (k *KVClient) GetAt(key, now uint64) (uint64, bool) {
-	v := k.c.Delegate2(k.d.fidGetAt, key, now)
-	if v == kvMissSentinel {
-		return 0, false
-	}
-	return v, true
-}
-
-// SetTTL stores value under key with expiry at tick now+ttl (ttl 0 means
-// no expiry), with a caller-supplied clock.
-func (k *KVClient) SetTTL(key, value, now, ttl uint64) {
-	if value == kvMissSentinel {
-		panic("apps: KVClient.SetTTL of the sentinel value")
-	}
-	k.c.Delegate(k.d.fidSetTTL, key, value, now, ttl)
-}
 
 // SetTTLNow stores value under key expiring ttl ticks after the server's
 // clock as of the apply (server-owned time; ttl 0 means no expiry).

@@ -34,9 +34,8 @@ func expiryDeadline(now, ttl uint64) uint64 {
 // to maxExpiry on overflow). A ttl of zero means no expiry (like Set,
 // but clearing any previous deadline).
 func (s *KVStore) SetTTL(key, value uint64, now, ttl uint64) {
-	s.expireIfDue(key, now)
 	deadline := expiryDeadline(now, ttl)
-	if e, ok := s.table[key]; ok {
+	if _, e := s.live(key, now); e != nil {
 		e.value = value
 		s.lru.Touch(&e.node)
 		if deadline == 0 {
@@ -53,9 +52,8 @@ func (s *KVStore) SetTTL(key, value uint64, now, ttl uint64) {
 // in the LRU order like a hit. It reports whether the key was present and
 // live — the memcached TOUCH verb.
 func (s *KVStore) Touch(key uint64, now, ttl uint64) bool {
-	s.expireIfDue(key, now)
-	e, ok := s.table[key]
-	if !ok {
+	_, e := s.live(key, now)
+	if e == nil {
 		s.misses++
 		return false
 	}
@@ -69,10 +67,18 @@ func (s *KVStore) Touch(key uint64, now, ttl uint64) bool {
 	return true
 }
 
-// GetAt looks up key at logical time now, reclaiming it if expired.
+// GetAt looks up key at logical time now, or at the store's clock if
+// that is later, reclaiming it if expired and promoting it in the LRU
+// order otherwise.
 func (s *KVStore) GetAt(key, now uint64) (uint64, bool) {
-	s.expireIfDue(key, now)
-	return s.Get(key)
+	_, e := s.live(key, max(now, s.clock))
+	if e == nil {
+		s.misses++
+		return 0, false
+	}
+	s.hits++
+	s.lru.Touch(&e.node)
+	return e.value, true
 }
 
 // AdvanceClock moves the store's logical clock forward to now (monotone:
@@ -103,32 +109,12 @@ func (s *KVStore) Maintain(budget int) int {
 func (s *KVStore) PendingExpiry() int { return s.wheel.Len() }
 
 // fireExpired reclaims an entry whose wheel deadline has passed. The node
-// is already unscheduled when the wheel fires it.
+// is already unscheduled when the wheel fires it, and every removal
+// cancels, so it is always a live entry's.
 func (s *KVStore) fireExpired(n *expiry.Node) {
-	e, ok := s.table[n.Key]
-	if !ok || &e.node != n {
-		// Stale fire: the entry was replaced since scheduling. Cannot
-		// happen while deletes/updates cancel correctly; tolerated.
-		return
-	}
-	s.lru.Remove(n)
-	delete(s.table, n.Key)
+	s.remove(s.index.find(n.Key))
 	s.expired++
 	s.wheelFired++
-}
-
-// expireIfDue reclaims key if its expiry has passed as of now.
-func (s *KVStore) expireIfDue(key, now uint64) {
-	e, ok := s.table[key]
-	if !ok {
-		return
-	}
-	d := e.node.Deadline()
-	if d == 0 || now < d {
-		return
-	}
-	s.removeNode(&e.node)
-	s.expired++
 }
 
 // Expired returns how many entries expiry has reclaimed (lazy + wheel).

@@ -30,8 +30,8 @@ import (
 // would silently diverge from its followers', and a failover would
 // surface the divergence as lost or resurrected keys.
 func (s *KVStore) Peek(key uint64) (uint64, bool) {
-	e, ok := s.table[key]
-	if !ok {
+	_, e := s.index.find(key)
+	if e == nil {
 		return 0, false
 	}
 	return e.value, true
@@ -40,19 +40,19 @@ func (s *KVStore) Peek(key uint64) (uint64, bool) {
 // EncodeState serializes the store for a replica snapshot: an entry
 // count and the logical clock, followed by (key, value, expiresAt, seg)
 // quadruples — probationary segment first, then protected, each from
-// least to most recent — so RestoreState rebuilds not just the map but
-// the exact eviction order, segment membership, and timer-wheel index.
+// least to most recent — so RestoreState rebuilds not just the entries
+// but the exact eviction order, segment membership, and timer-wheel index.
 func (s *KVStore) EncodeState() []byte {
-	buf := make([]byte, 0, 16+32*len(s.table))
+	buf := make([]byte, 0, 16+32*s.index.n)
 	var b [8]byte
 	put := func(v uint64) {
 		binary.LittleEndian.PutUint64(b[:], v)
 		buf = append(buf, b[:]...)
 	}
-	put(uint64(len(s.table)))
+	put(uint64(s.index.n))
 	put(s.clock)
 	s.lru.Each(func(n *expiry.Node, protected bool) {
-		e := s.table[n.Key]
+		_, e := s.index.find(n.Key)
 		put(n.Key)
 		put(e.value)
 		put(n.Deadline())
@@ -69,12 +69,7 @@ func (s *KVStore) EncodeState() []byte {
 // The observability counters (hits/misses/evictions/expired) reset: they
 // are per-replica local color, not replicated state.
 func (s *KVStore) RestoreState(data []byte) {
-	fresh := NewKVStore(s.capacity)
-	s.table = fresh.table
-	s.lru = fresh.lru
-	s.wheel = fresh.wheel
-	s.clock = 0
-	s.hits, s.misses, s.evictions, s.expired, s.wheelFired = 0, 0, 0, 0, 0
+	s.reset()
 	if len(data) < 16 {
 		return
 	}
@@ -87,18 +82,11 @@ func (s *KVStore) RestoreState(data []byte) {
 		deadline := binary.LittleEndian.Uint64(data[off+16:])
 		protected := binary.LittleEndian.Uint64(data[off+24:]) == 1
 		off += 32
-		e := &kvEntry{value: val}
-		e.node.Key = key
-		e.node.Cost = kvEntryCost
-		s.table[key] = e
-		s.lru.Insert(&e.node)
+		e := s.insert(key, val, deadline)
 		if protected {
 			// Encoded LRU→MRU, so touching in encode order reproduces
 			// the protected segment's exact recency order.
 			s.lru.Touch(&e.node)
-		}
-		if deadline != 0 {
-			s.wheel.Schedule(&e.node, deadline)
 		}
 	}
 }

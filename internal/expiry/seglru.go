@@ -7,7 +7,7 @@ package expiry
 // probationary. A one-pass scan of cold keys therefore churns only the
 // probationary segment and cannot flush the hot set. Victim selection is
 // probationary-tail first, so eviction under memory pressure also prefers
-// one-shot entries. Entry and byte accounting are tracked per segment.
+// one-shot entries. Entry counts are tracked per segment.
 
 // Node.seg values.
 const (
@@ -21,7 +21,6 @@ const (
 type lruList struct {
 	head, tail *Node
 	n          int
-	bytes      uint64
 }
 
 func (l *lruList) pushFront(n *Node) {
@@ -35,7 +34,6 @@ func (l *lruList) pushFront(n *Node) {
 		l.tail = n
 	}
 	l.n++
-	l.bytes += n.Cost
 }
 
 func (l *lruList) remove(n *Node) {
@@ -51,7 +49,6 @@ func (l *lruList) remove(n *Node) {
 	}
 	n.lnext, n.lprev = nil, nil
 	l.n--
-	l.bytes -= n.Cost
 }
 
 // SegLRU's zero value is usable with an unlimited protected segment; call
@@ -67,9 +64,6 @@ func (s *SegLRU) Init(protCap int) { s.protCap = protCap }
 
 // Len returns the total tracked entries.
 func (s *SegLRU) Len() int { return s.prob.n + s.prot.n }
-
-// Bytes returns the total tracked cost (sum of Node.Cost).
-func (s *SegLRU) Bytes() uint64 { return s.prob.bytes + s.prot.bytes }
 
 // ProtectedLen returns the protected segment's entry count.
 func (s *SegLRU) ProtectedLen() int { return s.prot.n }

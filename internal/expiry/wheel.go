@@ -33,8 +33,7 @@ const (
 // surrounding entry when the node fires or is chosen as an eviction
 // victim. The zero value is unscheduled and unlisted.
 type Node struct {
-	Key  uint64
-	Cost uint64 // bytes charged against the SegLRU's accounting
+	Key uint64
 
 	// deadline is the scheduled expiry tick; 0 means unscheduled (tick 0
 	// is never schedulable — deadlines are strictly after the wheel's
