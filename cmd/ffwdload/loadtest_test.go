@@ -53,7 +53,7 @@ func TestMain(m *testing.M) {
 var (
 	textAddrRE = regexp.MustCompile(`backend listening on (\S+)`)
 	binAddrRE  = regexp.MustCompile(`binary frontend listening on (\S+)`)
-	activeRE   = regexp.MustCompile(`(?m)^ffwd_frontend_active_conns (\d+)$`)
+	activeRE   = regexp.MustCompile(`(?m)^ffwd_(frontend|text)_active_conns (\d+)$`)
 )
 
 // startServer runs ffwdserve -proto both on ephemeral ports and returns
@@ -130,66 +130,78 @@ func freeAddr(t *testing.T) string {
 	return ln.Addr().String()
 }
 
-// activeConns scrapes the binary frontend's open-connection gauge.
-func activeConns(statsAddr string) (int, error) {
+// activeConns scrapes each frontend's open-connection gauge, by stats
+// prefix ("frontend" is binary's, "text" the line codec's).
+func activeConns(statsAddr string) (map[string]int, error) {
 	resp, err := http.Get("http://" + statsAddr + "/metrics")
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	defer resp.Body.Close()
 	body, err := io.ReadAll(resp.Body)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	m := activeRE.FindSubmatch(body)
-	if m == nil {
-		return 0, fmt.Errorf("no ffwd_frontend_active_conns in /metrics")
+	active := map[string]int{}
+	for _, m := range activeRE.FindAllSubmatch(body, -1) {
+		if active[string(m[1])], err = strconv.Atoi(string(m[2])); err != nil {
+			return nil, err
+		}
 	}
-	return strconv.Atoi(string(m[1]))
+	if len(active) != 2 {
+		return nil, fmt.Errorf("no active_conns gauge for both frontends in /metrics")
+	}
+	return active, nil
 }
 
 // TestLoadSmoke is the `make loadtest` gate: a short open-loop run
 // against each frontend must complete operations and attribute tail
 // latency, or the serving path is broken. The benchmark's workloads
-// hold one or two connections, so the binary frontend also takes two
-// closed-loop many-connection shapes here: no error, no connection left
-// unserved, none left open once the generator is gone.
+// hold one or two connections, so each frontend also takes two
+// closed-loop many-connection shapes here — 64 connections contending
+// for one executor pool — with no error, no connection left unserved,
+// none left open once the generator is gone.
 func TestLoadSmoke(t *testing.T) {
 	statsAddr := freeAddr(t)
 	textAddr, binAddr := startServer(t, "-stats-addr", statsAddr)
-	for _, shape := range []struct{ conns, outstanding int }{{64, 1}, {32, 8}} {
-		t.Run(fmt.Sprintf("binary-%dx%d", shape.conns, shape.outstanding), func(t *testing.T) {
-			res, err := runLoad(loadConfig{
-				addr:        binAddr,
-				proto:       "binary",
-				conns:       shape.conns,
-				duration:    1200 * time.Millisecond,
-				warmup:      200 * time.Millisecond,
-				getPct:      90,
-				keys:        4096,
-				outstanding: shape.outstanding,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Ops == 0 || res.Errors != 0 || res.IdleConns != 0 {
-				t.Fatalf("ops=%d errors=%d connections without an op=%d, want >0, 0, 0", res.Ops, res.Errors, res.IdleConns)
-			}
-			for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(10 * time.Millisecond) {
-				active, err := activeConns(statsAddr)
+	for _, codec := range []struct{ proto, addr, stat string }{
+		{"binary", binAddr, "frontend"},
+		{"text", textAddr, "text"},
+	} {
+		for _, shape := range []struct{ conns, outstanding int }{{64, 1}, {32, 8}} {
+			t.Run(fmt.Sprintf("%s-%dx%d", codec.proto, shape.conns, shape.outstanding), func(t *testing.T) {
+				res, err := runLoad(loadConfig{
+					addr:        codec.addr,
+					proto:       codec.proto,
+					conns:       shape.conns,
+					duration:    1200 * time.Millisecond,
+					warmup:      200 * time.Millisecond,
+					getPct:      90,
+					keys:        4096,
+					outstanding: shape.outstanding,
+				})
 				if err != nil {
 					t.Fatal(err)
 				}
-				if active == 0 {
-					break
+				if res.Ops == 0 || res.Errors != 0 || res.IdleConns != 0 {
+					t.Fatalf("ops=%d errors=%d connections without an op=%d, want >0, 0, 0", res.Ops, res.Errors, res.IdleConns)
 				}
-				if time.Now().After(deadline) {
-					t.Fatalf("server still holds %d connections after the generator exited", active)
+				for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+					active, err := activeConns(statsAddr)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if active[codec.stat] == 0 {
+						break
+					}
+					if time.Now().After(deadline) {
+						t.Fatalf("server still holds %d connections after the generator exited", active[codec.stat])
+					}
 				}
-			}
-			t.Logf("%d conns x %d outstanding: %.0f ops/s p50=%.1fµs p99=%.1fµs", shape.conns, shape.outstanding,
-				res.OpsPerSec, res.quantileUS(0.5), res.quantileUS(0.99))
-		})
+				t.Logf("%d conns x %d outstanding: %.0f ops/s p50=%.1fµs p99=%.1fµs", shape.conns, shape.outstanding,
+					res.OpsPerSec, res.quantileUS(0.5), res.quantileUS(0.99))
+			})
+		}
 	}
 	for _, tc := range []struct {
 		proto, addr string
@@ -234,7 +246,7 @@ func TestLoadSmoke(t *testing.T) {
 // TestLoadReplicatedBinarySmoke pins that -proto binary (here: both)
 // starts with -replicas and serves: the replicated backend is an
 // executor like the others, so the binary dataplane runs over it, each
-// shard batch's writes committing as one quorum round.
+// batch's run of writes committing as one quorum round.
 func TestLoadReplicatedBinarySmoke(t *testing.T) {
 	_, binAddr := startServer(t, "-replicas", "3")
 	res, err := runLoad(loadConfig{

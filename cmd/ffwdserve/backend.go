@@ -1,6 +1,7 @@
 package main
 
 import (
+	"runtime"
 	"sync"
 
 	"ffwd/internal/apps"
@@ -17,11 +18,11 @@ import (
 // in binaryfront.go and the replicated one in replicated.go.
 
 // backend is what every store configuration builds for main: the
-// executors its servers run on, and what to do with the store at
+// executor pools its servers run on, and what to do with the store at
 // shutdown. Its builders register the store's stats rows as they go.
 type backend struct {
-	text   []frontend.Exec // the pool text connections borrow from
-	binary []frontend.Exec // one per binary shard
+	// pools holds one executor pool per served protocol, built alike.
+	pools [][]frontend.Exec
 	// groupStats, when set, answers the text stats verb in place of an
 	// executor (see frontend.Text.Stats).
 	groupStats func() string
@@ -34,8 +35,8 @@ type backend struct {
 // storeOpts is what the flags ask of a backend builder.
 type storeOpts struct {
 	capacity  int           // -capacity
-	clients   int           // text executors (-clients; 0 when text is not served)
-	shards    int           // binary executors (-shards; 0 when binary is not served)
+	execs     int           // executors per pool (-clients, or defaultExecs)
+	pools     int           // served protocols, one executor pool each
 	defTTL    uint64        // -default-ttl in ticks
 	tick      func() uint64 // server time, one tick per millisecond
 	parkAfter int           // -idle-park-after
@@ -43,13 +44,32 @@ type storeOpts struct {
 	trace     bool          // capture the delegation lifecycle trace
 }
 
-// nExecs builds n executors with mk.
-func nExecs(n int, mk func() frontend.Exec) []frontend.Exec {
-	execs := make([]frontend.Exec, n)
-	for i := range execs {
-		execs[i] = mk()
+// defaultExecs sizes each served protocol's executor pool from what can
+// run at once. An ffwd or mutex executor never blocks, so one per P
+// keeps every P busy; more would only cost, since the delegation server
+// sweeps every executor's window on every pass, idle or not. A
+// replicated executor waits out a quorum round, and one blocked executor
+// serialises the leader, so that pool stays wide.
+func defaultExecs(replicated bool) int {
+	if replicated {
+		return 64
 	}
-	return execs
+	return runtime.GOMAXPROCS(0)
+}
+
+// newPools builds o.pools pools of o.execs executors each with mk.
+func newPools(o storeOpts, mk func() (frontend.Exec, error)) ([][]frontend.Exec, error) {
+	pools := make([][]frontend.Exec, o.pools)
+	for i := range pools {
+		for range o.execs {
+			e, err := mk()
+			if err != nil {
+				return nil, err
+			}
+			pools[i] = append(pools[i], e)
+		}
+	}
+	return pools, nil
 }
 
 // found picks the response type of an op that either hit its key or did
@@ -79,8 +99,8 @@ type mutexExec struct {
 func newMutexBackend(o storeOpts, reg *obs.Registry) *backend {
 	kv := apps.NewLockedKV(o.capacity, func() sync.Locker { return &sync.Mutex{} })
 	reg.Add("store stats", func() []obs.Row { return apps.StoreRows(kv.Stats()) })
-	mk := func() frontend.Exec { return &mutexExec{kv: kv, tick: o.tick, defTTL: o.defTTL} }
-	return &backend{text: nExecs(o.clients, mk), binary: nExecs(o.shards, mk), stop: func() {}}
+	pools, _ := newPools(o, func() (frontend.Exec, error) { return &mutexExec{kv: kv, tick: o.tick, defTTL: o.defTTL}, nil })
+	return &backend{pools: pools, stop: func() {}}
 }
 
 func (e *mutexExec) now() uint64 { return e.kv.AdvanceClock(e.tick()) }

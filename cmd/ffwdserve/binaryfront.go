@@ -20,14 +20,10 @@ import (
 // that window: singles, a multi-get as its keys' gets, the stats verb as
 // four counter reads.
 
-// The executors' windows: how many requests each keeps in flight. Every
-// occupied slot is loaded on every sweep, and text connections share a
-// pool of -clients executors where binary has one per shard, so a text
-// window is the shallower.
-const (
-	ffwdBinaryWindow = 16
-	ffwdTextWindow   = 8
-)
+// ffwdWindow is how many requests each executor keeps in flight. Every
+// registered slot is loaded on every sweep, busy or not, so the window
+// times the pool size (defaultExecs) is a cost every request pays.
+const ffwdWindow = 16
 
 // ffwdExec executes batches against the delegated KV.
 type ffwdExec struct {
@@ -49,28 +45,13 @@ type ffwdExec struct {
 // pendRef names what one delegated request answers: op sub of results[op].
 type pendRef struct{ op, sub int }
 
-// newFFWDExecs builds n executors, each on its own window of d's slots.
-func newFFWDExecs(d *apps.DelegatedKV, n, window int, defTTL uint64) ([]frontend.Exec, error) {
-	execs := make([]frontend.Exec, 0, n)
-	for i := 0; i < n; i++ {
-		batch, err := d.NewBatchClient(window)
-		if err != nil {
-			return nil, err
-		}
-		e := &ffwdExec{batch: batch, defTTL: defTTL, pend: make([]pendRef, 0, 256)}
-		batch.OnDone(e.onDone)
-		execs = append(execs, e)
-	}
-	return execs, nil
-}
-
 // newFFWDBackend builds the delegated store, supervises its server, and
 // registers its stats: the delegation server's counters and the store's,
 // which are read through a delegation slot of their own (a scrape is a
 // request like any other).
 func newFFWDBackend(o storeOpts, reg *obs.Registry) (*backend, error) {
 	cfg := core.Config{
-		MaxClients:    o.clients*ffwdTextWindow + o.shards*ffwdBinaryWindow + 1,
+		MaxClients:    o.pools*o.execs*ffwdWindow + 1,
 		IdleParkAfter: o.parkAfter,
 	}
 	if o.chaosSeed != 0 {
@@ -91,10 +72,16 @@ func newFFWDBackend(o storeOpts, reg *obs.Registry) (*backend, error) {
 	// Every handle is taken before the server starts, so a failure leaves
 	// nothing running.
 	var err error
-	if be.text, err = newFFWDExecs(d, o.clients, ffwdTextWindow, o.defTTL); err != nil {
-		return nil, err
-	}
-	if be.binary, err = newFFWDExecs(d, o.shards, ffwdBinaryWindow, o.defTTL); err != nil {
+	be.pools, err = newPools(o, func() (frontend.Exec, error) {
+		batch, err := d.NewBatchClient(ffwdWindow)
+		if err != nil {
+			return nil, err
+		}
+		e := &ffwdExec{batch: batch, defTTL: o.defTTL, pend: make([]pendRef, 0, 256)}
+		batch.OnDone(e.onDone)
+		return e, nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	sc, err := d.NewClient()

@@ -21,10 +21,11 @@
 // Malformed input draws an ERROR reply and the connection stays usable.
 //
 // Binary protocol (-proto binary): the length-prefixed frames of
-// internal/wireproto; requests carry IDs and may complete out of order.
-// Either protocol is a codec on one internal/frontend server (a reader
-// goroutine per connection, batched execution, one flush per batch);
-// -proto both runs two, text on -addr and binary on -binary-addr.
+// internal/wireproto; requests carry IDs, which the replies echo in
+// request order. Either protocol is a codec on one internal/frontend
+// server (a reader goroutine per connection running its batches on a
+// borrowed executor, one flush per batch); -proto both runs two, text on
+// -addr and binary on -binary-addr, each with its own executor pool.
 //
 // Usage:
 //
@@ -46,7 +47,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"runtime"
 	"strings"
 	"sync"
 	"syscall"
@@ -57,24 +57,16 @@ import (
 	"ffwd/internal/obs"
 )
 
-// defaultShards picks the binary frontend's shard count: one executor
-// per two cores, bounded so shard queues stay busy enough to batch. On
-// a single-core host one shard is right — the win comes from pipelined
-// delegation and write combining, not parallel executors.
-func defaultShards() int { return min(max(runtime.NumCPU()/2, 1), 8) }
-
 func main() {
 	var (
 		addr      = flag.String("addr", "127.0.0.1:11211", "listen address")
 		proto     = flag.String("proto", "text", "serving protocol: text, binary, or both (text on -addr, binary on -binary-addr)")
 		binAddr   = flag.String("binary-addr", "127.0.0.1:11212", "binary frontend listen address for -proto both")
-		shards    = flag.Int("shards", 0, "binary frontend shard executors (0 = one per two cores)")
-		queueLen  = flag.Int("frontend-queue", 0, "binary frontend per-shard queue depth (0 = default 1024)")
 		batchMax  = flag.Int("frontend-batch", 0, "max ops per executor batch (0 = default 64)")
 		capacity  = flag.Int("capacity", 1<<16, "store capacity: resident entries before scan-resistant eviction kicks in")
 		defTTLDur = flag.Duration("default-ttl", 0, "expiry applied to plain set commands, rounded to ms ticks (0 = never expire)")
 		kind      = flag.String("backend", "ffwd", "ffwd or mutex")
-		clients   = flag.Int("clients", 64, "pooled executors (and their delegation windows) text connections borrow from")
+		clients   = flag.Int("clients", 0, "pooled executors (and their delegation windows) each served protocol's connections borrow from (0 = GOMAXPROCS, or 64 for the replicated backend)")
 		replicas  = flag.Int("replicas", 1, "replica group size for the ffwd backend; >1 quorum-replicates writes with failover")
 		parkAfter = flag.Int("idle-park-after", 0, "empty sweeps before the idle server parks (0 = default, negative = never park)")
 		chaosSeed = flag.Uint64("chaos-seed", 0, "inject a seed-derived fault mix into the delegation server (0 = off; ffwd backend)")
@@ -82,7 +74,7 @@ func main() {
 		maxConns  = flag.Int("max-conns", 256, "max concurrent connections per protocol; beyond it new arrivals are rejected BUSY (0 = unlimited)")
 		readWait  = flag.Duration("read-timeout", 2*time.Minute, "a connection silent this long is dropped, within twice it (0 = never)")
 		writeWait = flag.Duration("write-timeout", 10*time.Second, "bound on flushing one response (0 = none)")
-		shedWait  = flag.Duration("shed-timeout", 100*time.Millisecond, "how long a text command batch waits for a pooled executor before BUSY (0 = forever)")
+		shedWait  = flag.Duration("shed-timeout", 100*time.Millisecond, "how long a batch waits for a pooled executor before BUSY (0 = forever)")
 		statsAddr = flag.String("stats-addr", "", "expose serving stats over HTTP at this address: /metrics (Prometheus), /debug/vars (expvar), /debug/pprof, /debug/delegation-trace (empty = off)")
 		tracePath = flag.String("trace", "", "capture the delegation lifecycle trace and write it as Chrome trace JSON here on shutdown (ffwd backend)")
 		dataDir   = flag.String("data-dir", "", "durable replication: WAL + snapshot directory; selects pinned-leader mode with -peers (or a follower store with -replica-member)")
@@ -105,7 +97,7 @@ func main() {
 	// The store and its executors. Server time is one tick per
 	// millisecond since process start: the ffwd backend samples it from
 	// its background hook, the mutex baseline inline on its commands. A
-	// frontend that is not served gets no executors. The trace sink also
+	// served protocol gets a pool of its own. The trace sink also
 	// backs /debug/delegation-trace, so a stats endpoint alone turns
 	// capture on; recording costs one branch plus a ring store per
 	// lifecycle event.
@@ -121,19 +113,18 @@ func main() {
 	if *defTTLDur > 0 && o.defTTL == 0 {
 		o.defTTL = 1 // sub-millisecond -default-ttl still expires
 	}
-	if needText {
-		o.clients = *clients
+	if o.pools = 1; needText && needBin {
+		o.pools = 2
 	}
-	if needBin {
-		if o.shards = *shards; o.shards <= 0 {
-			o.shards = defaultShards()
-		}
+	replicated := *kind == "ffwd" && (*replicas > 1 || *dataDir != "")
+	if o.execs = *clients; o.execs <= 0 {
+		o.execs = defaultExecs(replicated)
 	}
 	reg := obs.NewRegistry()
 	var be *backend
 	var err error
 	switch {
-	case *kind == "ffwd" && (*replicas > 1 || *dataDir != ""):
+	case replicated:
 		// -data-dir selects durable pinned-leader mode, -peers names the
 		// follower processes, -fsync the WAL policy.
 		rcfg := apps.ReplicatedConfig{Replicas: *replicas, SnapshotEvery: *snapEvery, DataDir: *dataDir, Fsync: *fsyncPol}
@@ -152,19 +143,18 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// One frontend.Server per served protocol — same lifecycle, different
-	// codec and executors — each listening before it is announced.
+	// One frontend.Server per served protocol — same lifecycle, its own
+	// codec and executor pool — each listening before it is announced.
 	type front struct {
 		srv *frontend.Server
 		ln  net.Listener
 	}
 	var fronts []front
-	serve := func(at, group string, codec frontend.Codec, execs []frontend.Exec) front {
+	serve := func(at, group string, codec frontend.Codec) front {
 		srv, err := frontend.NewServer(frontend.Config{
 			Codec:        codec,
-			Execs:        execs,
+			Execs:        be.pools[len(fronts)],
 			ShedTimeout:  *shedWait,
-			QueueDepth:   *queueLen,
 			MaxBatch:     *batchMax,
 			MaxConns:     *maxConns,
 			IdleTimeout:  *readWait,
@@ -182,7 +172,7 @@ func main() {
 		return fronts[len(fronts)-1]
 	}
 	if needText {
-		f := serve(*addr, "text stats", frontend.Text{Stats: be.groupStats}, be.text)
+		f := serve(*addr, "text stats", frontend.Text{Stats: be.groupStats})
 		log.Printf("ffwdserve: %s backend listening on %s", *kind, f.ln.Addr())
 	}
 	if needBin {
@@ -190,8 +180,8 @@ func main() {
 		if needText {
 			at = *binAddr
 		}
-		f := serve(at, "binary stats", frontend.Binary{}, be.binary)
-		log.Printf("ffwdserve: binary frontend listening on %s (%d shards)", f.ln.Addr(), f.srv.Shards())
+		f := serve(at, "binary stats", frontend.Binary{})
+		log.Printf("ffwdserve: binary frontend listening on %s (%d executors)", f.ln.Addr(), o.execs)
 	}
 	if *statsAddr != "" {
 		go statsEndpoint(*statsAddr, reg, be.sink)

@@ -16,16 +16,21 @@ import (
 	"ffwd/internal/wireproto"
 )
 
-// ffwdText configures a text server over the ffwd backend main would
-// build for `clients` text executors on a fresh delegated store.
-func ffwdText(t *testing.T, capacity, clients int) frontend.Config {
+// ffwdExecs is the executor pool the ffwd backend main would build for
+// one served protocol, n executors on a fresh delegated store.
+func ffwdExecs(t *testing.T, capacity, n int) []frontend.Exec {
 	t.Helper()
-	be, err := newFFWDBackend(storeOpts{capacity: capacity, clients: clients}, obs.NewRegistry())
+	be, err := newFFWDBackend(storeOpts{capacity: capacity, execs: n, pools: 1}, obs.NewRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(be.stop)
-	return frontend.Config{Codec: frontend.Text{}, Execs: be.text}
+	return be.pools[0]
+}
+
+// ffwdText configures a text server over an ffwd pool of n executors.
+func ffwdText(t *testing.T, capacity, n int) frontend.Config {
+	return frontend.Config{Codec: frontend.Text{}, Execs: ffwdExecs(t, capacity, n)}
 }
 
 // mutexText is the same over the global-lock backend; a nil tick freezes
@@ -34,8 +39,8 @@ func mutexText(capacity int, tick func() uint64) frontend.Config {
 	if tick == nil {
 		tick = func() uint64 { return 0 }
 	}
-	be := newMutexBackend(storeOpts{capacity: capacity, clients: 1, tick: tick}, obs.NewRegistry())
-	return frontend.Config{Codec: frontend.Text{}, Execs: be.text}
+	be := newMutexBackend(storeOpts{capacity: capacity, execs: 1, pools: 1, tick: tick}, obs.NewRegistry())
+	return frontend.Config{Codec: frontend.Text{}, Execs: be.pools[0]}
 }
 
 // listen starts the server cfg describes — the one main starts, for
@@ -247,23 +252,11 @@ func TestPipelinedBurstProgramOrder(t *testing.T) {
 			binary func(t *testing.T) []frontend.Exec
 		}{
 			{"ffwd", func(t *testing.T) frontend.Config { return ffwdText(t, 1024, 4) },
-				func(t *testing.T) []frontend.Exec {
-					be, err := newFFWDBackend(storeOpts{capacity: 1024, shards: 2}, obs.NewRegistry())
-					if err != nil {
-						t.Fatal(err)
-					}
-					t.Cleanup(be.stop)
-					return be.binary
-				}},
+				func(t *testing.T) []frontend.Exec { return ffwdExecs(t, 1024, 2) }},
 			{"mutex", func(*testing.T) frontend.Config { return mutexText(1024, nil) },
-				func(*testing.T) []frontend.Exec {
-					return newMutexBackend(storeOpts{capacity: 1024, shards: 2, tick: func() uint64 { return 0 }}, obs.NewRegistry()).binary
-				}},
+				func(*testing.T) []frontend.Exec { return mutexText(1024, nil).Execs }},
 			{"replicated", func(t *testing.T) frontend.Config { return newRepBackend(t, 1024, 4, nil).cfg },
-				func(t *testing.T) []frontend.Exec {
-					rb := newRepBackend(t, 1024, 2, nil)
-					return newRepExecs(rb.r, 2, rb.cnt)
-				}},
+				func(t *testing.T) []frontend.Exec { return newRepBackend(t, 1024, 2, nil).cfg.Execs }},
 		} {
 			burst := func(k int) []string {
 				return []string{fmt.Sprintf("set %d 1", k), fmt.Sprintf("set %d 2", k), fmt.Sprintf("get %d", k), fmt.Sprintf("del %d", k), fmt.Sprintf("get %d", k)}

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"ffwd/internal/frontend"
-	"ffwd/internal/obs"
 	"ffwd/internal/wireproto"
 )
 
@@ -141,7 +140,7 @@ func (b *binParityClient) burst(lines []string) []string {
 func TestFrontendParity(t *testing.T) {
 	const (
 		capacity = 1024
-		shards   = 2
+		execs    = 2
 	)
 	// A full-width multi-get, most of it misses, through each protocol's
 	// one-handle executor, which fences it inside its window.
@@ -176,28 +175,22 @@ func TestFrontendParity(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name string
-		// build returns a text server configuration and a shard executor
-		// list, each over a fresh store.
+		// build returns a text server configuration and a binary executor
+		// pool, each over a fresh store.
 		build func(t *testing.T) (frontend.Config, []frontend.Exec)
 		// skip names a step the two protocols answer differently by design.
 		skip string
 	}{
 		{name: "ffwd", build: func(t *testing.T) (frontend.Config, []frontend.Exec) {
-			be, err := newFFWDBackend(storeOpts{capacity: capacity, shards: shards}, obs.NewRegistry())
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(be.stop)
-			return ffwdText(t, capacity, 4), be.binary
+			return ffwdText(t, capacity, 4), ffwdExecs(t, capacity, execs)
 		}},
 		{name: "mutex", build: func(t *testing.T) (frontend.Config, []frontend.Exec) {
-			return mutexText(capacity, nil), newMutexBackend(storeOpts{capacity: capacity, shards: shards, tick: func() uint64 { return 0 }}, obs.NewRegistry()).binary
+			return mutexText(capacity, nil), mutexText(capacity, nil).Execs
 		}},
 		// The replicated text stats verb reports the group; the binary
 		// stats response has no fields for one and is refused.
 		{name: "replicated", skip: "stats", build: func(t *testing.T) (frontend.Config, []frontend.Exec) {
-			rb := newRepBackend(t, capacity, shards, nil)
-			return newRepBackend(t, capacity, 4, nil).cfg, newRepExecs(rb.r, shards, rb.cnt)
+			return newRepBackend(t, capacity, 4, nil).cfg, newRepBackend(t, capacity, execs, nil).cfg.Execs
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

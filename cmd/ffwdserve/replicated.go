@@ -43,10 +43,10 @@ func (c *repCounters) statRows() []obs.Row {
 
 // newReplicatedBackend builds and starts the replica group rcfg
 // describes (in-process members, or a durable pinned leader with
-// follower processes), one executor per text client and binary shard on
-// it, and registers the group's stats.
+// follower processes), its executor pools, and registers the group's
+// stats.
 func newReplicatedBackend(o storeOpts, rcfg apps.ReplicatedConfig, reg *obs.Registry) (*backend, error) {
-	rcfg.Core = core.Config{MaxClients: o.clients + o.shards, IdleParkAfter: o.parkAfter}
+	rcfg.Core = core.Config{MaxClients: o.pools * o.execs, IdleParkAfter: o.parkAfter}
 	rcfg.Supervisor = supervisorCadence
 	if o.chaosSeed != 0 {
 		inj := fault.ReplicaFromSeed(o.chaosSeed)
@@ -66,7 +66,7 @@ func newReplicatedBackend(o storeOpts, rcfg apps.ReplicatedConfig, reg *obs.Regi
 		return nil, err
 	}
 	cnt := &repCounters{}
-	be.text, be.binary = newRepExecs(rkv, o.clients, cnt), newRepExecs(rkv, o.shards, cnt)
+	be.pools, _ = newPools(o, func() (frontend.Exec, error) { return &repExec{kv: rkv.NewClient(), cnt: cnt}, nil })
 	be.groupStats = func() string { return repStatsLine(rkv.Group()) }
 	be.stop = rkv.Stop
 	// The report keeps replicated writes separate from leader-local
@@ -117,11 +117,6 @@ type repExec struct {
 	ws   []replica.Write // the pending run
 	at   []int           // ws[j] answers results[at[j]]
 	rets []uint64
-}
-
-// newRepExecs builds n executors, each with its own replication handle.
-func newRepExecs(r *apps.ReplicatedKV, n int, cnt *repCounters) []frontend.Exec {
-	return nExecs(n, func() frontend.Exec { return &repExec{kv: r.NewClient(), cnt: cnt} })
 }
 
 // repValueMax is the first reserved value: the top of the value space

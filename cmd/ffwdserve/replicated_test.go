@@ -35,7 +35,8 @@ func newRepBackend(t *testing.T, capacity, clients int, hooks core.Hooks) *repBa
 	}
 	t.Cleanup(r.Stop)
 	rb := &repBackend{r: r, cnt: &repCounters{}}
-	rb.cfg = frontend.Config{Codec: frontend.Text{Stats: func() string { return repStatsLine(r.Group()) }}, Execs: newRepExecs(r, clients, rb.cnt)}
+	pools, _ := newPools(storeOpts{execs: clients, pools: 1}, func() (frontend.Exec, error) { return &repExec{kv: r.NewClient(), cnt: rb.cnt}, nil })
+	rb.cfg = frontend.Config{Codec: frontend.Text{Stats: func() string { return repStatsLine(r.Group()) }}, Execs: pools[0]}
 	return rb
 }
 

@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"regexp"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -16,7 +17,9 @@ import (
 
 // The Prometheus metrics the commit before the registry exported
 // (-proto both -stats-addr, scraped from the running binary), as
-// "name type" lines: every one must still be exported with its type.
+// "name type" lines: every one must still be exported with its type,
+// save the queue_depth and queue_capacity gauges, which went with the
+// binary frontend's shard queues.
 const (
 	parentFrontends = `
 ffwd_frontend_accepted_total counter
@@ -31,8 +34,6 @@ ffwd_frontend_decode_errors_total counter
 ffwd_frontend_flushes_total counter
 ffwd_frontend_frames_in_total counter
 ffwd_frontend_idle_reaps_total counter
-ffwd_frontend_queue_capacity gauge
-ffwd_frontend_queue_depth gauge
 ffwd_frontend_queue_sheds_total counter
 ffwd_frontend_rejected_total counter
 ffwd_text_queue_sheds_total counter
@@ -75,7 +76,7 @@ ffwdserve_replicated_ops_total counter`
 // report or /debug/vars now reach every sink. (The replicated leader's
 // delegation server, of which only ffwd_requests_total was exported,
 // also gains the rest of the core rows; the text server, which had six
-// rows of its own, declares the binary one's sixteen under its prefix.)
+// rows of its own, declares the binary one's fourteen under its prefix.)
 const (
 	addedText = `
 ffwd_text_batch_ops_total counter
@@ -85,9 +86,7 @@ ffwd_text_batches_total counter
 ffwd_text_bytes_in_total counter
 ffwd_text_bytes_out_total counter
 ffwd_text_flushes_total counter
-ffwd_text_frames_in_total counter
-ffwd_text_queue_capacity gauge
-ffwd_text_queue_depth gauge`
+ffwd_text_frames_in_total counter`
 	addedStore = `
 ffwd_store_hits_total counter
 ffwd_store_misses_total counter`
@@ -117,7 +116,7 @@ var benchmarkStatsLine = regexp.MustCompile(`(?:final stats|leader server stats)
 // Prometheus name/type set to be the parent commit's plus the declared
 // additions, and the report to carry the line the benchmark parses.
 func TestStatsSinksAgree(t *testing.T) {
-	o := storeOpts{capacity: 1024, clients: 2, shards: 1, tick: func() uint64 { return 0 }}
+	o := storeOpts{capacity: 1024, execs: 2, pools: 2, tick: func() uint64 { return 0 }}
 	for _, tc := range []struct {
 		name          string
 		build         func(*obs.Registry) (*backend, error)
@@ -142,9 +141,9 @@ func TestStatsSinksAgree(t *testing.T) {
 			t.Cleanup(be.stop)
 			// Both groups in one registry, as under -proto both: Add panics
 			// on a name or key collision.
-			tsrv, taddr := listen(t, frontend.Config{Codec: frontend.Text{Stats: be.groupStats}, Execs: be.text})
+			tsrv, taddr := listen(t, frontend.Config{Codec: frontend.Text{Stats: be.groupStats}, Execs: be.pools[0]})
 			reg.Add("text stats", tsrv.StatRows)
-			bsrv, baddr := listen(t, frontend.Config{Execs: be.binary})
+			bsrv, baddr := listen(t, frontend.Config{Execs: be.pools[1]})
 			reg.Add("binary stats", bsrv.StatRows)
 
 			_, _, text := dialText(t, taddr)
@@ -229,30 +228,46 @@ func parseProm(t *testing.T, text string) (vals, types map[string]string) {
 	return vals, types
 }
 
-// TestFFWDExecOneHandle pins what the ffwd executor sets cost at the
-// default flags: one delegation window each — 8 slots per text executor
-// (was 1 + 1 + 8 across three handles), 16 per binary shard (was 25) —
-// and no allocation for a batch that mixes singles with a multi-get and a
-// stats read.
+// TestFFWDExecOneHandle pins what the ffwd executor pools cost at the
+// derived default — one delegation window of ffwdWindow slots per
+// executor, GOMAXPROCS executors per served protocol, so that under
+// -proto both at GOMAXPROCS ≤ 8 the delegation server never registers
+// more than the 641 slots of the 64 text executors × 8 and up to 8
+// binary shards × 16 it replaces — and no allocation for a batch that
+// mixes singles with a multi-get and a stats read.
 func TestFFWDExecOneHandle(t *testing.T) {
-	const defaultClients = 64 // the -clients default
-	be, err := newFFWDBackend(storeOpts{capacity: 1024, clients: defaultClients, shards: 2}, obs.NewRegistry())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(be.stop)
 	slots := func(execs []frontend.Exec) (n int) {
 		for _, e := range execs {
 			n += e.(*ffwdExec).batch.Window()
 		}
 		return n
 	}
-	if n := slots(be.text); n > 640 || n != defaultClients*ffwdTextWindow {
-		t.Errorf("text executors hold %d delegation slots, want %d (and never above the 640 they replace)", n, defaultClients*ffwdTextWindow)
+	build := func() *backend {
+		be, err := newFFWDBackend(storeOpts{capacity: 1024, execs: defaultExecs(false), pools: 2}, obs.NewRegistry())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return be
 	}
-	if n := slots(be.binary[:1]); n > 25 || n != ffwdBinaryWindow {
-		t.Errorf("a binary shard holds %d delegation slots, want %d (and never above the 25 it replaces)", n, ffwdBinaryWindow)
+	procs := runtime.GOMAXPROCS(0)
+	for p := 1; p <= 8; p++ {
+		runtime.GOMAXPROCS(p)
+		be := build()
+		total := 1 // the stats scrape's client
+		for i, pool := range be.pools {
+			if n := slots(pool); n != p*ffwdWindow {
+				t.Errorf("GOMAXPROCS=%d: pool %d holds %d delegation slots, want %d", p, i, n, p*ffwdWindow)
+			}
+			total += slots(pool)
+		}
+		if total > 641 {
+			t.Errorf("GOMAXPROCS=%d: %d delegation slots registered, above the 641 they replace", p, total)
+		}
+		be.stop()
 	}
+	runtime.GOMAXPROCS(procs)
+	be := build()
+	t.Cleanup(be.stop)
 
 	keys := make([]uint64, wireproto.MGetMax)
 	for i := range keys {
@@ -267,7 +282,7 @@ func TestFFWDExecOneHandle(t *testing.T) {
 	}
 	results := make([]frontend.Result, len(ops))
 	results[2].Vals = make([]uint64, len(keys))
-	for name, ex := range map[string]frontend.Exec{"text": be.text[0], "binary": be.binary[0]} {
+	for name, ex := range map[string]frontend.Exec{"text": be.pools[0][0], "binary": be.pools[1][0]} {
 		ex.ExecBatch(ops, results) // warm up
 		if allocs := testing.AllocsPerRun(100, func() { ex.ExecBatch(ops, results) }); allocs != 0 {
 			t.Errorf("%s executor: ExecBatch allocates %.1f objects per batch, want 0", name, allocs)

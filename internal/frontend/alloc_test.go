@@ -3,7 +3,6 @@ package frontend
 import (
 	"fmt"
 	"net"
-	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -12,8 +11,7 @@ import (
 )
 
 // discardConn is a net.Conn stub that counts written bytes; it lets the
-// alloc test drive decode → dispatch → execute → encode → flush without
-// sockets.
+// alloc test drive decode → execute → encode → flush without sockets.
 type discardConn struct {
 	bytes atomic.Uint64
 }
@@ -31,8 +29,8 @@ func (d *discardConn) SetReadDeadline(time.Time) error  { return nil }
 func (d *discardConn) SetWriteDeadline(time.Time) error { return nil }
 
 // TestHotPathAllocFree pins the acceptance criterion for the binary
-// serving path: decoding a burst of frames, executing it through a
-// shard, encoding the responses, and flushing them allocates nothing
+// serving path: decoding a burst of frames, executing it on a borrowed
+// executor, encoding the responses, and flushing them allocates nothing
 // in steady state.
 func TestHotPathAllocFree(t *testing.T) {
 	e := newMapExec()
@@ -63,9 +61,8 @@ func TestHotPathAllocFree(t *testing.T) {
 		if !s.decodeConn(c) {
 			panic("decodeConn rejected valid frames")
 		}
-		want += respBytes
-		for d.bytes.Load() < want {
-			runtime.Gosched()
+		if want += respBytes; d.bytes.Load() != want {
+			panic("a batch returned before its replies were flushed")
 		}
 	}
 	iter() // settle pools and buffer capacities before measuring
@@ -75,7 +72,7 @@ func TestHotPathAllocFree(t *testing.T) {
 }
 
 // TestMGetHotPathAllocFree extends the zero-alloc pin to the mget path,
-// which moves key lists through the pooled buffers.
+// which moves key lists through the connection's batch.
 func TestMGetHotPathAllocFree(t *testing.T) {
 	e := newMapExec()
 	for k := uint64(0); k < 8; k++ {
@@ -102,9 +99,8 @@ func TestMGetHotPathAllocFree(t *testing.T) {
 		if !s.decodeConn(c) {
 			panic("decodeConn rejected valid frames")
 		}
-		want += respBytes
-		for d.bytes.Load() < want {
-			runtime.Gosched()
+		if want += respBytes; d.bytes.Load() != want {
+			panic("a batch returned before its replies were flushed")
 		}
 	}
 	iter()
@@ -113,9 +109,9 @@ func TestMGetHotPathAllocFree(t *testing.T) {
 	}
 }
 
-// TestTextHotPathAllocFree is the same pin for an ordered connection: a
-// 64-line get/set burst through decode, the connection's own batch on a
-// borrowed executor, the line formatter and the flush allocates nothing.
+// TestTextHotPathAllocFree is the same pin for the line codec: a 64-line
+// get/set burst through decode, the connection's batch on a borrowed
+// executor, the line formatter and the flush allocates nothing.
 func TestTextHotPathAllocFree(t *testing.T) {
 	e := newMapExec()
 	s, err := NewServer(Config{Codec: Text{}, Execs: []Exec{e}})

@@ -22,12 +22,6 @@ type Codec interface {
 
 // Traits is what a Server must know of a protocol besides its encoding.
 type Traits struct {
-	// Ordered says replies must leave in request order: clients match
-	// them to requests by position. An ordered connection does not use the
-	// shard queues — its reader runs each batch itself on an executor
-	// borrowed from the pool of Config.Execs.
-	Ordered bool
-
 	// MaxRequest bounds one encoded request: a read buffer grows to it
 	// and no further, so Decode must not answer More to that many bytes.
 	MaxRequest int
@@ -74,8 +68,8 @@ type Request struct {
 	keys [wireproto.MGetMax]uint64
 }
 
-// Binary is the wireproto frame codec: requests carry IDs and may be
-// answered in any order. It is the default Config.Codec.
+// Binary is the wireproto frame codec: requests carry IDs, which their
+// replies echo. It is the default Config.Codec.
 type Binary struct{}
 
 // busyFrame is the RespBusy (id 0) an admission-rejected connection gets.

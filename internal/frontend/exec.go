@@ -37,18 +37,18 @@ type Result struct {
 }
 
 // Exec executes one batch of decoded requests: ops[i] answers into
-// results[i]. One goroutine per shard calls it, so implementations need
-// no internal synchronization and are free to pipeline the whole batch
-// through a delegation window before completing any of it.
+// results[i]. A connection borrows an executor from the pool for one
+// batch and returns it after, so an Exec runs one batch at a time and
+// needs no internal synchronization; it is free to pipeline the whole
+// batch through a delegation window before completing any of it.
 type Exec interface {
 	ExecBatch(ops []Op, results []Result)
 }
 
-// Results the server answers with itself: shed for a request no executor
-// ran (its shard queue was full, or the pool stayed empty past
-// ShedTimeout), whose Code tells it from an executor's own RespBusy for a
-// codec that words the two differently; reservedValue for a set of
-// wireproto.MissValue.
+// Results the server answers with itself: shed for a batch no executor
+// ran (the pool stayed empty past ShedTimeout), whose Code tells it from
+// an executor's own RespBusy for a codec that words the two differently;
+// reservedValue for a set of wireproto.MissValue.
 const codeShed = 1
 
 var (
@@ -56,132 +56,95 @@ var (
 	reservedValue = Result{Status: wireproto.RespError, Code: wireproto.CodeValueReserved}
 )
 
-// task is one request on its way through a batch. It travels by value
-// (through the shard channel, for an unordered codec); mg cycles through
-// the server's buffer pool. An OpNop task is a reply decode already knew,
-// riding an ordered connection's batch in position: the next val bytes of
-// batch.pre.
+// task is one request of a connection's batch, in arrival order. An
+// OpNop task is a reply decode already knew, riding the batch in
+// position: the next val bytes of batch.pre. An OpMGet task's keys are
+// the next nkeys of batch.keys.
 type task struct {
-	c     *conn
 	op    uint8
 	flags uint8
+	nkeys uint8
 	id    uint64
 	key   uint64
 	val   uint64
 	ttl   uint64
-	mg    *mgetBuf
 }
 
-// mgetBuf carries an mget's keys to the executor and its values back
-// without allocating; buffers cycle through Server.mgFree.
-type mgetBuf struct {
-	n          int
-	keys, vals [wireproto.MGetMax]uint64
-}
-
-func (s *Server) newTask(c *conn, r *Request) task {
-	t := task{c: c, op: r.Op, flags: r.Flags, id: r.ID, key: r.Key, val: r.Val, ttl: r.TTL}
-	if r.Op == wireproto.OpMGet {
-		select {
-		case t.mg = <-s.mgFree:
-		default:
-			t.mg = new(mgetBuf)
-		}
-		t.mg.n = copy(t.mg.keys[:], r.Keys)
-	}
-	return t
-}
-
-// putMG recycles a task's mget buffer, if it has one.
-func (s *Server) putMG(mg *mgetBuf) {
-	if mg == nil {
-		return
-	}
-	select {
-	case s.mgFree <- mg:
-	default:
-	}
-}
-
-// batch is the one path from requests to reply bytes, for either codec:
-// run the tasks' ops as a single Exec batch, encode every reply in task
-// order, flush each touched connection exactly once. A shard's batch has
-// its own executor and is filled from the queue; an ordered connection's
-// is filled by its reader and borrows an executor per run.
+// batch is a connection's requests on their way to reply bytes: its
+// reader fills it from what one Read decoded, then runs the ops as a
+// single Exec batch on a borrowed executor and encodes every reply in
+// request order. Everything in it is reused from batch to batch.
 type batch struct {
-	s    *Server
-	exec Exec // nil: borrowed from s.pool
-
-	tasks   []task
-	pre     []byte
-	ops     []Op
-	results []Result
-	touched []*conn
+	tasks      []task
+	pre        []byte
+	keys, vals []uint64 // the batch's mget keys, and the values that answer them
+	ops        []Op
+	results    []Result
 }
 
-func (b *batch) process() {
-	if len(b.tasks) == 0 {
+// add appends a decoded request to c's batch.
+func (c *conn) add(r *Request) {
+	t := task{op: r.Op, flags: r.Flags, id: r.ID, key: r.Key, val: r.Val, ttl: r.TTL}
+	if r.Op == wireproto.OpMGet {
+		t.nkeys = uint8(len(r.Keys))
+		c.keys = append(c.keys, r.Keys...)
+	}
+	c.tasks = append(c.tasks, t)
+}
+
+// process runs c's batch, writes every reply in request order and
+// flushes them with one write.
+func (c *conn) process() {
+	if len(c.tasks) == 0 {
 		return
 	}
-	b.ops, b.results = b.ops[:0], b.results[:0]
-	for i := range b.tasks {
-		t := &b.tasks[i]
+	s := c.srv
+	c.ops, c.results = c.ops[:0], c.results[:0]
+	c.vals = slices.Grow(c.vals[:0], len(c.keys))[:len(c.keys)]
+	k := 0
+	for i := range c.tasks {
+		t := &c.tasks[i]
 		if t.op == wireproto.OpNop {
 			continue
 		}
 		op, res := Op{Kind: t.op, Key: t.key, Val: t.val, TTL: t.ttl}, Result{}
-		if t.mg != nil {
-			op.Keys, res.Vals = t.mg.keys[:t.mg.n], t.mg.vals[:t.mg.n]
+		if t.op == wireproto.OpMGet {
+			n := int(t.nkeys)
+			op.Keys, res.Vals = c.keys[k:k+n], c.vals[k:k+n]
+			k += n
 		}
-		b.ops, b.results = append(b.ops, op), append(b.results, res)
+		c.ops, c.results = append(c.ops, op), append(c.results, res)
 	}
-	ran := len(b.ops) == 0 || b.run()
+	ran := len(c.ops) == 0 || s.run(c.ops, c.results)
 
-	b.touched = b.touched[:0]
-	n, pre := 0, b.pre
-	for i := range b.tasks {
-		t := &b.tasks[i]
-		c := t.c
-		t.c = nil
-		c.wmu.Lock()
+	n, pre := 0, c.pre
+	for i := range c.tasks {
+		t := &c.tasks[i]
 		switch {
 		case t.op == wireproto.OpNop:
 			c.wbuf, pre = append(c.wbuf, pre[:t.val]...), pre[t.val:]
 		case !ran:
-			c.wbuf = b.s.cfg.Codec.Append(c.wbuf, t.id, t.flags, &shed)
+			c.wbuf = s.cfg.Codec.Append(c.wbuf, t.id, t.flags, &shed)
 		default:
-			c.wbuf = b.s.cfg.Codec.Append(c.wbuf, t.id, t.flags, &b.results[n])
+			c.wbuf = s.cfg.Codec.Append(c.wbuf, t.id, t.flags, &c.results[n])
 			n++
 		}
-		c.wmu.Unlock()
-		b.s.putMG(t.mg)
-		t.mg = nil
-		if !slices.Contains(b.touched, c) {
-			b.touched = append(b.touched, c)
-		}
 	}
-	for i, c := range b.touched {
-		c.flush()
-		b.touched[i] = nil
-	}
-	b.tasks, b.pre = b.tasks[:0], b.pre[:0]
+	c.flush()
+	c.tasks, c.pre, c.keys = c.tasks[:0], c.pre[:0], c.keys[:0]
 }
 
-// run executes b.ops on the batch's executor, or on one borrowed from the
-// pool for the call, and reports false when none could be had.
-func (b *batch) run() bool {
-	exec := b.exec
+// run executes ops on an executor borrowed from the pool for the call,
+// and reports false when none could be had.
+func (s *Server) run(ops []Op, results []Result) bool {
+	exec := s.borrow()
 	if exec == nil {
-		if exec = b.s.borrow(); exec == nil {
-			b.s.met.QueueSheds.Add(uint64(len(b.ops)))
-			return false
-		}
+		s.met.QueueSheds.Add(uint64(len(ops)))
+		return false
 	}
-	exec.ExecBatch(b.ops, b.results)
-	b.s.met.observeBatch(len(b.ops))
-	if b.exec == nil {
-		b.s.pool <- exec
-	}
+	exec.ExecBatch(ops, results)
+	s.pool <- exec
+	s.met.observeBatch(len(ops))
 	return true
 }
 
@@ -205,40 +168,5 @@ func (s *Server) borrow() Exec {
 		return e
 	case <-t.C:
 		return nil
-	}
-}
-
-// shard is one queue executor of an unordered codec: drain up to MaxBatch
-// queued tasks, process them as one batch.
-type shard struct {
-	batch
-	q chan task
-}
-
-func newShard(s *Server, e Exec, depth, maxBatch int) *shard {
-	return &shard{
-		batch: batch{s: s, exec: e, tasks: make([]task, 0, maxBatch), ops: make([]Op, 0, maxBatch),
-			results: make([]Result, 0, maxBatch), touched: make([]*conn, 0, maxBatch)},
-		q: make(chan task, depth),
-	}
-}
-
-func (sh *shard) run() {
-	defer sh.s.execWG.Done()
-	for t := range sh.q {
-		sh.tasks = append(sh.tasks, t)
-	drain:
-		for len(sh.tasks) < sh.s.cfg.MaxBatch {
-			select {
-			case t2, ok := <-sh.q:
-				if !ok {
-					break drain
-				}
-				sh.tasks = append(sh.tasks, t2)
-			default:
-				break drain
-			}
-		}
-		sh.process()
 	}
 }

@@ -1,40 +1,28 @@
 // Package frontend is the serving path of ffwdserve, one connection
 // lifecycle for every wire protocol: a reader goroutine per connection
-// batch-decodes requests through the Server's Codec, executors run them
-// through the delegation pool as pipelined batches, and replies are
-// flushed back with one buffered write per connection per batch.
+// decodes what one Read delivered through the Server's Codec, borrows an
+// executor from the pool of Config.Execs, runs the requests through the
+// delegation pool as one pipelined batch, and writes the replies back in
+// request order with one write:
+//
+//	conn ──► reader ─ decode ─ borrow Exec ─ batch ─ one write ──► conn
 //
 // The layering mirrors the thesis of the ffwd paper applied to a
 // network server: the expensive part of a request is not the hash-table
 // operation (a delegated op costs ~hundreds of nanoseconds) but the
 // per-request overheads around it — syscalls, goroutine wakeups,
-// allocation, lock handoffs. The frontend amortizes all four:
+// allocation, lock handoffs. The frontend amortizes all four, and adds no
+// combiner of its own in front of the delegation server's: every
+// connection's batch meets the others' in the server's sweep.
 //
-//	conns ──► reader (blocking Read, batch decode) ──► shard queues
-//	                                                       │ drain ≤ MaxBatch
-//	                                                       ▼
-//	conns ◄────── one write per conn per batch ◄────── shard executor (Exec)
-//
-// That is the path of the binary codec. Its responses complete out of
-// order across shards; clients match them to requests by ID (see
-// internal/wireproto). Ordering within a single shard follows submission
-// order, but there is no cross-shard promise — that is what buys slow
-// operations freedom from head-of-line-blocking fast ones.
-//
-// A codec whose clients match replies by position (Text) is ordered: its
-// reader skips the queues, collects what one Read decoded (≤ MaxBatch),
-// borrows an executor from the pool of Config.Execs and runs the same
-// batch code itself, so replies leave in request order by construction:
-//
-//	conn ──► reader ─ decode ─ borrow Exec ─ batch ─ one write ──► conn
+// Replies leave in request order for every codec. Binary replies still
+// carry their request's ID, so a client may match them either way.
 //
 // Ownership rules, which keep the hot path allocation- and lock-free:
-// a connection's lifetime ends in one place, its reader's deferred
-// close. Executors that hit a write error mark the connection dead and
-// close the socket only to unblock that reader. Read buffers are touched
-// only by the reader; write buffers are guarded by a per-connection
-// mutex because reader (error replies) and executor (batch replies)
-// both append.
+// a connection's buffers and batch are touched only by its reader, and
+// its lifetime ends in one place, the reader's deferred close. A flush
+// that fails, or Close, marks the connection dead and closes the socket
+// only to unblock that reader.
 package frontend
 
 import (
@@ -52,21 +40,14 @@ type Config struct {
 	// Codec is the wire format. nil = Binary.
 	Codec Codec
 
-	// Execs is the executor list. Required: at least one. Under an
-	// unordered codec each is a shard and one goroutine drains its queue:
-	// keyed single-op requests hash to a shard by key, mget/len/stats stick
-	// to a per-connection shard. Under an ordered codec they form the pool
-	// connections borrow from, one executor per batch.
+	// Execs is the executor pool connections borrow from, one executor
+	// per batch. Required: at least one.
 	Execs []Exec
 
-	// ShedTimeout bounds how long an ordered connection's batch waits for
-	// a pooled executor before every request in it is answered busy.
+	// ShedTimeout bounds how long a connection's batch waits for a pooled
+	// executor before every request in it is answered busy.
 	// 0 = wait forever.
 	ShedTimeout time.Duration
-
-	// QueueDepth is each shard queue's capacity. A full queue sheds with
-	// RespBusy rather than blocking the reader. Default 1024.
-	QueueDepth int
 
 	// MaxBatch bounds how many requests run as a single pipelined batch.
 	// Default 64.
@@ -85,15 +66,12 @@ type Config struct {
 	WriteTimeout time.Duration
 }
 
-// Server accepts connections and runs the reader/executor loops.
+// Server accepts connections and runs their readers.
 type Server struct {
-	cfg     Config
-	traits  Traits
-	met     Metrics
-	shards  []*shard  // unordered codec: one queue executor per Exec
-	pool    chan Exec // ordered codec: the executors, lent a batch at a time
-	mgFree  chan *mgetBuf
-	connSeq atomic.Uint64
+	cfg    Config
+	traits Traits
+	met    Metrics
+	pool   chan Exec // the executors, lent a batch at a time
 
 	stopping  atomic.Bool
 	closeOnce sync.Once
@@ -102,23 +80,17 @@ type Server struct {
 	conns     map[*conn]struct{}
 
 	readerWG sync.WaitGroup
-	execWG   sync.WaitGroup
 }
 
-// conn is one client connection. rbuf/rlen are owned by the reader;
-// wbuf is shared under wmu.
+// conn is one client connection; everything but dead is its reader's.
 type conn struct {
 	srv *Server
 	nc  net.Conn
 
-	shard int    // fixed shard for conn-affine ops (mget/len/stats)
-	b     *batch // ordered codec: this connection's batch, grown on demand
-
 	rbuf []byte
 	rlen int
 	req  Request
-
-	wmu  sync.Mutex
+	batch
 	wbuf []byte
 
 	dead atomic.Bool
@@ -128,39 +100,21 @@ const initialRbuf = 4096
 
 var errNoExecs = errors.New("frontend: Config.Execs is empty")
 
-// NewServer starts one executor goroutine per shard (unordered codec) or
-// fills the executor pool (ordered). The caller feeds it listeners via
+// NewServer fills the executor pool. The caller feeds it listeners via
 // Serve.
 func NewServer(cfg Config) (*Server, error) {
 	if len(cfg.Execs) == 0 {
 		return nil, errNoExecs
 	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 1024
-	}
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = 64
-	}
-	if cfg.MaxBatch > cfg.QueueDepth {
-		cfg.MaxBatch = cfg.QueueDepth
 	}
 	if cfg.Codec == nil {
 		cfg.Codec = Binary{}
 	}
-	s := &Server{cfg: cfg, traits: cfg.Codec.Traits(),
-		mgFree: make(chan *mgetBuf, cfg.QueueDepth), conns: make(map[*conn]struct{})}
-	if s.traits.Ordered {
-		s.pool = make(chan Exec, len(cfg.Execs))
-		for _, e := range cfg.Execs {
-			s.pool <- e
-		}
-		return s, nil
-	}
+	s := &Server{cfg: cfg, traits: cfg.Codec.Traits(), pool: make(chan Exec, len(cfg.Execs)), conns: make(map[*conn]struct{})}
 	for _, e := range cfg.Execs {
-		sh := newShard(s, e, cfg.QueueDepth, cfg.MaxBatch)
-		s.shards = append(s.shards, sh)
-		s.execWG.Add(1)
-		go sh.run()
+		s.pool <- e
 	}
 	return s, nil
 }
@@ -168,19 +122,6 @@ func NewServer(cfg Config) (*Server, error) {
 // Metrics exposes the server's counters; (*Server).StatRows declares
 // them for the stats sinks.
 func (s *Server) Metrics() *Metrics { return &s.met }
-
-// Shards returns the queue executor count (0 under an ordered codec).
-func (s *Server) Shards() int { return len(s.shards) }
-
-// QueueDepth returns the current total queued requests across shards and
-// the aggregate capacity.
-func (s *Server) QueueDepth() (depth, capacity int) {
-	for _, sh := range s.shards {
-		depth += len(sh.q)
-		capacity += cap(sh.q)
-	}
-	return depth, capacity
-}
 
 // Serve accepts connections on ln until the listener closes. It returns
 // nil when the server is shutting down.
@@ -239,9 +180,8 @@ func (s *Server) Drain(timeout time.Duration) int {
 	return forced
 }
 
-// Close stops listeners, readers, and executors, closing every
-// connection; it returns after every reader goroutine has exited.
-// Idempotent.
+// Close stops listeners and readers, closing every connection; it
+// returns after every reader goroutine has exited. Idempotent.
 func (s *Server) Close() {
 	s.closeOnce.Do(func() {
 		s.mu.Lock()
@@ -254,10 +194,6 @@ func (s *Server) Close() {
 		}
 		s.mu.Unlock()
 		s.readerWG.Wait()
-		for _, sh := range s.shards {
-			close(sh.q)
-		}
-		s.execWG.Wait()
 	})
 }
 
@@ -268,26 +204,15 @@ func (s *Server) newConn(nc net.Conn) *conn {
 		rbuf: make([]byte, initialRbuf),
 		wbuf: make([]byte, 0, initialRbuf),
 	}
-	if s.traits.Ordered {
-		c.b = &batch{s: s}
-	} else {
-		c.shard = int(s.connSeq.Add(1) % uint64(len(s.shards)))
-	}
 	s.met.Active.Add(1)
 	return c
 }
 
-// shardOfKey spreads single-key ops across shards with a Fibonacci
-// multiplicative hash — sequential keys must not all land on one shard.
-func shardOfKey(key uint64, n int) int {
-	return int((key * 0x9E3779B97F4A7C15 >> 33) % uint64(n))
-}
-
 // decodeConn decodes every complete request currently in c's read
-// buffer — each to its shard queue, or into the connection's own batch
-// when replies are ordered — then compacts the buffer. It returns false
-// when the connection must close (quit, or framing lost); everything owed
-// has already been flushed.
+// buffer into the connection's batch, running the batch each time it
+// fills and once at the end, then compacts the buffer. It returns false
+// when the connection must close (quit, or framing lost); everything
+// owed has already been flushed.
 func (s *Server) decodeConn(c *conn) bool {
 	consumed, open := 0, true
 	r := &c.req
@@ -308,24 +233,18 @@ func (s *Server) decodeConn(c *conn) bool {
 			}
 		}
 		open = v != Close
-		switch b := c.b; {
-		case v == Run && b == nil:
-			s.dispatch(c, r)
+		switch {
 		case v == Run:
-			b.tasks = append(b.tasks, s.newTask(c, r))
-		case b == nil:
-			c.send(r.Reply)
+			c.add(r)
 		case len(r.Reply) > 0:
 			// Nothing overtakes: the reply waits its turn in the batch.
-			b.tasks, b.pre = append(b.tasks, task{c: c, val: uint64(len(r.Reply))}), append(b.pre, r.Reply...)
+			c.tasks, c.pre = append(c.tasks, task{op: wireproto.OpNop, val: uint64(len(r.Reply))}), append(c.pre, r.Reply...)
 		}
-		if c.b != nil && len(c.b.tasks) == s.cfg.MaxBatch {
-			c.b.process()
+		if len(c.tasks) == s.cfg.MaxBatch {
+			c.process()
 		}
 	}
-	if c.b != nil {
-		c.b.process()
-	}
+	c.process()
 	if consumed > 0 {
 		copy(c.rbuf, c.rbuf[consumed:c.rlen])
 		c.rlen -= consumed
@@ -340,55 +259,21 @@ func (s *Server) decodeConn(c *conn) bool {
 	return open
 }
 
-// dispatch routes one decoded request to its shard queue, shedding it
-// when the queue is full.
-func (s *Server) dispatch(c *conn, r *Request) {
-	sh := s.shards[c.shard] // mget, len, stats
-	switch r.Op {
-	case wireproto.OpGet, wireproto.OpSet, wireproto.OpDel, wireproto.OpSetTTL, wireproto.OpTouch:
-		sh = s.shards[shardOfKey(r.Key, len(s.shards))]
-	}
-	t := s.newTask(c, r)
-	select {
-	case sh.q <- t:
-	default:
-		s.putMG(t.mg)
-		s.met.QueueSheds.Add(1)
-		c.wmu.Lock()
-		c.wbuf = s.cfg.Codec.Append(c.wbuf, r.ID, r.Flags, &shed)
-		c.wmu.Unlock()
-		c.flush()
-	}
-}
-
-// send appends p to the write buffer and flushes it.
-func (c *conn) send(p []byte) {
-	c.wmu.Lock()
-	c.wbuf = append(c.wbuf, p...)
-	c.wmu.Unlock()
-	c.flush()
-}
-
-// flush writes the buffered responses in one syscall. A write error
-// kills the connection.
+// flush writes the buffered replies in one syscall. A write error kills
+// the connection.
 func (c *conn) flush() {
-	c.wmu.Lock()
-	if len(c.wbuf) == 0 || c.dead.Load() {
-		c.wbuf = c.wbuf[:0]
-		c.wmu.Unlock()
-		return
+	if len(c.wbuf) > 0 && !c.dead.Load() {
+		if c.srv.cfg.WriteTimeout > 0 {
+			c.nc.SetWriteDeadline(time.Now().Add(c.srv.cfg.WriteTimeout))
+		}
+		n, err := c.nc.Write(c.wbuf)
+		c.srv.met.BytesOut.Add(uint64(n))
+		c.srv.met.Flushes.Add(1)
+		if err != nil {
+			c.kill()
+		}
 	}
-	if c.srv.cfg.WriteTimeout > 0 {
-		c.nc.SetWriteDeadline(time.Now().Add(c.srv.cfg.WriteTimeout))
-	}
-	n, err := c.nc.Write(c.wbuf)
 	c.wbuf = c.wbuf[:0]
-	c.wmu.Unlock()
-	c.srv.met.BytesOut.Add(uint64(n))
-	c.srv.met.Flushes.Add(1)
-	if err != nil {
-		c.kill()
-	}
 }
 
 // kill marks the connection dead and closes the socket to unblock its

@@ -11,17 +11,15 @@ import (
 )
 
 // mapExec is a plain in-memory Exec for tests. An optional gate blocks
-// execution of Set on slowKey (or of every op when gateAll) until the
-// gate channel closes, to build head-of-line and queue-pressure
-// scenarios. mu makes one instance shareable across shards.
+// every op until the gate channel closes, signalling entered (when set)
+// as it blocks, to build pool-pressure scenarios. mu makes one instance
+// shareable across pooled executors.
 type mapExec struct {
 	mu           sync.Mutex
 	m            map[uint64]uint64
 	hits, misses uint64
 
-	gate    chan struct{}
-	slowKey uint64
-	gateAll bool
+	gate, entered chan struct{}
 }
 
 func newMapExec() *mapExec { return &mapExec{m: make(map[uint64]uint64)} }
@@ -29,7 +27,11 @@ func newMapExec() *mapExec { return &mapExec{m: make(map[uint64]uint64)} }
 func (e *mapExec) ExecBatch(ops []Op, results []Result) {
 	for i := range ops {
 		op, res := &ops[i], &results[i]
-		if e.gate != nil && (e.gateAll || (op.Kind == wireproto.OpSet && op.Key == e.slowKey)) {
+		if e.gate != nil {
+			select {
+			case e.entered <- struct{}{}:
+			default:
+			}
 			<-e.gate
 		}
 		e.mu.Lock()
@@ -229,49 +231,46 @@ func TestReservedValueSet(t *testing.T) {
 	}
 }
 
-// TestPipelinedOutOfOrder pins the tentpole ordering property: a slow
-// SET on one shard must not head-of-line-block fast GETs on another
-// shard issued later on the same connection. Responses are matched by
-// request ID, which must round-trip exactly.
-func TestPipelinedOutOfOrder(t *testing.T) {
-	slow, fast := newMapExec(), newMapExec()
-	gate := make(chan struct{})
-	slow.gate, slow.gateAll = gate, true
-	s, addr := startServer(t, Config{Execs: []Exec{slow, fast}})
+// TestBinaryRepliesInOrder pins that a pipelined burst on one binary
+// connection comes back in request order, each reply echoing its
+// request's ID, across several batches and a wide op in the middle.
+func TestBinaryRepliesInOrder(t *testing.T) {
+	e := newMapExec()
+	_, addr := startServer(t, Config{Execs: []Exec{e, e}, MaxBatch: 8})
 	c := dialT(t, addr)
-
-	// Pick keys by shard: slowKey routes to shard 0, fastKeys to 1.
-	var slowKey uint64
-	var fastKeys []uint64
-	for k := uint64(1); len(fastKeys) < 4 || slowKey == 0; k++ {
-		if shardOfKey(k, s.Shards()) == 0 {
-			if slowKey == 0 {
-				slowKey = k
-			}
-		} else if len(fastKeys) < 4 {
-			fastKeys = append(fastKeys, k)
+	const n = 100
+	reqs := make([]*wireproto.Request, n)
+	for i := range reqs {
+		id, key := uint64(1000+7*i), uint64(i/2)
+		switch {
+		case i == n/2+1:
+			reqs[i] = &wireproto.Request{Op: wireproto.OpMGet, ID: id, Keys: []uint64{0, 1, n}}
+		case i%2 == 0:
+			reqs[i] = &wireproto.Request{Op: wireproto.OpSet, ID: id, Key: key, Val: key + 1}
+		default:
+			reqs[i] = &wireproto.Request{Op: wireproto.OpGet, ID: id, Key: key}
 		}
-	}
-
-	reqs := []*wireproto.Request{{Op: wireproto.OpSet, ID: 100, Key: slowKey, Val: 1}}
-	for i, k := range fastKeys {
-		reqs = append(reqs, &wireproto.Request{Op: wireproto.OpGet, ID: uint64(200 + i), Key: k})
 	}
 	c.send(reqs...)
-
-	// All GET replies must arrive while the SET is still gated.
-	for i := range fastKeys {
+	for i, req := range reqs {
 		r := c.recv()
-		if r.ID < 200 || r.ID > 203 {
-			t.Fatalf("reply %d has id %d; slow SET overtook fast GETs", i, r.ID)
+		if r.ID != req.ID {
+			t.Fatalf("reply %d has id %d, want %d: replies out of request order", i, r.ID, req.ID)
 		}
-		if r.Type != wireproto.RespNotFound {
-			t.Fatalf("get: %+v", r)
+		switch req.Op {
+		case wireproto.OpSet:
+			if r.Type != wireproto.RespStored {
+				t.Fatalf("set %d: %+v", i, r)
+			}
+		case wireproto.OpGet:
+			if r.Type != wireproto.RespValue || r.Val != req.Key+1 {
+				t.Fatalf("get %d: %+v", i, r)
+			}
+		case wireproto.OpMGet:
+			if r.Type != wireproto.RespValues || len(r.Vals) != 3 || r.Vals[0] != 1 || r.Vals[1] != 2 || r.Vals[2] != wireproto.MissValue {
+				t.Fatalf("mget %d: %+v", i, r)
+			}
 		}
-	}
-	close(gate)
-	if r := c.recv(); r.ID != 100 || r.Type != wireproto.RespStored {
-		t.Fatalf("slow set: %+v", r)
 	}
 }
 
@@ -317,46 +316,42 @@ func TestMalformedFrameCloses(t *testing.T) {
 	}
 }
 
-// TestQueueShed pins that a full shard queue answers RespBusy with the
-// request's ID instead of blocking the reader.
+// TestQueueShed pins the overload answer: while the pool's only
+// executor is held, a batch that waits past ShedTimeout is answered
+// RespBusy request by request, each with its ID, every shed is counted,
+// and the connection serves again once the executor returns.
 func TestQueueShed(t *testing.T) {
 	e := newMapExec()
 	gate := make(chan struct{})
-	e.gate, e.gateAll = gate, true
-	s, addr := startServer(t, Config{Execs: []Exec{e}, QueueDepth: 1})
-	c := dialT(t, addr)
+	e.gate, e.entered = gate, make(chan struct{}, 1)
+	s, addr := startServer(t, Config{Execs: []Exec{e}, ShedTimeout: time.Millisecond})
+	holder := dialT(t, addr)
+	holder.send(&wireproto.Request{Op: wireproto.OpLen, ID: 1})
+	<-e.entered // the pool is saturated
 
+	c := dialT(t, addr)
 	const n = 8
 	reqs := make([]*wireproto.Request, n)
 	for i := range reqs {
 		reqs[i] = &wireproto.Request{Op: wireproto.OpGet, ID: uint64(i + 1), Key: uint64(i)}
 	}
 	c.send(reqs...)
+	for i := range reqs {
+		if r := c.recv(); r.Type != wireproto.RespBusy || r.ID != uint64(i+1) {
+			t.Fatalf("saturated reply %d: %+v, want RespBusy with id %d", i, r, i+1)
+		}
+	}
+	if got := s.Metrics().QueueSheds.Load(); got != n {
+		t.Fatalf("shed counter %d != busy replies %d", got, n)
+	}
 
-	// Busy replies come back immediately for everything past the queue.
-	busy := 0
-	seen := make(map[uint64]bool)
-	for i := 0; i < n; i++ {
-		if i == n-3 {
-			// Whatever is still queued completes once the gate opens.
-			close(gate)
-		}
-		r := c.recv()
-		if seen[r.ID] {
-			t.Fatalf("duplicate reply id %d", r.ID)
-		}
-		seen[r.ID] = true
-		if r.Type == wireproto.RespBusy {
-			busy++
-		} else if r.Type != wireproto.RespNotFound {
-			t.Fatalf("reply: %+v", r)
-		}
+	close(gate)
+	if r := holder.recv(); r.Type != wireproto.RespLen || r.ID != 1 {
+		t.Fatalf("held request: %+v", r)
 	}
-	if busy < n-2 {
-		t.Fatalf("busy replies: %d, want >= %d", busy, n-2)
-	}
-	if got := s.Metrics().QueueSheds.Load(); got != uint64(busy) {
-		t.Fatalf("shed counter %d != busy replies %d", got, busy)
+	c.send(&wireproto.Request{Op: wireproto.OpGet, ID: 100, Key: 1})
+	if r := c.recv(); r.Type != wireproto.RespNotFound || r.ID != 100 {
+		t.Fatalf("after release: %+v", r)
 	}
 }
 
@@ -482,11 +477,12 @@ func TestBatchingMetrics(t *testing.T) {
 	}
 }
 
-// TestOrderedRepliesInPosition pins what an ordered codec promises: the
-// replies to one write come back in request order — executor results and
-// the replies decode already knew interleaved as sent, a blank line
-// answered by nothing — and quit closes after everything before it has
-// been flushed, with nothing after it run.
+// TestOrderedRepliesInPosition pins, on the line codec, whose clients
+// match replies by position, what every codec promises: the replies to
+// one write come back in request order — executor results and the
+// replies decode already knew interleaved as sent, a blank line answered
+// by nothing — and quit closes after everything before it has been
+// flushed, with nothing after it run.
 func TestOrderedRepliesInPosition(t *testing.T) {
 	e := newMapExec()
 	_, addr := startServer(t, Config{Codec: Text{}, Execs: []Exec{e, e}})

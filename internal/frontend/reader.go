@@ -9,9 +9,8 @@ import (
 
 // serveConn is a connection's reader and the one place it is closed: it
 // blocks in Read (the runtime netpoller parks and wakes it), decodes
-// whatever arrived — into the shard queues, or through its own batch when
-// replies are ordered — and returns on EOF, a read error, a decoded
-// close, an idle reap or kill().
+// and runs whatever arrived as its own batch, and returns on EOF, a read
+// error, a decoded close, an idle reap or kill().
 //
 // The idle deadline is armed lazily so a busy connection never touches a
 // runtime timer: it is set once, and again only when it fires. A
@@ -60,7 +59,8 @@ func (s *Server) serveConn(c *conn) {
 			}
 			if !active {
 				s.met.IdleReaps.Add(1)
-				c.send(s.traits.Idle)
+				c.wbuf = append(c.wbuf, s.traits.Idle...)
+				c.flush()
 				return
 			}
 			active = false

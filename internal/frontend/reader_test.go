@@ -103,7 +103,8 @@ func TestCloseReapsReaders(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			baseline := runtime.NumGoroutine()
-			s, addr := startServer(t, Config{Execs: []Exec{newMapExec(), newMapExec()}})
+			e := newMapExec()
+			s, addr := startServer(t, Config{Execs: []Exec{e, e}})
 			const conns, rounds = 64, 100
 			clients := make([]*tclient, conns)
 			var wg sync.WaitGroup

@@ -37,7 +37,7 @@ const (
 var mgetLimitMsg = fmt.Sprintf("ERROR mget limited to %d keys", wireproto.MGetMax)
 
 func (Text) Traits() Traits {
-	return Traits{Ordered: true, MaxRequest: MaxLine, Reject: []byte("BUSY max connections\n"),
+	return Traits{MaxRequest: MaxLine, Reject: []byte("BUSY max connections\n"),
 		Idle: []byte("ERROR idle timeout\n"), StatName: "ffwd_text_", StatKey: "text_"}
 }
 
