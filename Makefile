@@ -187,7 +187,7 @@ loc:
 # The ratchet on that number: the total may not exceed LOC_BUDGET. A PR
 # that shrinks the code lowers the budget to its own total; one that must
 # grow it edits this one number and says why.
-LOC_BUDGET = 17568
+LOC_BUDGET = 17581
 loc-check:
 	@$(MAKE) --no-print-directory loc | awk -v budget=$(LOC_BUDGET) ' \
 		{ print } / total / { total = $$1 } \

@@ -49,6 +49,9 @@ type Client struct {
 	// the channel; the next wait or issue on this client first drains
 	// its late response, keeping the toggle protocol coherent.
 	abandoned bool
+	// w is the wait ladder, reset by every wait and kept so its sleep
+	// timer is made once per client, not once per sleep.
+	w spin.Waiter
 }
 
 // Slot returns the client's slot index on its server.
@@ -170,10 +173,7 @@ func (c *Client) TryWait() (ret uint64, ok bool) {
 	if !c.pending {
 		panic("core: TryWait without an in-flight request")
 	}
-	t := atomic.LoadUint64(c.respT)
-	bitSet := t&c.bit != 0
-	want := c.toggle == 1
-	if bitSet != want {
+	if !c.ready() {
 		return 0, false
 	}
 	c.pending = false
@@ -190,6 +190,11 @@ func (c *Client) TryWait() (ret uint64, ok bool) {
 	return *c.respV, true
 }
 
+// ready reports whether the in-flight request's response has arrived.
+func (c *Client) ready() bool {
+	return (atomic.LoadUint64(c.respT)&c.bit != 0) == (c.toggle == 1)
+}
+
 // Wait blocks until the in-flight request's response arrives and returns
 // the delegated function's return value. The wait climbs spin.Waiter's
 // spin → yield → sleep ladder, so a response that is many sweeps away (or
@@ -198,13 +203,29 @@ func (c *Client) Wait() uint64 {
 	if c.tr != nil {
 		c.traceEvent(obs.KindClientWaitStart, c.seq)
 	}
-	var w spin.Waiter
+	c.w.Reset()
 	for {
 		if ret, ok := c.TryWait(); ok {
 			return ret
 		}
-		w.Wait()
+		c.waitStep(time.Time{})
 	}
+}
+
+// waitStep takes one step of the wait ladder, bounded by deadline unless
+// it is zero, and reports whether the wait may continue. On the sleep
+// rung the client counts itself among the server's sleepers and sleeps
+// on its nudge channel. The count is raised before the response is
+// checked once more; the server flushes before it reads the count, so
+// either the check sees the response or the server sends this sleep a
+// token.
+func (c *Client) waitStep(deadline time.Time) bool {
+	if !c.w.Sleeping() {
+		return c.w.WaitOn(nil, deadline)
+	}
+	c.s.sleepers.Add(1)
+	defer c.s.sleepers.Add(-1)
+	return c.ready() || c.w.WaitOn(c.s.nudge, deadline)
 }
 
 // waitUntil blocks until the in-flight response arrives, the deadline
@@ -219,8 +240,7 @@ func (c *Client) waitUntil(deadline time.Time) (uint64, error) {
 	if c.tr != nil {
 		c.traceEvent(obs.KindClientWaitStart, c.seq)
 	}
-	bounded := !deadline.IsZero()
-	var w spin.Waiter
+	c.w.Reset()
 	for {
 		if ret, ok := c.TryWait(); ok {
 			return ret, nil
@@ -241,16 +261,12 @@ func (c *Client) waitUntil(deadline time.Time) (uint64, error) {
 			}
 			return 0, ErrServerStopped
 		}
-		if bounded {
-			if !w.WaitBounded(deadline) {
-				c.abandoned = true
-				if c.bt != nil {
-					c.flushTrace()
-				}
-				return 0, ErrTimeout
+		if !c.waitStep(deadline) {
+			c.abandoned = true
+			if c.bt != nil {
+				c.flushTrace()
 			}
-		} else {
-			w.Wait()
+			return 0, ErrTimeout
 		}
 	}
 }
@@ -363,7 +379,7 @@ func (c *Client) issueHdr(fid FuncID, argc int) {
 // bounded callers (DelegateTimeout, FlushTimeout) return an error before
 // reaching this point.
 func (c *Client) drainAbandoned() uint64 {
-	var w spin.Waiter
+	c.w.Reset()
 	for {
 		if ret, ok := c.TryWait(); ok {
 			return ret
@@ -374,7 +390,7 @@ func (c *Client) drainAbandoned() uint64 {
 			}
 			panic("core: Issue over an undrainable abandoned request (server not running); use DelegateTimeout")
 		}
-		w.Wait()
+		c.waitStep(time.Time{})
 	}
 }
 

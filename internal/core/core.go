@@ -53,15 +53,28 @@
 //
 // # Idle policy
 //
-// An idle server descends a spin → yield → park ladder: empty sweeps
-// first yield the processor (Config.IdleYieldAfter), and after
-// Config.IdleParkAfter consecutive empty sweeps the server parks on a
-// notification word and blocks. Clients check that word after publishing a
-// request header — a single atomic load on an otherwise read-shared line —
-// and the first Issue against a parked server performs the one-time
-// CAS+wake handoff. A Dekker-style re-sweep after setting the parked flag
-// closes the race between a client publishing just before the flag was
-// visible and the server blocking.
+// An idle server descends a spin → park ladder: every empty sweep
+// yields the processor, and after Config.IdleParkAfter consecutive empty
+// sweeps the server parks on a notification word and blocks. The ladder
+// also predicts the next gap from two counts it already keeps, the
+// requests served per busy period and the empty sweeps per gap. When the
+// last few busy periods each served one request and each gap after them
+// was long — a lone client with think time, such as one ping-pong
+// connection — spinning through the next gap cannot pay, so the server
+// parks at its first empty sweep. A batch or a short gap returns it to
+// the ladder, and a periodic probe gap is spun to re-measure, so the
+// prediction is never sticky. At GOMAXPROCS=1 clients run only while the
+// server yields, and the plain ladder is kept. A client whose own wait
+// ladder reached its sleep rung sleeps on a nudge channel that the server
+// signals at the first empty sweep of each gap (Server.nudge), so a
+// server that parks does not leave the sleeper to a timer.
+//
+// Clients check the notification word after publishing a request header
+// — a single atomic load on an otherwise read-shared line — and the
+// first Issue against a parked server performs the one-time CAS+wake
+// handoff. A Dekker-style re-sweep after setting the parked flag closes
+// the race between a client publishing just before the flag was visible
+// and the server blocking.
 package core
 
 import (
@@ -121,10 +134,30 @@ const (
 )
 
 // defaultIdleParkAfter is the number of consecutive empty sweeps after
-// which an idle server parks. Large enough that a server under bursty
-// load never parks between bursts, small enough that a genuinely idle
-// server stops consuming its processor within microseconds.
+// which an idle server parks: the cap of the spinning ladder. Large
+// enough that a server under bursty load never parks between bursts,
+// small enough that a genuinely idle server stops consuming its
+// processor within microseconds. A lone client's gaps are predicted
+// (loneGap, loneRun, loneProbe) and parked at once instead.
 const defaultIdleParkAfter = 64
+
+// The lone-client prediction of the idle ladder. A gap is lone when the
+// busy period before it served exactly one request and the gap outlasted
+// loneGap empty sweeps or ended in a park. After loneRun lone gaps in a
+// row the server parks at the first empty sweep of the next one, except
+// that every loneProbe-th gap is spun on the ladder again, up to
+// loneGap+1 sweeps, so a client that stops thinking is seen within
+// loneProbe requests. Within a pipelined window the gaps are a sweep or
+// two, so a window never looks lone. loneGap sits above the break-even
+// of parking, measured on a 2-vCPU host: an empty sweep with its yield
+// took about 0.3–1 µs, and a park and wake cost the next request a few
+// µs, which a sync client thinking under about 10 µs (≈ 30 sweeps) paid
+// without a saving, while a ping-pong connection's gaps ran 50–64 sweeps.
+const (
+	loneGap   = 32
+	loneRun   = 4
+	loneProbe = 64
+)
 
 // defaultBackgroundBudget is the per-empty-sweep cap on Background-hook
 // work units. Small enough that a request arriving mid-maintenance waits
@@ -220,13 +253,11 @@ type Config struct {
 	// The paper measures this design error at 55→26 Mops; it exists
 	// here for the ablation benchmark.
 	ServerLock sync.Locker
-	// IdleYieldAfter is the number of consecutive empty polling sweeps
-	// after which the server yields the processor. Default 1 — at
-	// GOMAXPROCS=1 the server must yield promptly or clients never run.
-	IdleYieldAfter int
 	// IdleParkAfter is the number of consecutive empty polling sweeps
-	// after which the server parks on its notification word and stops
-	// consuming the processor entirely until the next Issue wakes it.
+	// (each of which yields the processor) after which the server parks
+	// on its notification word and stops consuming the processor
+	// entirely until the next Issue wakes it. It caps the spinning
+	// ladder; the gaps of a lone client park sooner (see "Idle policy").
 	// 0 selects the default (64); a negative value disables parking —
 	// the server then spins and yields forever, the pre-park behaviour.
 	IdleParkAfter int
@@ -412,6 +443,15 @@ type Server struct {
 	// once: the CAS gate admits at most one in-flight token.
 	parked padded.Bool
 	wake   chan struct{}
+	// sleepers counts the clients on the sleep rung of their wait
+	// ladder, who sleep on nudge: at the first empty sweep of a gap the
+	// server sends one token per sleeper. Left to its timer, a sleeper
+	// whose response came late would wake, in a process parked between
+	// lone requests, only at the netpoller's next 1 ms tick. A token
+	// left by a sleeper its timer woke first only ends a later sleep
+	// early; the buffer (one per slot) never blocks the server.
+	sleepers atomic.Int32
+	nudge    chan struct{}
 
 	nRequests      padded.Uint64
 	nSweeps        padded.Uint64
@@ -473,9 +513,6 @@ func NewServer(cfg Config) *Server {
 		maxClients = gs
 	}
 	nGroups := (maxClients + gs - 1) / gs
-	if cfg.IdleYieldAfter <= 0 {
-		cfg.IdleYieldAfter = 1
-	}
 	if cfg.IdleParkAfter == 0 {
 		cfg.IdleParkAfter = defaultIdleParkAfter
 	}
@@ -488,6 +525,7 @@ func NewServer(cfg Config) *Server {
 		occ:       make([]uint64, nGroups),
 		done:      make(chan struct{}),
 		wake:      make(chan struct{}, 1),
+		nudge:     make(chan struct{}, nGroups*gs),
 		hooks:     cfg.Hooks,
 		trace:     cfg.Trace,
 		slotPanic: make([]atomic.Pointer[PanicRecord], nGroups*gs),
@@ -821,8 +859,9 @@ func (s Stats) Rows() []obs.Row {
 
 // run is the server loop: poll every request slot group by group, execute
 // new requests, buffer return values, flush per group. Empty sweeps climb
-// the idle ladder: yield every IdleYieldAfter sweeps, park (block on the
-// notification word) after IdleParkAfter.
+// the idle ladder: yield on each, park (block on the notification word)
+// after IdleParkAfter, or at the first one when the gap is predicted to
+// be a lone client's.
 //
 // done is this generation's completion channel, captured by value so a
 // supervised restart installing a fresh channel cannot race the dying
@@ -860,9 +899,15 @@ func (s *Server) run(done chan struct{}) {
 	// Delegated functions must not retain the pointer past their call,
 	// which the Func contract states.
 	var args [MaxArgs]uint64
-	idleSweeps := 0
-	parkAfter := s.cfg.IdleParkAfter
-	yieldAfter := s.cfg.IdleYieldAfter
+	// The idle ladder's state is three counts of the loop's own input
+	// (see "Idle policy" in the package doc): idleSweeps is the current
+	// gap in empty sweeps, burst the requests served since the last gap,
+	// and lone the run of gaps that each followed a single request and
+	// outlasted loneGap sweeps or a park.
+	idleSweeps, burst, lone := 0, 0, 0
+	// At GOMAXPROCS=1 a client runs only while the server yields, so
+	// the server never parks early there.
+	parkAfter, predict := s.cfg.IdleParkAfter, runtime.GOMAXPROCS(0) > 1
 	// served toggle state per group is the response toggle word itself;
 	// the server is its only writer, so it may read it plainly.
 	for {
@@ -874,45 +919,72 @@ func (s *Server) run(done chan struct{}) {
 			s.sweep(gs, &retBuf, &seqBuf, &args, &evBuf)
 			return
 		}
-		if served := s.sweep(gs, &retBuf, &seqBuf, &args, &evBuf); served > 0 {
-			idleSweeps = 0
-			continue
-		}
-		// The sweep found nothing: spend the otherwise-wasted pass on
-		// bounded background maintenance (timer-wheel advance, expiry)
-		// before deciding how far to descend the idle ladder. A full
-		// budget spent means more maintenance is pending — stay hot so
-		// the backlog drains across consecutive sweeps instead of
-		// stalling behind a park.
-		if bg := s.background; bg != nil {
-			if units := bg(s.bgBudget); units > 0 {
-				s.nBgRuns.Add(1)
-				s.nBgUnits.Add(uint64(units))
-				if tr := s.trace; tr != nil {
-					tr.Event(obs.KindMaintain, -1, uint64(units))
-				}
-				if units >= s.bgBudget {
-					// Skip the park descent, but still yield: at
-					// GOMAXPROCS=1 clients never run (and never
-					// produce work) unless the hot server gives up
-					// the processor between maintenance slices.
-					idleSweeps = 0
-					s.nIdleYields.Add(1)
-					runtime.Gosched()
-					continue
+		served := s.sweep(gs, &retBuf, &seqBuf, &args, &evBuf)
+		if served == 0 {
+			// The sweep found nothing: spend the otherwise-wasted pass on
+			// bounded background maintenance (timer-wheel advance, expiry)
+			// before deciding how far to descend the idle ladder. A full
+			// budget spent means more maintenance is pending — stay hot so
+			// the backlog drains across consecutive sweeps instead of
+			// stalling behind a park.
+			if bg := s.background; bg != nil {
+				if units := bg(s.bgBudget); units > 0 {
+					s.nBgRuns.Add(1)
+					s.nBgUnits.Add(uint64(units))
+					if tr := s.trace; tr != nil {
+						tr.Event(obs.KindMaintain, -1, uint64(units))
+					}
+					if units >= s.bgBudget {
+						// Skip the park descent, but still yield: at
+						// GOMAXPROCS=1 clients never run (and never
+						// produce work) unless the hot server gives up
+						// the processor between maintenance slices.
+						idleSweeps = 0
+						s.nIdleYields.Add(1)
+						runtime.Gosched()
+						continue
+					}
 				}
 			}
+			idleSweeps++
+			if idleSweeps == 1 {
+				// Every response a sleeper waits for is flushed: a
+				// token each (a full buffer already holds enough).
+				for n := s.sleepers.Load(); n > 0 && len(s.nudge) < cap(s.nudge); n-- {
+					s.nudge <- struct{}{}
+				}
+			}
+			limit := parkAfter
+			if predict && burst == 1 && lone >= loneRun {
+				// A lone request after lone requests: park at once,
+				// except on a probe gap, which is measured again.
+				limit = 1
+				if lone%loneProbe == 0 {
+					limit = min(parkAfter, loneGap+1)
+				}
+			}
+			if parkAfter <= 0 || idleSweeps < limit {
+				s.nIdleYields.Add(1)
+				runtime.Gosched()
+				continue
+			}
+			if served = s.park(gs, &retBuf, &seqBuf, &args, &evBuf); served == 0 {
+				// The server blocked: the gap outlasted its rung, so
+				// it scores long whatever the sweeps counted.
+				idleSweeps = loneGap + 1
+				continue
+			}
+			// The Dekker re-sweep caught the gap's first requests.
 		}
-		idleSweeps++
-		if parkAfter > 0 && idleSweeps >= parkAfter {
-			s.park(gs, &retBuf, &seqBuf, &args, &evBuf)
-			idleSweeps = 0
-			continue
+		if idleSweeps > 0 {
+			// A gap ended: score it and start the next busy period.
+			lone++
+			if burst != 1 || idleSweeps <= loneGap {
+				lone = 0
+			}
+			idleSweeps, burst = 0, 0
 		}
-		if idleSweeps%yieldAfter == 0 {
-			s.nIdleYields.Add(1)
-			runtime.Gosched()
-		}
+		burst += served
 	}
 }
 
@@ -920,10 +992,11 @@ func (s *Server) run(done chan struct{}) {
 // (or Stop) wakes it. The re-sweep after publishing the parked flag is
 // the Dekker-style race closer: a client that issued before observing the
 // flag is caught here; one that issues afterwards sees the flag and
-// performs the wake.
-func (s *Server) park(gs int, retBuf *[GroupSize]uint64, seqBuf *[GroupSize]uint64, args *[MaxArgs]uint64, evBuf *[sweepEvCap]obs.Event) {
+// performs the wake. park returns the number of requests the re-sweep
+// served: zero when the server blocked (or is stopping).
+func (s *Server) park(gs int, retBuf *[GroupSize]uint64, seqBuf *[GroupSize]uint64, args *[MaxArgs]uint64, evBuf *[sweepEvCap]obs.Event) int {
 	s.parked.Store(true)
-	if s.sweep(gs, retBuf, seqBuf, args, evBuf) > 0 || s.stopping.Load() {
+	if served := s.sweep(gs, retBuf, seqBuf, args, evBuf); served > 0 || s.stopping.Load() {
 		// Work (or shutdown) arrived while the flag went up; retract
 		// it. If a waker already CAS'd the flag down, consume its
 		// token so a later park does not wake spuriously (a missed
@@ -935,7 +1008,7 @@ func (s *Server) park(gs int, retBuf *[GroupSize]uint64, seqBuf *[GroupSize]uint
 			default:
 			}
 		}
-		return
+		return served
 	}
 	s.nIdleParks.Add(1)
 	if tr := s.trace; tr != nil {
@@ -949,6 +1022,7 @@ func (s *Server) park(gs int, retBuf *[GroupSize]uint64, seqBuf *[GroupSize]uint
 	// from a retracted park wakes us with it still raised. Lower it
 	// unconditionally — the server is the only goroutine that raises it.
 	s.parked.Store(false)
+	return 0
 }
 
 // call executes one delegated function, converting a panic into the

@@ -9,7 +9,8 @@
 // already in flight, scheduler yields for responses a sweep or two away,
 // and finally exponentially backed-off sleeps so a waiter whose peer is
 // genuinely slow (or parked) stops consuming its processor. The ladder is
-// live at GOMAXPROCS=1 and burns no core when the awaited event is far off.
+// live at GOMAXPROCS=1 and burns no core when the awaited event is far off,
+// and a peer that knows it is awaited can cut a sleep short (WaitOn).
 package spin
 
 import (
@@ -43,50 +44,37 @@ type Waiter struct {
 	spins  int
 	yields int
 	sleep  time.Duration
+	t      *time.Timer // the sleep rung's timer, made once and reused
 }
 
 // Wait performs one waiting step: a busy spin while under the spin bound,
 // a scheduler yield while under the yield bound, and an exponentially
 // backed-off sleep afterwards.
-func (w *Waiter) Wait() {
-	if w.spins < defaultSpins {
-		w.spins++
-		pause()
-		return
-	}
-	if w.yields < defaultYields {
-		w.yields++
-		runtime.Gosched()
-		return
-	}
-	d := w.sleep
-	if d <= 0 {
-		d = sleepMin
-	}
-	time.Sleep(d)
-	d *= 2
-	if d > sleepMax {
-		d = sleepMax
-	}
-	w.sleep = d
-}
+func (w *Waiter) Wait() { w.WaitOn(nil, time.Time{}) }
 
-// WaitBounded is Wait with a deadline: it performs one waiting step and
-// reports whether the wait may continue. It returns false once deadline
-// has passed. The clock is consulted only on the yield and sleep rungs —
-// the busy-spin rung stays a handful of cycles — so a loop can overshoot
-// its deadline by at most the spin phase. Sleeps are truncated to the
-// remaining budget so a waiter never oversleeps its deadline by more than
-// a scheduler quantum.
-func (w *Waiter) WaitBounded(deadline time.Time) bool {
+// WaitOn is Wait with a deadline, unless deadline is zero, and a wake
+// channel. It performs one waiting step and reports whether the wait may
+// continue; it returns false once deadline has passed. The clock is
+// consulted only on the yield and sleep rungs — the busy-spin rung stays
+// a handful of cycles — so a loop can overshoot its deadline by at most
+// the spin phase. Sleeps are truncated to the remaining budget so a
+// waiter never oversleeps its deadline by more than a scheduler quantum.
+//
+// A sleep also ends when wake is closed (a nil wake never is), so a peer
+// that knows the waiter sleeps can end it at once: left to its timer, a
+// sleep in a process whose threads are all idle lasts until the runtime
+// netpoller's next 1 ms tick, however short it was asked to be.
+func (w *Waiter) WaitOn(wake <-chan struct{}, deadline time.Time) bool {
 	if w.spins < defaultSpins {
 		w.spins++
 		pause()
 		return true
 	}
-	now := time.Now()
-	if !now.Before(deadline) {
-		return false
+	var now time.Time
+	if !deadline.IsZero() {
+		if now = time.Now(); !now.Before(deadline) {
+			return false
+		}
 	}
 	if w.yields < defaultYields {
 		w.yields++
@@ -97,15 +85,19 @@ func (w *Waiter) WaitBounded(deadline time.Time) bool {
 	if d <= 0 {
 		d = sleepMin
 	}
-	if rem := deadline.Sub(now); d > rem {
+	if rem := deadline.Sub(now); !deadline.IsZero() && d > rem {
 		d = rem
 	}
-	time.Sleep(d)
-	d *= 2
-	if d > sleepMax {
-		d = sleepMax
+	if w.t == nil {
+		w.t = time.NewTimer(d)
 	}
-	w.sleep = d
+	w.t.Reset(d)
+	select {
+	case <-wake:
+		w.t.Stop()
+	case <-w.t.C:
+	}
+	w.sleep = min(2*d, sleepMax)
 	return true
 }
 
@@ -117,9 +109,10 @@ func (w *Waiter) Yielded() bool { return w.spins >= defaultSpins }
 // ladder.
 func (w *Waiter) Sleeping() bool { return w.yields >= defaultYields }
 
-// Reset restarts the ladder from the busy-spin rung. Call after the
-// awaited condition was observed so the next wait starts cheap again.
-func (w *Waiter) Reset() { *w = Waiter{} }
+// Reset restarts the ladder from the busy-spin rung, keeping its timer.
+// Call after the awaited condition was observed so the next wait starts
+// cheap again.
+func (w *Waiter) Reset() { *w = Waiter{t: w.t} }
 
 //go:noinline
 func pause() {

@@ -83,6 +83,29 @@ func TestWaiterSleepBacksOffAndCaps(t *testing.T) {
 	}
 }
 
+// TestWaitOnWakeEndsSleep: a closed wake channel ends the sleep rung at
+// once. Twenty sleeps at the 1 ms cap take 20 ms on their timers; the
+// bound is half that.
+func TestWaitOnWakeEndsSleep(t *testing.T) {
+	var w Waiter
+	for !w.Sleeping() {
+		w.Wait()
+	}
+	wake := make(chan struct{})
+	close(wake)
+	const n = 20
+	start := time.Now()
+	for i := 0; i < n; i++ {
+		w.sleep = sleepMax
+		if !w.WaitOn(wake, time.Time{}) {
+			t.Fatal("unbounded WaitOn reported the wait over")
+		}
+	}
+	if elapsed := time.Since(start); elapsed > n*sleepMax/2 {
+		t.Fatalf("%d woken sleeps took %v, want < %v: the wake channel did not end them", n, elapsed, n*sleepMax/2)
+	}
+}
+
 func TestUntilEqualUint32(t *testing.T) {
 	var v atomic.Uint32
 	go v.Store(7)
