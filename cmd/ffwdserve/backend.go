@@ -47,7 +47,7 @@ type storeOpts struct {
 // defaultExecs sizes each served protocol's executor pool from what can
 // run at once. An ffwd or mutex executor never blocks, so one per P
 // keeps every P busy; more would only cost, since the delegation server
-// sweeps every executor's window on every pass, idle or not. A
+// sweeps every executor's slot on every pass, idle or not. A
 // replicated executor waits out a quorum round, and one blocked executor
 // serialises the leader, so that pool stays wide.
 func defaultExecs(replicated bool) int {

@@ -14,36 +14,33 @@ import (
 )
 
 // This file is the ffwd backend: one shared DelegatedKV, and executors
-// that each own one delegation handle on it — a KVBatchClient window —
-// so the store stays globally consistent while every executor pipelines
-// independently. Everything an executor asks of the store goes through
-// that window: singles, a multi-get as its keys' gets, the stats verb as
-// four counter reads.
-
-// ffwdWindow is how many requests each executor keeps in flight. Every
-// registered slot is loaded on every sweep, busy or not, so the window
-// times the pool size (defaultExecs) is a cost every request pays.
-const ffwdWindow = 16
+// that each own one plain delegation handle on it. A decoded batch is one
+// delegated call: the executor points its ops/results fields at the
+// batch and delegates its own index to the batch function, which applies
+// every op in order on the server goroutine, directly on the store. The
+// request line's releasing header store orders the executor's buffer
+// writes ahead of the server's reads, and the response toggle orders the
+// server's result writes ahead of the executor's, so the two cache-line
+// transfers of a delegated call are paid once per batch, not once per op.
+// A batch is one request with one sequence number, so a crash replay is
+// answered from the server's ledger, with the first execution's results
+// already in the buffer: exactly-once needs nothing more.
 
 // ffwdExec executes batches against the delegated KV.
 type ffwdExec struct {
-	batch *apps.KVBatchClient
+	c   *core.Client
+	fid core.FuncID // the batch function
+	idx uint64      // this executor's index in the batch function's table
 
 	// defTTL, when nonzero, turns plain OpSet into a TTL'd store (the
 	// -default-ttl flag, in server clock ticks).
 	defTTL uint64
 
-	// pend maps the batch client's completion seq to the op (and, for a
-	// multi-get or stats, the key or counter within it) of the
-	// in-progress batch; curOps/curResults alias ExecBatch's arguments so
-	// the completion callback is allocation-free.
-	pend       []pendRef
-	curOps     []frontend.Op
-	curResults []frontend.Result
+	// ops/results alias ExecBatch's arguments for the one delegated
+	// call that applies them.
+	ops     []frontend.Op
+	results []frontend.Result
 }
-
-// pendRef names what one delegated request answers: op sub of results[op].
-type pendRef struct{ op, sub int }
 
 // newFFWDBackend builds the delegated store, supervises its server, and
 // registers its stats: the delegation server's counters and the store's,
@@ -51,7 +48,7 @@ type pendRef struct{ op, sub int }
 // request like any other).
 func newFFWDBackend(o storeOpts, reg *obs.Registry) (*backend, error) {
 	cfg := core.Config{
-		MaxClients:    o.pools*o.execs*ffwdWindow + 1,
+		MaxClients:    o.pools*o.execs + 1,
 		IdleParkAfter: o.parkAfter,
 	}
 	if o.chaosSeed != 0 {
@@ -72,16 +69,7 @@ func newFFWDBackend(o storeOpts, reg *obs.Registry) (*backend, error) {
 	// Every handle is taken before the server starts, so a failure leaves
 	// nothing running.
 	var err error
-	be.pools, err = newPools(o, func() (frontend.Exec, error) {
-		batch, err := d.NewBatchClient(ffwdWindow)
-		if err != nil {
-			return nil, err
-		}
-		e := &ffwdExec{batch: batch, defTTL: o.defTTL, pend: make([]pendRef, 0, 256)}
-		batch.OnDone(e.onDone)
-		return e, nil
-	})
-	if err != nil {
+	if be.pools, err = newFFWDPools(d, o); err != nil {
 		return nil, err
 	}
 	sc, err := d.NewClient()
@@ -112,6 +100,30 @@ func newFFWDBackend(o storeOpts, reg *obs.Registry) (*backend, error) {
 	return be, nil
 }
 
+// newFFWDPools registers the batch function on d's server and builds
+// o.pools pools of o.execs executors on it, one delegation slot each. It
+// must run before d starts.
+func newFFWDPools(d *apps.DelegatedKV, o storeOpts) ([][]frontend.Exec, error) {
+	var execs []*ffwdExec
+	st := d.Store()
+	fid := d.Server().Register(func(a *[core.MaxArgs]uint64) uint64 {
+		e := execs[a[0]]
+		for i := range e.ops {
+			e.apply(st, &e.ops[i], &e.results[i])
+		}
+		return 0
+	})
+	return newPools(o, func() (frontend.Exec, error) {
+		c, err := d.Server().NewClient()
+		if err != nil {
+			return nil, err
+		}
+		e := &ffwdExec{c: c, fid: fid, idx: uint64(len(execs)), defTTL: o.defTTL}
+		execs = append(execs, e)
+		return e, nil
+	})
+}
+
 // supervisorCadence is how every ffwd-kind backend supervises its
 // delegation server. It is gentler than the library default: a rescue
 // kick wakes the parked server and costs a full idle-ladder climb, so one
@@ -119,96 +131,63 @@ func newFFWDBackend(o storeOpts, reg *obs.Registry) (*backend, error) {
 // crash within 5ms and a lost wake within 100ms.
 var supervisorCadence = core.SupervisorConfig{Interval: 5 * time.Millisecond, KickAfter: 20}
 
-// onDone maps one completed request back to its result. ret is the
-// delegated function's raw return word; the op kind decodes it.
-func (e *ffwdExec) onDone(seq int, ret uint64) {
-	p := e.pend[seq]
-	res := &e.curResults[p.op]
-	switch e.curOps[p.op].Kind {
-	case wireproto.OpGet:
-		if ret == wireproto.MissValue {
-			res.Status = wireproto.RespNotFound
-		} else {
-			res.Status, res.Val = wireproto.RespValue, ret
-		}
-	case wireproto.OpSet, wireproto.OpSetTTL:
-		res.Status = wireproto.RespStored
-	case wireproto.OpDel:
-		res.Status = found(ret == 1, wireproto.RespDeleted)
-	case wireproto.OpTouch:
-		res.Status = found(ret == 1, wireproto.RespTouched)
-	case wireproto.OpLen:
-		res.Status, res.Val = wireproto.RespLen, ret
-	case wireproto.OpMGet:
-		res.Vals[p.sub] = ret // a miss is already wireproto.MissValue
-	case wireproto.OpStats:
-		// KVBatchClient.Stats completes in this order.
-		*[...]*uint64{&res.Hits, &res.Misses, &res.Evictions, &res.Expired}[p.sub] = ret
-	}
-}
-
-// ref records that the next request submitted answers op i, part sub.
-func (e *ffwdExec) ref(i, sub int) { e.pend = append(e.pend, pendRef{i, sub}) }
-
-func (e *ffwdExec) flush() {
-	if len(e.pend) > 0 {
-		e.batch.Flush()
-		e.pend = e.pend[:0]
-	}
-}
-
+// ExecBatch runs the whole batch as one delegated call. The call answers
+// the all-ones sentinel only when it panicked before any op ran (an
+// injected fault), and then every op is answered as an internal error.
 func (e *ffwdExec) ExecBatch(ops []frontend.Op, results []frontend.Result) {
-	e.curOps, e.curResults = ops, results
-	for i := range ops {
-		op := &ops[i]
-		// A multi-get or stats is fenced by a flush on both sides: it
-		// reads after every single submitted before it has applied (a
-		// pipelined set lands before the multi-get that follows it) and
-		// before any submitted after.
-		wide := op.Kind == wireproto.OpMGet || op.Kind == wireproto.OpStats
-		if wide {
-			e.flush()
-		}
-		switch op.Kind {
-		case wireproto.OpGet:
-			e.ref(i, 0)
-			e.batch.Get(op.Key)
-		case wireproto.OpSet:
-			e.ref(i, 0)
-			if e.defTTL > 0 {
-				e.batch.SetTTL(op.Key, op.Val, e.defTTL)
-			} else {
-				e.batch.Set(op.Key, op.Val)
-			}
-		case wireproto.OpSetTTL:
-			e.ref(i, 0)
-			e.batch.SetTTL(op.Key, op.Val, op.TTL)
-		case wireproto.OpTouch:
-			e.ref(i, 0)
-			e.batch.Touch(op.Key, op.TTL)
-		case wireproto.OpDel:
-			e.ref(i, 0)
-			e.batch.Del(op.Key)
-		case wireproto.OpLen:
-			e.ref(i, 0)
-			e.batch.Len()
-		case wireproto.OpMGet:
-			for j, k := range op.Keys {
-				e.ref(i, j)
-				e.batch.Get(k)
-			}
-			results[i].Status = wireproto.RespValues
-		case wireproto.OpStats:
-			for j := 0; j < 4; j++ {
-				e.ref(i, j)
-			}
-			e.batch.Stats()
-			results[i].Status = wireproto.RespStats
-		}
-		if wide {
-			e.flush()
+	e.ops, e.results = ops, results
+	if e.c.Delegate1(e.fid, e.idx) == ^uint64(0) {
+		for i := range results {
+			results[i].Status, results[i].Code = wireproto.RespError, wireproto.CodeInternal
 		}
 	}
-	e.flush()
-	e.curOps, e.curResults = nil, nil
+	e.ops, e.results = nil, nil
+}
+
+// apply answers one op of a batch on the server goroutine. A panic
+// answers that op alone as an internal error, so the ops after it still
+// run.
+func (e *ffwdExec) apply(s *apps.KVStore, op *frontend.Op, res *frontend.Result) {
+	defer func() {
+		if recover() != nil {
+			res.Status, res.Code = wireproto.RespError, wireproto.CodeInternal
+		}
+	}()
+	switch op.Kind {
+	case wireproto.OpGet:
+		if v, ok := s.Get(op.Key); ok {
+			res.Status, res.Val = wireproto.RespValue, v
+		} else {
+			res.Status = wireproto.RespNotFound
+		}
+	case wireproto.OpSet:
+		if e.defTTL > 0 {
+			s.SetTTL(op.Key, op.Val, s.Clock(), e.defTTL)
+		} else {
+			s.Set(op.Key, op.Val)
+		}
+		res.Status = wireproto.RespStored
+	case wireproto.OpSetTTL:
+		s.SetTTL(op.Key, op.Val, s.Clock(), op.TTL)
+		res.Status = wireproto.RespStored
+	case wireproto.OpTouch:
+		res.Status = found(s.Touch(op.Key, s.Clock(), op.TTL), wireproto.RespTouched)
+	case wireproto.OpDel:
+		res.Status = found(s.Delete(op.Key), wireproto.RespDeleted)
+	case wireproto.OpLen:
+		res.Status, res.Val = wireproto.RespLen, uint64(s.Len())
+	case wireproto.OpMGet:
+		for j, k := range op.Keys {
+			if v, ok := s.Get(k); ok {
+				res.Vals[j] = v
+			} else {
+				res.Vals[j] = wireproto.MissValue
+			}
+		}
+		res.Status = wireproto.RespValues
+	case wireproto.OpStats:
+		res.Status = wireproto.RespStats
+		res.Hits, res.Misses, res.Evictions = s.Stats()
+		res.Expired = s.Expired()
+	}
 }

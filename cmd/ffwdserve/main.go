@@ -66,7 +66,7 @@ func main() {
 		capacity  = flag.Int("capacity", 1<<16, "store capacity: resident entries before scan-resistant eviction kicks in")
 		defTTLDur = flag.Duration("default-ttl", 0, "expiry applied to plain set commands, rounded to ms ticks (0 = never expire)")
 		kind      = flag.String("backend", "ffwd", "ffwd or mutex")
-		clients   = flag.Int("clients", 0, "pooled executors (and their delegation windows) each served protocol's connections borrow from (0 = GOMAXPROCS, or 64 for the replicated backend)")
+		clients   = flag.Int("clients", 0, "pooled executors (one delegation slot each) each served protocol's connections borrow from (0 = GOMAXPROCS, or 64 for the replicated backend)")
 		replicas  = flag.Int("replicas", 1, "replica group size for the ffwd backend; >1 quorum-replicates writes with failover")
 		parkAfter = flag.Int("idle-park-after", 0, "empty sweeps before the idle server parks (0 = default, negative = never park)")
 		chaosSeed = flag.Uint64("chaos-seed", 0, "inject a seed-derived fault mix into the delegation server (0 = off; ffwd backend)")

@@ -229,19 +229,12 @@ func parseProm(t *testing.T, text string) (vals, types map[string]string) {
 }
 
 // TestFFWDExecOneHandle pins what the ffwd executor pools cost at the
-// derived default — one delegation window of ffwdWindow slots per
-// executor, GOMAXPROCS executors per served protocol, so that under
-// -proto both at GOMAXPROCS ≤ 8 the delegation server never registers
-// more than the 641 slots of the 64 text executors × 8 and up to 8
-// binary shards × 16 it replaces — and no allocation for a batch that
+// derived default — one delegation slot per executor, GOMAXPROCS
+// executors per served protocol, so that under -proto both the
+// delegation server registers at most 2p + 1 slots at GOMAXPROCS = p (the
+// +1 is the stats scrape's client) — and no allocation for a batch that
 // mixes singles with a multi-get and a stats read.
 func TestFFWDExecOneHandle(t *testing.T) {
-	slots := func(execs []frontend.Exec) (n int) {
-		for _, e := range execs {
-			n += e.(*ffwdExec).batch.Window()
-		}
-		return n
-	}
 	build := func() *backend {
 		be, err := newFFWDBackend(storeOpts{capacity: 1024, execs: defaultExecs(false), pools: 2}, obs.NewRegistry())
 		if err != nil {
@@ -253,15 +246,17 @@ func TestFFWDExecOneHandle(t *testing.T) {
 	for p := 1; p <= 8; p++ {
 		runtime.GOMAXPROCS(p)
 		be := build()
-		total := 1 // the stats scrape's client
+		slots := map[int]bool{}
 		for i, pool := range be.pools {
-			if n := slots(pool); n != p*ffwdWindow {
-				t.Errorf("GOMAXPROCS=%d: pool %d holds %d delegation slots, want %d", p, i, n, p*ffwdWindow)
+			if len(pool) != p {
+				t.Errorf("GOMAXPROCS=%d: pool %d holds %d executors, want %d", p, i, len(pool), p)
 			}
-			total += slots(pool)
+			for _, e := range pool {
+				slots[e.(*ffwdExec).c.Slot()] = true
+			}
 		}
-		if total > 641 {
-			t.Errorf("GOMAXPROCS=%d: %d delegation slots registered, above the 641 they replace", p, total)
+		if total := len(slots) + 1; total != 2*p+1 {
+			t.Errorf("GOMAXPROCS=%d: %d delegation slots registered, want one per executor, %d in all", p, total, 2*p+1)
 		}
 		be.stop()
 	}

@@ -3,13 +3,13 @@ package apps
 import "ffwd/internal/core"
 
 // KVBatchClient pipelines a mixed stream of single-key operations
-// (get/set/del/len, and a multi-get as its keys' gets) through one
-// core.AsyncGroup: up to window requests
-// overlap inside the delegation server's sweeps, so a batch of n
-// operations costs roughly n/window round trips instead of n. This is
-// the execution engine of the binary dataplane frontend — a shard
-// executor drains its request queue, feeds the batch through here, and
-// encodes responses as completions arrive.
+// (get/set/setttl/touch) through one core.AsyncGroup: up to window
+// requests overlap inside the delegation server's sweeps, so a stream of
+// n operations costs roughly n/window round trips instead of n. It is
+// the library's pipelined handle for a caller that issues ops one at a
+// time; a caller that holds a whole batch at once can instead register
+// one function that applies it on the server and pay a single round trip
+// (ffwdserve's executors do).
 //
 // Completions are delivered strictly in submit order to the OnDone
 // callback as (seq, ret), where seq counts submissions since the last
@@ -54,9 +54,6 @@ func (b *KVBatchClient) OnDone(fn func(seq int, ret uint64)) { b.done = fn }
 // operations must have been Flushed first.
 func (b *KVBatchClient) Close() { b.g.Close() }
 
-// Window returns the pipeline depth.
-func (b *KVBatchClient) Window() int { return b.g.Window() }
-
 // InFlight returns the number of submitted-but-uncompleted operations.
 func (b *KVBatchClient) InFlight() int { return b.submitted - b.completed }
 
@@ -81,12 +78,6 @@ func (b *KVBatchClient) Set(key, value uint64) {
 	b.reap(b.g.Submit2(b.d.fidSet, key, value))
 }
 
-// Del submits a delete; the completion's ret is 1 when the key was
-// present, 0 otherwise.
-func (b *KVBatchClient) Del(key uint64) {
-	b.reap(b.g.Submit1(b.d.fidDelete, key))
-}
-
 // SetTTL submits a store expiring ttl ticks after the server's clock as
 // of the apply (server-owned time; ttl 0 means no expiry). The sentinel
 // caveat of Set applies.
@@ -99,19 +90,6 @@ func (b *KVBatchClient) SetTTL(key, value, ttl uint64) {
 // otherwise.
 func (b *KVBatchClient) Touch(key, ttl uint64) {
 	b.reap(b.g.Submit2(b.d.fidTouch, key, ttl))
-}
-
-// Len submits a size query; the completion's ret is the store size.
-func (b *KVBatchClient) Len() {
-	b.reap(b.g.Submit0(b.d.fidLen))
-}
-
-// Stats submits the four counter reads of KVClient.Stats; their
-// completions arrive in that order: hits, misses, evictions, expired.
-func (b *KVBatchClient) Stats() {
-	for _, fid := range b.d.fidStats {
-		b.reap(b.g.Submit0(fid))
-	}
 }
 
 // Flush completes every outstanding operation, delivering the remaining

@@ -28,9 +28,9 @@ func TestBatchClientOrderAndValues(t *testing.T) {
 	_, b := newBatchKV(t, 4)
 
 	type op struct {
-		kind byte // 'g', 's', 'd', 'l'
+		kind byte // 'g', 's', 'x' (set with a TTL), 't' (touch)
 		key  uint64
-		val  uint64
+		val  uint64 // the touch's TTL
 		want uint64
 	}
 	miss := ^uint64(0)
@@ -39,14 +39,14 @@ func TestBatchClientOrderAndValues(t *testing.T) {
 		{'s', 1, 100, 0},  // store
 		{'g', 1, 0, 100},  // hit
 		{'s', 2, 200, 0},
-		{'d', 3, 0, 0},    // delete absent
-		{'d', 1, 0, 1},    // delete present
-		{'g', 1, 0, miss}, // miss again
-		{'l', 0, 0, 1},    // only key 2 remains
+		{'t', 3, 0, 0},   // touch absent
+		{'t', 1, 0, 1},   // touch present
+		{'x', 1, 150, 0}, // overwrite with a TTL
+		{'g', 1, 0, 150},
 		{'g', 2, 0, 200},
 		{'s', 4, 400, 0},
 		{'g', 4, 0, 400},
-		{'d', 2, 0, 1},
+		{'g', 3, 0, miss}, // the touch inserted nothing
 	}
 
 	got := make([]uint64, 0, len(ops))
@@ -61,10 +61,10 @@ func TestBatchClientOrderAndValues(t *testing.T) {
 			b.Get(o.key)
 		case 's':
 			b.Set(o.key, o.val)
-		case 'd':
-			b.Del(o.key)
-		case 'l':
-			b.Len()
+		case 'x':
+			b.SetTTL(o.key, o.val, 1<<20)
+		case 't':
+			b.Touch(o.key, o.val)
 		}
 	}
 	b.Flush()
@@ -145,7 +145,7 @@ func TestBatchClientChurnAllocFree(t *testing.T) {
 		b.Flush()
 		tick += 4
 		c.AdvanceClock(tick)
-		b.Del(k)
+		c.Delete(k)
 		b.Set(k, 3)
 		b.Touch(k, 1<<20)
 		b.Get(k + 2)
@@ -163,10 +163,9 @@ func TestBatchClientChurnAllocFree(t *testing.T) {
 
 // TestKVMultiGet: a multi-get is its keys' gets through the window, then
 // one flush — values in key order, the miss sentinel for absent keys, and
-// each miss counted once in the store statistics, which the same window
-// reads back with Stats.
+// each miss counted once in the store statistics.
 func TestKVMultiGet(t *testing.T) {
-	_, b := newBatchKV(t, 4)
+	d, b := newBatchKV(t, 4)
 	var rets []uint64
 	b.OnDone(func(_ int, ret uint64) { rets = append(rets, ret) })
 	for k := uint64(0); k < 100; k += 2 {
@@ -190,11 +189,12 @@ func TestKVMultiGet(t *testing.T) {
 			t.Fatalf("key %d = %d, want %d", k, ret, want)
 		}
 	}
-	rets = rets[:0]
-	b.Stats()
-	b.Flush()
-	if len(rets) != 4 || rets[0] != 50 || rets[1] != 50 || rets[2] != 0 || rets[3] != 0 {
-		t.Fatalf("Stats completions = %v, want [50 50 0 0] (hits misses evictions expired)", rets)
+	c, err := d.NewClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hits, misses, evictions, expired := c.Stats(); hits != 50 || misses != 50 || evictions != 0 || expired != 0 {
+		t.Fatalf("Stats = %d %d %d %d, want 50 50 0 0 (hits misses evictions expired)", hits, misses, evictions, expired)
 	}
 }
 
@@ -206,7 +206,6 @@ func TestKVMultiGetAllocationFree(t *testing.T) {
 		for k := uint64(0); k < 32; k++ {
 			b.Get(k)
 		}
-		b.Stats()
 		b.Flush()
 	}
 	multiGet() // warm up
@@ -229,9 +228,9 @@ func TestBatchClientWindowOne(t *testing.T) {
 	}
 }
 
-// The miss sentinel the delegated KV uses is the same reserved value the
-// wire protocol names; the frontend depends on this equality to encode
-// misses without translation.
+// The miss sentinel the delegated KV's clients return is the same
+// reserved value the wire protocol names: the frontend refuses a set of
+// it, so no value stored over the wire reads back as a miss.
 func TestMissSentinelMatchesWireProto(t *testing.T) {
 	if kvMissSentinel != wireproto.MissValue {
 		t.Fatalf("kvMissSentinel %x != wireproto.MissValue %x", uint64(kvMissSentinel), wireproto.MissValue)

@@ -376,7 +376,8 @@ func (d *DelegatedKV) maintain(budget int) int {
 func (d *DelegatedKV) SetTickSource(tick func() uint64) { d.tick = tick }
 
 // Store exposes the underlying sequential store. Only safe to touch while
-// the server is stopped (tests, drain reports).
+// the server is stopped (tests, drain reports), or from a function
+// registered on Server(), which runs on the server goroutine.
 func (d *DelegatedKV) Store() *KVStore { return d.s }
 
 // kvMissSentinel marks a missing key in the one-word response channel;

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -172,9 +173,11 @@ func TestChaosMixedFaultSeeds(t *testing.T) {
 	}
 }
 
-// TestChaosDroppedWakeRescue drops every park/wake notification: without
-// supervision each first-issue-after-park would strand its client; the
-// supervisor's periodic kick must rescue them all.
+// TestChaosDroppedWakeRescue drops every park/wake notification and
+// issues each op only once the server has parked since serving the one
+// before, so every issue meets a parked server and a dropped wake: without
+// supervision each would strand its client; the supervisor's periodic
+// kick must rescue them all.
 func TestChaosDroppedWakeRescue(t *testing.T) {
 	inj := fault.New(fault.Plan{DropWakeEvery: 1})
 	s := NewServer(Config{MaxClients: 2, IdleParkAfter: 1, Hooks: inj})
@@ -190,6 +193,16 @@ func TestChaosDroppedWakeRescue(t *testing.T) {
 	c := s.MustNewClient()
 	defer c.Close()
 	for i := uint64(0); i < 50; i++ {
+		// A park counted after the previous response was read happened
+		// after that op was served, and only a kick lowers the flag it
+		// raised (every wake is dropped).
+		parks := s.Stats().IdleParks
+		for deadline := time.Now().Add(5 * time.Second); s.Stats().IdleParks == parks; {
+			if time.Now().After(deadline) {
+				t.Fatalf("op %d: the server never parked", i)
+			}
+			runtime.Gosched()
+		}
 		got, err := c.DelegateTimeout(500*time.Millisecond, echo, 0xbeef+i)
 		if err != nil {
 			t.Fatalf("op %d not rescued from a dropped wake: %v", i, err)

@@ -1244,6 +1244,7 @@ func (s *Server) sweep(gs int, retBuf *[GroupSize]uint64, seqBuf *[GroupSize]uin
 					}
 				}
 				newToggles := toggles ^ bit
+				s.nRequests.Store(opBase + uint64(served))
 				atomic.StoreUint64(&s.resp[respBase], newToggles)
 				toggles = newToggles
 				groupServed &^= bit
@@ -1296,6 +1297,10 @@ func (s *Server) sweep(gs int, retBuf *[GroupSize]uint64, seqBuf *[GroupSize]uin
 					}
 				}
 			}
+			// The served count is published before the toggle store, so
+			// a client holding a response never reads a Requests count
+			// that omits it. The server is the counter's only writer.
+			s.nRequests.Store(opBase + uint64(served))
 			atomic.StoreUint64(&s.resp[respBase], toggles^groupServed)
 			batches++
 			if bt != nil {
@@ -1310,9 +1315,6 @@ func (s *Server) sweep(gs int, retBuf *[GroupSize]uint64, seqBuf *[GroupSize]uin
 		bt.EventBatch(evBuf[:evn])
 	}
 	s.nSweeps.Add(1)
-	if served > 0 {
-		s.nRequests.Add(uint64(served))
-	}
 	if batches > 0 {
 		s.nBatches.Add(batches)
 	}

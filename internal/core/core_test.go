@@ -3,8 +3,10 @@ package core
 import (
 	"sync"
 	"testing"
+	"time"
 
 	"ffwd/internal/ds"
+	"ffwd/internal/obs"
 )
 
 // startServer builds, starts and schedules cleanup for a server.
@@ -430,12 +432,43 @@ func TestPoolSizeClamped(t *testing.T) {
 	}
 }
 
+// respondGate is a batch tracer that holds the server right after each
+// response flush, before the rest of its sweep runs, until the test has
+// read the stats that response implies.
+type respondGate struct{ read chan struct{} }
+
+func (respondGate) Event(obs.Kind, int32, uint64) {}
+func (respondGate) Now() int64                    { return 0 }
+func (g respondGate) EventBatch(evs []obs.Event) {
+	for _, e := range evs {
+		if e.Kind == obs.KindRespond {
+			select {
+			case <-g.read:
+			case <-time.After(time.Second):
+			}
+			return
+		}
+	}
+}
+
 func TestStatsCounters(t *testing.T) {
-	s := startServer(t, Config{})
+	gate := respondGate{make(chan struct{})}
+	s := startServer(t, Config{Trace: gate})
 	fid := s.Register(func(*[MaxArgs]uint64) uint64 { return 0 })
 	c := s.MustNewClient()
-	for i := 0; i < 100; i++ {
+	for i := uint64(1); i <= 100; i++ {
 		c.Delegate(fid)
+		// The count is published before the response: a client holding
+		// its i'th response never reads fewer than i, even while the
+		// server is held between that flush and the end of its sweep.
+		if n := s.Stats().Requests; n != i {
+			t.Fatalf("Requests = %d after response %d", n, i)
+		}
+		select {
+		case gate.read <- struct{}{}:
+		case <-time.After(time.Second):
+			t.Fatalf("server never reached the gate after response %d", i)
+		}
 	}
 	st := s.Stats()
 	if st.Requests != 100 {

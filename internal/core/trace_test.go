@@ -40,6 +40,9 @@ func TestTraceVocabulary(t *testing.T) {
 	c := s.MustNewClient()
 	c.Delegate1(fid, 1)
 	c.Close()
+	// The server appends a group's events after the toggle store that
+	// answers it: stop it so the last op's execute and respond are in.
+	s.Stop()
 
 	evs := sink.Snapshot()
 	counts := obs.CountByKind(evs)
@@ -214,10 +217,12 @@ func TestBatchedTraceEventOrdering(t *testing.T) {
 	fid := s.Register(func(a *[MaxArgs]uint64) uint64 { return a[0] })
 	var wg sync.WaitGroup
 	for i := 0; i < clients; i++ {
+		// Taken before any goroutine runs, so each client owns its slot
+		// (and ring) even if the goroutines end up running one by one.
+		c := s.MustNewClient()
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c := s.MustNewClient()
 			defer c.Close()
 			for op := uint64(0); op < opsPer; op++ {
 				c.Delegate1(fid, op)

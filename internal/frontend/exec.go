@@ -39,8 +39,8 @@ type Result struct {
 // Exec executes one batch of decoded requests: ops[i] answers into
 // results[i]. A connection borrows an executor from the pool for one
 // batch and returns it after, so an Exec runs one batch at a time and
-// needs no internal synchronization; it is free to pipeline the whole
-// batch through a delegation window before completing any of it.
+// needs no internal synchronization; it is free to hand the whole batch
+// to a delegation server as one call.
 type Exec interface {
 	ExecBatch(ops []Op, results []Result)
 }
