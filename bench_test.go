@@ -201,37 +201,6 @@ func BenchmarkAblationStoreBufferDepth(b *testing.B) {
 	}
 }
 
-// BenchmarkNativeAblations runs the real server's design-choice ablations:
-// buffered vs write-through responses, shared vs private response lines,
-// with vs without a server-side lock.
-func BenchmarkNativeAblations(b *testing.B) {
-	run := func(name string, cfg core.Config) {
-		b.Run(name, func(b *testing.B) {
-			cfg.MaxClients = 32
-			srv := core.NewServer(cfg)
-			var counter uint64
-			inc := srv.Register(func(*[core.MaxArgs]uint64) uint64 {
-				counter++
-				return counter
-			})
-			if err := srv.Start(); err != nil {
-				b.Fatal(err)
-			}
-			defer srv.Stop()
-			b.RunParallel(func(pb *testing.PB) {
-				c := srv.MustNewClient()
-				for pb.Next() {
-					c.Delegate(inc)
-				}
-			})
-		})
-	}
-	run("baseline", core.Config{})
-	run("write-through", core.Config{WriteThrough: true})
-	run("private-responses", core.Config{GroupSizeOverride: 1})
-	run("server-lock", core.Config{ServerLock: &sync.Mutex{}})
-}
-
 // BenchmarkRuntimeGrid drives every registered backend through the shared
 // registry — the same descriptors the runtimebench harness sweeps — so
 // benchstat can compare synchronization schemes on identical op loops.

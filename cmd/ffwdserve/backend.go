@@ -82,11 +82,14 @@ func found(ok bool, hit uint8) uint8 {
 }
 
 // mutexExec is the global-lock baseline behind either protocol: every
-// executor funnels into the one LockedKV, so an A/B against -backend
-// mutex measures the frontend and the lock separately. It runs a batch
-// one op at a time, each complete before the next starts.
+// executor funnels into one store behind one mutex, so an A/B against
+// -backend mutex measures the frontend and the lock separately. It runs a
+// batch one op at a time, each under its own lock acquisition (the shape
+// of memcached-1.4's cache_lock), through the op table the ffwd executor
+// runs on its server goroutine.
 type mutexExec struct {
-	kv *apps.LockedKV
+	mu *sync.Mutex
+	st *apps.KVStore
 	// tick supplies the logical clock: the executor advances the store
 	// clock (sweeping due entries inline) because no server goroutine
 	// owns the lock-based store's time.
@@ -97,57 +100,29 @@ type mutexExec struct {
 
 // newMutexBackend builds the global-lock store and registers its stats.
 func newMutexBackend(o storeOpts, reg *obs.Registry) *backend {
-	kv := apps.NewLockedKV(o.capacity, func() sync.Locker { return &sync.Mutex{} })
-	reg.Add("store stats", func() []obs.Row { return apps.StoreRows(kv.Stats()) })
-	pools, _ := newPools(o, func() (frontend.Exec, error) { return &mutexExec{kv: kv, tick: o.tick, defTTL: o.defTTL}, nil })
+	mu, st := &sync.Mutex{}, apps.NewKVStore(o.capacity)
+	reg.Add("store stats", func() []obs.Row {
+		mu.Lock()
+		defer mu.Unlock()
+		h, m, e := st.Stats()
+		return apps.StoreRows(h, m, e, st.Expired())
+	})
+	pools, _ := newPools(o, func() (frontend.Exec, error) {
+		return &mutexExec{mu: mu, st: st, tick: o.tick, defTTL: o.defTTL}, nil
+	})
 	return &backend{pools: pools, stop: func() {}}
 }
 
-func (e *mutexExec) now() uint64 { return e.kv.AdvanceClock(e.tick()) }
-
-// get reads key, advancing the clock first: without that a pure-read
-// workload never moves time forward and TTL'd entries read back forever
-// (GetAt does both under one lock acquisition).
-func (e *mutexExec) get(k uint64) (uint64, bool) { return e.kv.GetAt(k, e.tick()) }
-
+// ExecBatch applies each op under the lock, after advancing the store
+// clock and draining the entries that fell due (as LockedKV.AdvanceClock
+// does): without that a pure-read workload never moves time forward and
+// TTL'd entries read back forever.
 func (e *mutexExec) ExecBatch(ops []frontend.Op, results []frontend.Result) {
 	for i := range ops {
-		op, res := &ops[i], &results[i]
-		switch op.Kind {
-		case wireproto.OpGet:
-			if v, ok := e.get(op.Key); ok {
-				res.Status, res.Val = wireproto.RespValue, v
-			} else {
-				res.Status = wireproto.RespNotFound
-			}
-		case wireproto.OpSet:
-			if e.defTTL > 0 {
-				e.kv.SetTTL(op.Key, op.Val, e.now(), e.defTTL)
-			} else {
-				e.kv.Set(op.Key, op.Val)
-			}
-			res.Status = wireproto.RespStored
-		case wireproto.OpSetTTL:
-			e.kv.SetTTL(op.Key, op.Val, e.now(), op.TTL)
-			res.Status = wireproto.RespStored
-		case wireproto.OpTouch:
-			res.Status = found(e.kv.Touch(op.Key, e.now(), op.TTL), wireproto.RespTouched)
-		case wireproto.OpDel:
-			res.Status = found(e.kv.Delete(op.Key), wireproto.RespDeleted)
-		case wireproto.OpMGet:
-			for j, k := range op.Keys {
-				if v, ok := e.get(k); ok {
-					res.Vals[j] = v
-				} else {
-					res.Vals[j] = wireproto.MissValue
-				}
-			}
-			res.Status = wireproto.RespValues
-		case wireproto.OpLen:
-			res.Status, res.Val = wireproto.RespLen, uint64(e.kv.Len())
-		case wireproto.OpStats:
-			res.Status = wireproto.RespStats
-			res.Hits, res.Misses, res.Evictions, res.Expired = e.kv.Stats()
-		}
+		e.mu.Lock()
+		e.st.AdvanceClock(e.tick())
+		e.st.Maintain(0)
+		apply(e.st, e.defTTL, &ops[i], &results[i])
+		e.mu.Unlock()
 	}
 }

@@ -109,7 +109,7 @@ func newFFWDPools(d *apps.DelegatedKV, o storeOpts) ([][]frontend.Exec, error) {
 	fid := d.Server().Register(func(a *[core.MaxArgs]uint64) uint64 {
 		e := execs[a[0]]
 		for i := range e.ops {
-			e.apply(st, &e.ops[i], &e.results[i])
+			apply(st, e.defTTL, &e.ops[i], &e.results[i])
 		}
 		return 0
 	})
@@ -144,10 +144,12 @@ func (e *ffwdExec) ExecBatch(ops []frontend.Op, results []frontend.Result) {
 	e.ops, e.results = nil, nil
 }
 
-// apply answers one op of a batch on the server goroutine. A panic
-// answers that op alone as an internal error, so the ops after it still
-// run.
-func (e *ffwdExec) apply(s *apps.KVStore, op *frontend.Op, res *frontend.Result) {
+// apply answers one op of a batch on s, by whichever goroutine owns s
+// for the op: the ffwd server goroutine, or a mutex executor holding the
+// lock. defTTL, when nonzero, turns plain OpSet into a TTL'd store. A
+// panic answers that op alone as an internal error, so the ops after it
+// still run.
+func apply(s *apps.KVStore, defTTL uint64, op *frontend.Op, res *frontend.Result) {
 	defer func() {
 		if recover() != nil {
 			res.Status, res.Code = wireproto.RespError, wireproto.CodeInternal
@@ -161,8 +163,8 @@ func (e *ffwdExec) apply(s *apps.KVStore, op *frontend.Op, res *frontend.Result)
 			res.Status = wireproto.RespNotFound
 		}
 	case wireproto.OpSet:
-		if e.defTTL > 0 {
-			s.SetTTL(op.Key, op.Val, s.Clock(), e.defTTL)
+		if defTTL > 0 {
+			s.SetTTL(op.Key, op.Val, s.Clock(), defTTL)
 		} else {
 			s.Set(op.Key, op.Val)
 		}

@@ -48,7 +48,7 @@ func sweepOnce(s *Server) int {
 	var ret, seq [GroupSize]uint64
 	var args [MaxArgs]uint64
 	var ev [sweepEvCap]obs.Event
-	return s.sweep(s.groupSize, &ret, &seq, &args, &ev)
+	return s.sweep(&ret, &seq, &args, &ev)
 }
 
 // TestAsyncGroupOrderAcrossWrap: a window of 4 whose head stands at
@@ -239,8 +239,8 @@ func TestAsyncGroupClampsWindow(t *testing.T) {
 }
 
 func TestAsyncGroupSlotExhaustion(t *testing.T) {
-	s := NewServer(Config{MaxClients: 2, GroupSizeOverride: 2})
-	if _, err := NewAsyncGroup(s, 3); err == nil {
+	s := NewServer(Config{MaxClients: GroupSize})
+	if _, err := NewAsyncGroup(s, GroupSize+1); err == nil {
 		t.Fatal("AsyncGroup larger than the server's slots did not fail")
 	}
 }

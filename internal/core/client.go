@@ -22,13 +22,11 @@ type Client struct {
 	bit    uint64   // our bit in the toggle word
 	toggle uint64   // current request toggle (0 or 1)
 	// tr caches the server's lifecycle-event sink (nil outside traced
-	// runs), saving the hot path the s indirection per event site.
+	// runs), saving the hot path the s indirection per event site. The
+	// op's lifecycle events buffer in evBuf and reach the slot's ring in
+	// one combined append at completion, one cursor bump per op instead
+	// of one per event.
 	tr obs.Tracer
-	// bt is tr's batched-append fast path when the sink implements it
-	// (non-nil implies tr non-nil): the op's lifecycle events buffer in
-	// evBuf and reach the slot's ring in one combined append at
-	// completion, one cursor bump per op instead of one per event.
-	bt obs.BatchTracer
 	// evBuf/evn hold the in-flight op's buffered events; flushed on
 	// completion, on abandoning a bounded wait, and on Close.
 	evBuf [4]obs.Event
@@ -57,19 +55,14 @@ type Client struct {
 // Slot returns the client's slot index on its server.
 func (c *Client) Slot() int { return c.slot }
 
-// traceEvent records one client lifecycle event: buffered in evBuf for a
-// combined ring append when the sink is batch-capable, recorded directly
-// otherwise. Callers must have checked c.tr != nil.
+// traceEvent buffers one client lifecycle event in evBuf for a combined
+// ring append. Callers must have checked c.tr != nil.
 //
 // A buffered wait-start shares the preceding event's timestamp instead of
 // reading the clock: in the delegate fast paths it directly follows the
 // issue it belongs to, and the phase attribution reads the issue→execute
 // and respond→complete gaps, never the issue→wait-start one.
 func (c *Client) traceEvent(k obs.Kind, arg uint64) {
-	if c.bt == nil {
-		c.tr.Event(k, int32(c.slot), arg)
-		return
-	}
 	if c.evn == len(c.evBuf) {
 		c.flushTrace() // re-waited op overflowing the buffer; drain first
 	}
@@ -77,18 +70,18 @@ func (c *Client) traceEvent(k obs.Kind, arg uint64) {
 	if k == obs.KindClientWaitStart && c.evn > 0 {
 		ts = c.evBuf[c.evn-1].TS
 	} else {
-		ts = c.bt.Now()
+		ts = c.tr.Now()
 	}
 	c.evBuf[c.evn] = obs.Event{TS: ts, Kind: k, Slot: int32(c.slot), Arg: arg}
 	c.evn++
 }
 
 // flushTrace appends the buffered lifecycle events to the slot's ring in
-// one cursor bump. A no-op when nothing is buffered (including the
-// non-batched configuration, which never buffers).
+// one cursor bump. A no-op when nothing is buffered (including every
+// untraced client, which never buffers).
 func (c *Client) flushTrace() {
 	if c.evn > 0 {
-		c.bt.EventBatch(c.evBuf[:c.evn])
+		c.tr.EventBatch(c.evBuf[:c.evn])
 		c.evn = 0
 	}
 }
@@ -119,16 +112,14 @@ func (c *Client) Close() {
 			// window, the toggle channel is coherent after all and the
 			// slot can be recycled instead of permanently retired.
 			s := c.s
-			s.andOcc(c.slot/s.groupSize, ^c.bit)
+			s.andOcc(c.slot/GroupSize, ^c.bit)
 			if _, ok := c.TryWait(); !ok {
 				// Still outstanding. A sweep that captured its
 				// occupancy mask before our clear could yet flush a
 				// response here, so handing the slot to a new owner
 				// would let it receive a response it never issued:
 				// retire the slot for good.
-				if c.bt != nil {
-					c.flushTrace() // retired slot: land any buffered events
-				}
+				c.flushTrace() // retired slot: land any buffered events
 				c.s = nil
 				s.nAbandoned.Add(1)
 				return
@@ -138,13 +129,10 @@ func (c *Client) Close() {
 			return
 		}
 	}
-	if c.bt != nil {
-		c.flushTrace()
-	}
+	c.flushTrace()
 	s := c.s
 	c.s = nil
-	group := c.slot / s.groupSize
-	s.andOcc(group, ^c.bit)
+	s.andOcc(c.slot/GroupSize, ^c.bit)
 	s.freeSlot(c.slot)
 }
 
@@ -183,9 +171,7 @@ func (c *Client) TryWait() (ret uint64, ok bool) {
 		// op's buffered events (issue, wait-start, complete) in one
 		// combined ring append.
 		c.traceEvent(obs.KindClientComplete, c.seq)
-		if c.bt != nil {
-			c.flushTrace()
-		}
+		c.flushTrace()
 	}
 	return *c.respV, true
 }
@@ -253,19 +239,15 @@ func (c *Client) waitUntil(deadline time.Time) (uint64, error) {
 				return ret, nil
 			}
 			c.abandoned = true
-			if c.bt != nil {
-				// The op's completion may never come; land its
-				// buffered issue/wait events now so the capture
-				// still shows the abandoned request.
-				c.flushTrace()
-			}
+			// The op's completion may never come; land its buffered
+			// issue/wait events now so the capture still shows the
+			// abandoned request.
+			c.flushTrace()
 			return 0, ErrServerStopped
 		}
 		if !c.waitStep(deadline) {
 			c.abandoned = true
-			if c.bt != nil {
-				c.flushTrace()
-			}
+			c.flushTrace()
 			return 0, ErrTimeout
 		}
 	}

@@ -235,24 +235,14 @@ var ErrTimeout = errors.New("core: request timed out")
 var ErrServerStopped = errors.New("core: server not running")
 
 // Config parameterizes a Server. The zero value is usable: one group of
-// GroupSize clients, buffered responses.
+// GroupSize clients. Responses are always buffered and flushed once per
+// group per sweep; the paper's design-choice ablations (write-through
+// responses, private response lines, a server-side lock) run in the
+// simulator (internal/simsync), not here.
 type Config struct {
 	// MaxClients bounds the number of client slots; it is rounded up to
-	// a whole number of groups. Default: GroupSize.
+	// a whole number of groups of GroupSize. Default: GroupSize.
 	MaxClients int
-	// GroupSize overrides the clients-per-response-line count. Values
-	// outside [1, 15] are clamped. Default (0): GroupSize. Lowering it
-	// to 1 is the "private response lines" ablation.
-	GroupSizeOverride int
-	// WriteThrough disables server-side response buffering: every
-	// response is flushed to the shared line immediately, rather than
-	// once per group batch. This is the paper's "buffered, shared
-	// response lines" ablation (and is slower).
-	WriteThrough bool
-	// ServerLock, if non-nil, is acquired around every delegated call.
-	// The paper measures this design error at 55→26 Mops; it exists
-	// here for the ablation benchmark.
-	ServerLock sync.Locker
 	// IdleParkAfter is the number of consecutive empty polling sweeps
 	// (each of which yields the processor) after which the server parks
 	// on its notification word and stops consuming the processor
@@ -354,9 +344,8 @@ type Stats struct {
 // Server is a ffwd delegation server. Create one with NewServer, register
 // the functions it may execute, obtain Clients, then Start it.
 type Server struct {
-	cfg       Config
-	groupSize int
-	nGroups   int
+	cfg     Config
+	nGroups int
 
 	// reqWords holds every client's request slot, line-pair aligned;
 	// client i owns words [i*reqWords, (i+1)*reqWords).
@@ -367,7 +356,7 @@ type Server struct {
 	resp []uint64
 
 	// occ[g] is the occupancy bitmask of group g: bit m set iff slot
-	// g*groupSize+m has been handed to a client (and not Closed).
+	// g*GroupSize+m has been handed to a client (and not Closed).
 	// Written with atomic RMWs by NewClient/Close, loaded atomically —
 	// once per group, not per slot — by the server's sweep.
 	occ []uint64
@@ -409,15 +398,10 @@ type Server struct {
 	hooks Hooks
 
 	// trace is the lifecycle-event sink from Config; nil outside traced
-	// runs. Gated exactly like hooks: one branch per event site.
+	// runs. Gated exactly like hooks: one branch per event site. Sweep
+	// lifecycle events are buffered locally and appended with one ring
+	// cursor bump per group flush instead of one per event.
 	trace obs.Tracer
-
-	// traceBatch is trace's batched-append fast path when the sink
-	// implements it (obs.TraceSink does): sweep lifecycle events are then
-	// buffered locally and appended with one ring cursor bump per group
-	// flush instead of one per event. Detected once here so the hot path
-	// pays no type assertions. Non-nil implies trace is non-nil.
-	traceBatch obs.BatchTracer
 
 	// ledger[i] is slot i's last applied request: its sequence number and
 	// return value. Written only by the server goroutine, after executing
@@ -504,36 +488,29 @@ type ledgerEntry struct {
 
 // NewServer returns a stopped server with the given configuration.
 func NewServer(cfg Config) *Server {
-	gs := cfg.GroupSizeOverride
-	if gs <= 0 || gs > GroupSize {
-		gs = GroupSize
-	}
 	maxClients := cfg.MaxClients
 	if maxClients <= 0 {
-		maxClients = gs
+		maxClients = GroupSize
 	}
-	nGroups := (maxClients + gs - 1) / gs
+	nGroups := (maxClients + GroupSize - 1) / GroupSize
+	slots := nGroups * GroupSize
 	if cfg.IdleParkAfter == 0 {
 		cfg.IdleParkAfter = defaultIdleParkAfter
 	}
 	s := &Server{
 		cfg:       cfg,
-		groupSize: gs,
 		nGroups:   nGroups,
-		req:       padded.AlignedUint64s(nGroups * gs * reqWords),
+		req:       padded.AlignedUint64s(slots * reqWords),
 		resp:      padded.AlignedUint64s(nGroups * respWords),
 		occ:       make([]uint64, nGroups),
 		done:      make(chan struct{}),
 		wake:      make(chan struct{}, 1),
-		nudge:     make(chan struct{}, nGroups*gs),
+		nudge:     make(chan struct{}, slots),
 		hooks:     cfg.Hooks,
 		trace:     cfg.Trace,
-		slotPanic: make([]atomic.Pointer[PanicRecord], nGroups*gs),
-		ledger:    make([]ledgerEntry, nGroups*gs),
-		win:       make([]*window, nGroups*gs),
-	}
-	if bt, ok := cfg.Trace.(obs.BatchTracer); ok {
-		s.traceBatch = bt
+		slotPanic: make([]atomic.Pointer[PanicRecord], slots),
+		ledger:    make([]ledgerEntry, slots),
+		win:       make([]*window, slots),
 	}
 	if cfg.BackgroundBudget >= 0 {
 		s.background = cfg.Background
@@ -562,7 +539,7 @@ func (s *Server) Register(f Func) FuncID {
 }
 
 // MaxClients returns the number of client slots the server supports.
-func (s *Server) MaxClients() int { return s.nGroups * s.groupSize }
+func (s *Server) MaxClients() int { return s.nGroups * GroupSize }
 
 // ErrNoSlots is returned by NewClient when every client slot is taken.
 var ErrNoSlots = errors.New("core: all client slots in use")
@@ -628,8 +605,8 @@ func (s *Server) NewClient() (*Client, error) {
 	if !ok {
 		return nil, ErrNoSlots
 	}
-	group := slot / s.groupSize
-	member := slot % s.groupSize
+	group := slot / GroupSize
+	member := slot % GroupSize
 	// A recycled slot's request header still carries its last toggle;
 	// adopting it keeps the channel protocol coherent across owners. The
 	// sequence word is adopted for the same reason: it must stay
@@ -647,7 +624,6 @@ func (s *Server) NewClient() (*Client, error) {
 		bit:    uint64(1) << uint(member),
 		toggle: toggle,
 		tr:     s.trace,
-		bt:     s.traceBatch,
 		seq:    s.req[slot*reqWords+reqSeqWord],
 	}
 	// Publish occupancy last: once the bit is visible the server will
@@ -884,30 +860,23 @@ func (s *Server) run(done chan struct{}) {
 		close(done)
 	}()
 
-	gs := s.groupSize
 	var retBuf [GroupSize]uint64
 	// seqBuf mirrors retBuf with the served requests' sequence numbers:
 	// the group flush stores them into the ledger and stamps them on the
 	// batched respond events.
 	var seqBuf [GroupSize]uint64
-	// evBuf is the sweep's local trace-event buffer (batch-capable sinks
-	// only): lifecycle events accumulate here and reach the server ring in
-	// one combined append per group flush.
+	// evBuf is the sweep's local trace-event buffer: lifecycle events
+	// accumulate here and reach the server ring in one combined append per
+	// group flush.
 	var evBuf [sweepEvCap]obs.Event
 	// args is reused across requests: the escape through the indirect
 	// Func call would otherwise cost one heap allocation per request.
 	// Delegated functions must not retain the pointer past their call,
 	// which the Func contract states.
 	var args [MaxArgs]uint64
-	// The idle ladder's state is three counts of the loop's own input
-	// (see "Idle policy" in the package doc): idleSweeps is the current
-	// gap in empty sweeps, burst the requests served since the last gap,
-	// and lone the run of gaps that each followed a single request and
-	// outlasted loneGap sweeps or a park.
-	idleSweeps, burst, lone := 0, 0, 0
 	// At GOMAXPROCS=1 a client runs only while the server yields, so
 	// the server never parks early there.
-	parkAfter, predict := s.cfg.IdleParkAfter, runtime.GOMAXPROCS(0) > 1
+	lad := idleLadder{parkAfter: s.cfg.IdleParkAfter, predict: runtime.GOMAXPROCS(0) > 1}
 	// served toggle state per group is the response toggle word itself;
 	// the server is its only writer, so it may read it plainly.
 	for {
@@ -915,11 +884,11 @@ func (s *Server) run(done chan struct{}) {
 			// Drain the requests issued before Stop. The second pass is for
 			// a window that wraps: its requests behind the cursor's slot
 			// wait for the ones ahead of it.
-			s.sweep(gs, &retBuf, &seqBuf, &args, &evBuf)
-			s.sweep(gs, &retBuf, &seqBuf, &args, &evBuf)
+			s.sweep(&retBuf, &seqBuf, &args, &evBuf)
+			s.sweep(&retBuf, &seqBuf, &args, &evBuf)
 			return
 		}
-		served := s.sweep(gs, &retBuf, &seqBuf, &args, &evBuf)
+		served := s.sweep(&retBuf, &seqBuf, &args, &evBuf)
 		if served == 0 {
 			// The sweep found nothing: spend the otherwise-wasted pass on
 			// bounded background maintenance (timer-wheel advance, expiry)
@@ -939,53 +908,78 @@ func (s *Server) run(done chan struct{}) {
 						// GOMAXPROCS=1 clients never run (and never
 						// produce work) unless the hot server gives up
 						// the processor between maintenance slices.
-						idleSweeps = 0
+						lad.idleSweeps = 0
 						s.nIdleYields.Add(1)
 						runtime.Gosched()
 						continue
 					}
 				}
 			}
-			idleSweeps++
-			if idleSweeps == 1 {
+			park := lad.empty()
+			if lad.idleSweeps == 1 {
 				// Every response a sleeper waits for is flushed: a
 				// token each (a full buffer already holds enough).
 				for n := s.sleepers.Load(); n > 0 && len(s.nudge) < cap(s.nudge); n-- {
 					s.nudge <- struct{}{}
 				}
 			}
-			limit := parkAfter
-			if predict && burst == 1 && lone >= loneRun {
-				// A lone request after lone requests: park at once,
-				// except on a probe gap, which is measured again.
-				limit = 1
-				if lone%loneProbe == 0 {
-					limit = min(parkAfter, loneGap+1)
-				}
-			}
-			if parkAfter <= 0 || idleSweeps < limit {
+			if !park {
 				s.nIdleYields.Add(1)
 				runtime.Gosched()
 				continue
 			}
-			if served = s.park(gs, &retBuf, &seqBuf, &args, &evBuf); served == 0 {
-				// The server blocked: the gap outlasted its rung, so
-				// it scores long whatever the sweeps counted.
-				idleSweeps = loneGap + 1
+			if served = s.park(&retBuf, &seqBuf, &args, &evBuf); served == 0 {
+				lad.blocked()
 				continue
 			}
 			// The Dekker re-sweep caught the gap's first requests.
 		}
-		if idleSweeps > 0 {
-			// A gap ended: score it and start the next busy period.
-			lone++
-			if burst != 1 || idleSweeps <= loneGap {
-				lone = 0
-			}
-			idleSweeps, burst = 0, 0
-		}
-		burst += served
+		lad.served(served)
 	}
+}
+
+// idleLadder is the idle ladder's state: three counts of the server
+// loop's own input (see "Idle policy" in the package doc). idleSweeps is
+// the current gap in empty sweeps, burst the requests served since the
+// last gap, and lone the run of gaps that each followed a single request
+// and outlasted loneGap sweeps or a park. It reads no clock, so a test
+// can drive it through any schedule of gaps.
+type idleLadder struct {
+	parkAfter               int  // Config.IdleParkAfter; <= 0 never parks
+	predict                 bool // the lone-client prediction is on
+	idleSweeps, burst, lone int
+}
+
+// empty counts one empty sweep and reports whether the server parks now.
+func (l *idleLadder) empty() bool {
+	l.idleSweeps++
+	limit := l.parkAfter
+	if l.predict && l.burst == 1 && l.lone >= loneRun {
+		// A lone request after lone requests: park at once, except on a
+		// probe gap, which is measured again.
+		limit = 1
+		if l.lone%loneProbe == 0 {
+			limit = min(l.parkAfter, loneGap+1)
+		}
+	}
+	return l.parkAfter > 0 && l.idleSweeps >= limit
+}
+
+// blocked records that the server blocked in a park: the gap outlasted
+// its rung, so it scores long whatever the sweeps counted.
+func (l *idleLadder) blocked() { l.idleSweeps = loneGap + 1 }
+
+// served records a sweep that served n > 0 requests. A gap before it
+// ended: score it and start the next busy period.
+func (l *idleLadder) served(n int) {
+	if l.idleSweeps > 0 {
+		l.lone++
+		if l.burst != 1 || l.idleSweeps <= loneGap {
+			l.lone = 0
+		}
+		l.idleSweeps, l.burst = 0, 0
+	}
+	l.burst += n
 }
 
 // park blocks the server on its notification word until the next Issue
@@ -994,9 +988,9 @@ func (s *Server) run(done chan struct{}) {
 // flag is caught here; one that issues afterwards sees the flag and
 // performs the wake. park returns the number of requests the re-sweep
 // served: zero when the server blocked (or is stopping).
-func (s *Server) park(gs int, retBuf *[GroupSize]uint64, seqBuf *[GroupSize]uint64, args *[MaxArgs]uint64, evBuf *[sweepEvCap]obs.Event) int {
+func (s *Server) park(retBuf *[GroupSize]uint64, seqBuf *[GroupSize]uint64, args *[MaxArgs]uint64, evBuf *[sweepEvCap]obs.Event) int {
 	s.parked.Store(true)
-	if served := s.sweep(gs, retBuf, seqBuf, args, evBuf); served > 0 || s.stopping.Load() {
+	if served := s.sweep(retBuf, seqBuf, args, evBuf); served > 0 || s.stopping.Load() {
 		// Work (or shutdown) arrived while the flag went up; retract
 		// it. If a waker already CAS'd the flag down, consume its
 		// token so a later park does not wake spuriously (a missed
@@ -1060,13 +1054,10 @@ func (s *Server) call(f Func, args *[MaxArgs]uint64, fid FuncID, slot int, op ui
 // requests execute, and one pass over the served bits stores the ledger
 // records and response words before the single release store of the
 // toggle word publishes the whole response line — one cache-line
-// transfer, one ledger pass, and (with a batch-capable sink) one trace
-// ring append per group per sweep, regardless of how many requests the
-// group batched.
-func (s *Server) sweep(gs int, retBuf *[GroupSize]uint64, seqBuf *[GroupSize]uint64, args *[MaxArgs]uint64, evBuf *[sweepEvCap]obs.Event) int {
+// transfer, one ledger pass, and (traced) one ring append per group per
+// sweep, regardless of how many requests the group batched.
+func (s *Server) sweep(retBuf *[GroupSize]uint64, seqBuf *[GroupSize]uint64, args *[MaxArgs]uint64, evBuf *[sweepEvCap]obs.Event) int {
 	funcs := *s.funcs.Load()
-	useLock := s.cfg.ServerLock != nil
-	writeThrough := s.cfg.WriteThrough
 	served := 0
 	// h gates the fault points; with h nil (the default) the per-request
 	// cost is one predictable not-taken branch. opBase + served is the
@@ -1076,14 +1067,12 @@ func (s *Server) sweep(gs int, retBuf *[GroupSize]uint64, seqBuf *[GroupSize]uin
 	if h != nil {
 		h.Sweep(s.nSweeps.Load())
 	}
-	// tr gates the lifecycle-event sites the same way; bt is its batched
-	// fast path (non-nil implies tr non-nil) — events then accumulate in
-	// evBuf and reach the ring in one append per group flush. The
+	// tr gates the lifecycle-event sites the same way; events accumulate
+	// in evBuf and reach the ring in one append per group flush. The
 	// sweep-start event is recorded lazily, only for sweeps that serve at
 	// least one request — an idle server polling millions of empty sweeps
 	// would otherwise flood the trace with nothing.
 	tr := s.trace
-	bt := s.traceBatch
 	evn := 0
 	// batches accumulates response-line flushes locally; one counter add
 	// per sweep instead of one per group.
@@ -1092,17 +1081,17 @@ func (s *Server) sweep(gs int, retBuf *[GroupSize]uint64, seqBuf *[GroupSize]uin
 	active := int(s.activeGroups.Load())
 	// Trailing groups beyond the high-water mark are skipped wholesale,
 	// without even loading their occupancy word.
-	skipped := (s.nGroups - active) * gs
+	skipped := (s.nGroups - active) * GroupSize
 	for g := 0; g < active; g++ {
 		occ := atomic.LoadUint64(&s.occ[g])
 		if occ == 0 {
-			skipped += gs
+			skipped += GroupSize
 			continue
 		}
-		skipped += gs - bits.OnesCount64(occ)
+		skipped += GroupSize - bits.OnesCount64(occ)
 		respBase := g * respWords
-		reqBase := g * gs * reqWords
-		slotBase := g * gs
+		reqBase := g * GroupSize * reqWords
+		slotBase := g * GroupSize
 		toggles := s.resp[respBase] // our own last store; plain read OK
 		groupServed := uint64(0)
 		for rest := occ; rest != 0; rest &= rest - 1 {
@@ -1135,20 +1124,13 @@ func (s *Server) sweep(gs int, retBuf *[GroupSize]uint64, seqBuf *[GroupSize]uin
 				}
 			}
 			if tr != nil {
-				if bt != nil {
-					ts := bt.Now()
-					if served == 0 {
-						evBuf[evn] = obs.Event{TS: ts, Kind: obs.KindSweepStart, Slot: -1, Arg: s.nSweeps.Load()}
-						evn++
-					}
-					evBuf[evn] = obs.Event{TS: ts, Kind: obs.KindExecute, Slot: int32(slot), Arg: seq}
+				ts := tr.Now()
+				if served == 0 {
+					evBuf[evn] = obs.Event{TS: ts, Kind: obs.KindSweepStart, Slot: -1, Arg: s.nSweeps.Load()}
 					evn++
-				} else {
-					if served == 0 {
-						tr.Event(obs.KindSweepStart, -1, s.nSweeps.Load())
-					}
-					tr.Event(obs.KindExecute, int32(slot), seq)
 				}
+				evBuf[evn] = obs.Event{TS: ts, Kind: obs.KindExecute, Slot: int32(slot), Arg: seq}
+				evn++
 			}
 			var ret uint64
 			if replay {
@@ -1180,13 +1162,7 @@ func (s *Server) sweep(gs int, retBuf *[GroupSize]uint64, seqBuf *[GroupSize]uin
 				fid := hdr >> hdrFuncShift
 			dispatch:
 				if int(fid) < len(funcs) {
-					if useLock {
-						s.cfg.ServerLock.Lock()
-					}
 					ret = s.call(funcs[fid], args, FuncID(fid), slot, opBase+uint64(served))
-					if useLock {
-						s.cfg.ServerLock.Unlock()
-					}
 				} else if fresh := *s.funcs.Load(); len(fresh) > len(funcs) {
 					// Registered since this sweep took its snapshot (the
 					// registration happens-before the request's header
@@ -1226,34 +1202,6 @@ func (s *Server) sweep(gs int, retBuf *[GroupSize]uint64, seqBuf *[GroupSize]uin
 			seqBuf[m] = seq
 			groupServed |= bit
 			served++
-			if writeThrough {
-				// Ablation: flush this response immediately. The ledger
-				// store precedes the response publication, preserving
-				// the applied-before-visible ordering per op.
-				s.ledger[slot] = ledgerEntry{seq: seq, ret: ret}
-				s.resp[respBase+1+m] = ret
-				// The respond event is stamped before the toggle store
-				// publishes the response, so the client's completion
-				// stamp can never precede it.
-				if tr != nil {
-					if bt != nil {
-						evBuf[evn] = obs.Event{TS: bt.Now(), Kind: obs.KindRespond, Slot: int32(slot), Arg: seq}
-						evn++
-					} else {
-						tr.Event(obs.KindRespond, int32(slot), seq)
-					}
-				}
-				newToggles := toggles ^ bit
-				s.nRequests.Store(opBase + uint64(served))
-				atomic.StoreUint64(&s.resp[respBase], newToggles)
-				toggles = newToggles
-				groupServed &^= bit
-				batches++
-				if bt != nil {
-					bt.EventBatch(evBuf[:evn])
-					evn = 0
-				}
-			}
 		}
 		if groupServed != 0 {
 			// Write-combined flush: walk only the served bits, store the
@@ -1278,23 +1226,15 @@ func (s *Server) sweep(gs int, retBuf *[GroupSize]uint64, seqBuf *[GroupSize]uin
 			// Respond events, one per served slot, are stamped before the
 			// toggle store that makes the group's responses visible, so a
 			// client's completion stamp can never precede them. They
-			// genuinely share one publication instant, so the batched path
-			// stamps them with one shared timestamp and, once the line is
-			// published, appends the group's whole event run in a single
-			// ring cursor bump.
+			// genuinely share one publication instant, so they share one
+			// timestamp and, once the line is published, the group's whole
+			// event run is appended in a single ring cursor bump.
 			if tr != nil {
-				if bt != nil {
-					ts := bt.Now()
-					for rest := groupServed; rest != 0; rest &= rest - 1 {
-						m := bits.TrailingZeros64(rest)
-						evBuf[evn] = obs.Event{TS: ts, Kind: obs.KindRespond, Slot: int32(slotBase + m), Arg: seqBuf[m]}
-						evn++
-					}
-				} else {
-					for rest := groupServed; rest != 0; rest &= rest - 1 {
-						m := bits.TrailingZeros64(rest)
-						tr.Event(obs.KindRespond, int32(slotBase+m), seqBuf[m])
-					}
+				ts := tr.Now()
+				for rest := groupServed; rest != 0; rest &= rest - 1 {
+					m := bits.TrailingZeros64(rest)
+					evBuf[evn] = obs.Event{TS: ts, Kind: obs.KindRespond, Slot: int32(slotBase + m), Arg: seqBuf[m]}
+					evn++
 				}
 			}
 			// The served count is published before the toggle store, so
@@ -1303,16 +1243,11 @@ func (s *Server) sweep(gs int, retBuf *[GroupSize]uint64, seqBuf *[GroupSize]uin
 			s.nRequests.Store(opBase + uint64(served))
 			atomic.StoreUint64(&s.resp[respBase], toggles^groupServed)
 			batches++
-			if bt != nil {
-				bt.EventBatch(evBuf[:evn])
+			if tr != nil {
+				tr.EventBatch(evBuf[:evn])
 				evn = 0
 			}
 		}
-	}
-	if bt != nil && evn > 0 {
-		// Defensive drain: every execute is followed by its group's flush
-		// above, so this only fires if that invariant ever breaks.
-		bt.EventBatch(evBuf[:evn])
 	}
 	s.nSweeps.Add(1)
 	if batches > 0 {

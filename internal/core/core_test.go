@@ -138,15 +138,14 @@ func TestMultipleGroups(t *testing.T) {
 }
 
 func TestClientSlotExhaustion(t *testing.T) {
-	s := NewServer(Config{MaxClients: 2, GroupSizeOverride: 2})
-	if _, err := s.NewClient(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.NewClient(); err != nil {
-		t.Fatal(err)
+	s := NewServer(Config{MaxClients: GroupSize})
+	for i := 0; i < GroupSize; i++ {
+		if _, err := s.NewClient(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if _, err := s.NewClient(); err != ErrNoSlots {
-		t.Fatalf("third NewClient error = %v, want ErrNoSlots", err)
+		t.Fatalf("NewClient past a full group: error = %v, want ErrNoSlots", err)
 	}
 }
 
@@ -238,75 +237,6 @@ func TestRegisterWhileRunning(t *testing.T) {
 	}
 	if got := c.Delegate(one); got != 1 {
 		t.Fatalf("Delegate(one) after second registration = %d", got)
-	}
-}
-
-func TestWriteThroughAblation(t *testing.T) {
-	const workers, iters = 8, 2000
-	s := NewServer(Config{MaxClients: workers, WriteThrough: true})
-	var counter uint64
-	inc := s.Register(func(*[MaxArgs]uint64) uint64 { counter++; return counter })
-	if err := s.Start(); err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			c := s.MustNewClient()
-			for i := 0; i < iters; i++ {
-				c.Delegate(inc)
-			}
-		}()
-	}
-	wg.Wait()
-	s.Stop()
-	if counter != workers*iters {
-		t.Fatalf("counter = %d, want %d", counter, workers*iters)
-	}
-}
-
-func TestServerLockAblation(t *testing.T) {
-	s := NewServer(Config{ServerLock: &sync.Mutex{}})
-	var counter uint64
-	inc := s.Register(func(*[MaxArgs]uint64) uint64 { counter++; return counter })
-	if err := s.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer s.Stop()
-	c := s.MustNewClient()
-	for i := 0; i < 1000; i++ {
-		c.Delegate(inc)
-	}
-	if counter != 1000 {
-		t.Fatalf("counter = %d, want 1000", counter)
-	}
-}
-
-func TestPrivateResponseLinesAblation(t *testing.T) {
-	const workers, iters = 8, 2000
-	s := NewServer(Config{MaxClients: workers, GroupSizeOverride: 1})
-	var counter uint64
-	inc := s.Register(func(*[MaxArgs]uint64) uint64 { counter++; return counter })
-	if err := s.Start(); err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			c := s.MustNewClient()
-			for i := 0; i < iters; i++ {
-				c.Delegate(inc)
-			}
-		}()
-	}
-	wg.Wait()
-	s.Stop()
-	if counter != workers*iters {
-		t.Fatalf("counter = %d, want %d", counter, workers*iters)
 	}
 }
 
@@ -432,7 +362,7 @@ func TestPoolSizeClamped(t *testing.T) {
 	}
 }
 
-// respondGate is a batch tracer that holds the server right after each
+// respondGate is a tracer that holds the server right after each
 // response flush, before the rest of its sweep runs, until the test has
 // read the stats that response implies.
 type respondGate struct{ read chan struct{} }

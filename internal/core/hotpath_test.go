@@ -104,9 +104,11 @@ func TestClientChurnUnderLoad(t *testing.T) {
 // --- slot allocation: exhaustion must be non-destructive ---
 
 func TestExhaustionDoesNotConsumeSlots(t *testing.T) {
-	s := NewServer(Config{MaxClients: 2, GroupSizeOverride: 2})
+	s := NewServer(Config{MaxClients: GroupSize})
 	c1 := s.MustNewClient()
-	s.MustNewClient()
+	for i := 1; i < GroupSize; i++ {
+		s.MustNewClient()
+	}
 	// Repeated failed allocations must not burn capacity.
 	for i := 0; i < 10; i++ {
 		if _, err := s.NewClient(); err != ErrNoSlots {
@@ -124,16 +126,17 @@ func TestExhaustionDoesNotConsumeSlots(t *testing.T) {
 }
 
 func TestPoolNewClientPartialFailureReleasesSlots(t *testing.T) {
-	p := NewPool(2, Config{MaxClients: 2, GroupSizeOverride: 2})
+	p := NewPool(2, Config{MaxClients: GroupSize})
 	// Exhaust server 1 directly so Pool.NewClient fails partway, after
 	// it has already taken a slot on server 0.
-	p.Server(1).MustNewClient()
-	p.Server(1).MustNewClient()
+	for i := 0; i < GroupSize; i++ {
+		p.Server(1).MustNewClient()
+	}
 	if _, err := p.NewClient(); err != ErrNoSlots {
 		t.Fatalf("Pool.NewClient = %v, want ErrNoSlots", err)
 	}
 	// Server 0 must have all its slots back.
-	for i := 0; i < 2; i++ {
+	for i := 0; i < GroupSize; i++ {
 		if _, err := p.Server(0).NewClient(); err != nil {
 			t.Fatalf("server 0 slot %d leaked by failed Pool.NewClient: %v", i, err)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"runtime"
 	"testing"
 	"time"
@@ -108,26 +109,52 @@ func TestIdleBusyClientsRarelyPark(t *testing.T) {
 }
 
 // TestIdleLoneModeNotSticky: a lone client that stops thinking is back
-// to the zero-think park rate within a bounded number of requests (a
-// probe gap every loneProbe requests re-measures the gap).
+// on the ladder within loneProbe requests, because a probe gap every
+// loneProbe requests re-measures the gap. The test drives the ladder
+// itself through the gaps a server sees, so the counts do not depend on
+// how fast the client runs: think-time gaps that each end in a park,
+// then zero-think gaps shorter than loneGap sweeps. (Against a live
+// server, a zero-think client that the race detector or a loaded host
+// deschedules for four full ladders in a row re-enters the lone mode
+// legitimately: its gaps really were long.)
 func TestIdleLoneModeNotSticky(t *testing.T) {
-	s, inc := idleServer(t)
-	c := s.MustNewClient()
-	think := func() {
-		c.Delegate1(inc, 1)
-		time.Sleep(idleThink)
+	l := idleLadder{parkAfter: defaultIdleParkAfter, predict: true}
+	// gap serves one request, then runs empty sweeps until the next
+	// request arrives after sweeps of them, or the ladder parks and that
+	// request wakes the server. It reports whether the server parked.
+	gap := func(sweeps int) bool {
+		l.served(1)
+		for i := 0; i < sweeps; i++ {
+			if l.empty() {
+				l.blocked()
+				return true
+			}
+		}
+		return false
 	}
-	busy := func() { c.Delegate1(inc, 1) }
-	idleDelta(s, idleWarm, think)
-	const n = 100
-	parks, yields := idleDelta(s, n, think)
-	checkLone(t, n, parks, yields)
+	for i := 0; i < idleWarm; i++ {
+		if !gap(math.MaxInt) {
+			t.Fatalf("think gap %d ended without a park", i)
+		}
+	}
+	if l.lone < loneRun {
+		t.Fatalf("after %d think gaps lone = %d, want the prediction on (>= %d)", idleWarm, l.lone, loneRun)
+	}
+	// busy counts the parks over n zero-think gaps of 1 … loneGap sweeps.
+	busy := func(n int) (parks int) {
+		for i := 0; i < n; i++ {
+			if gap(1 + i%loneGap) {
+				parks++
+			}
+		}
+		return parks
+	}
 	// The switch: at most loneProbe early parks, then the ladder.
-	if parks, _ := idleDelta(s, 2*loneProbe, busy); parks > loneProbe+busyParkBound(idleN) {
+	if parks := busy(2 * loneProbe); parks > loneProbe {
 		t.Fatalf("%d parks over the first %d zero-think requests after lone ones, want <= %d",
-			parks, 2*loneProbe, loneProbe+busyParkBound(idleN))
+			parks, 2*loneProbe, loneProbe)
 	}
-	if parks, _ := idleDelta(s, idleN, busy); parks > busyParkBound(idleN) {
-		t.Fatalf("%d parks over %d zero-think requests after the switch, want <= %d", parks, idleN, busyParkBound(idleN))
+	if parks := busy(idleN); parks != 0 {
+		t.Fatalf("%d parks over %d zero-think requests after the switch, want 0", parks, idleN)
 	}
 }

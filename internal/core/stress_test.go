@@ -152,36 +152,40 @@ func TestStopDrainsOutstanding(t *testing.T) {
 	}
 }
 
-// TestGroupSizeVariants drives every legal group size through a full
-// concurrent run.
-func TestGroupSizeVariants(t *testing.T) {
-	for _, gs := range []int{1, 2, 3, 7, 15} {
-		gs := gs
-		t.Run(map[bool]string{true: "gs1", false: ""}[gs == 1]+string(rune('0'+gs)), func(t *testing.T) {
-			const workers, iters = 8, 500
-			s := NewServer(Config{MaxClients: workers, GroupSizeOverride: gs})
-			var counter uint64
-			inc := s.Register(func(*[MaxArgs]uint64) uint64 { counter++; return counter })
-			if err := s.Start(); err != nil {
-				t.Fatal(err)
+// TestPartlyOccupiedGroups drives three response groups concurrently,
+// the last one partly occupied: every group flushes its own line, and the
+// sweep must serve the trailing group's slots without touching its empty
+// ones.
+func TestPartlyOccupiedGroups(t *testing.T) {
+	const workers, iters = 2*GroupSize + 3, 500
+	s := NewServer(Config{MaxClients: workers})
+	if got := s.MaxClients(); got != 3*GroupSize {
+		t.Fatalf("MaxClients = %d, want %d (three whole groups)", got, 3*GroupSize)
+	}
+	var counter uint64
+	inc := s.Register(func(*[MaxArgs]uint64) uint64 { counter++; return counter })
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		c := s.MustNewClient()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < iters; i++ {
+				c.Delegate0(inc)
 			}
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					c := s.MustNewClient()
-					for i := 0; i < iters; i++ {
-						c.Delegate0(inc)
-					}
-				}()
-			}
-			wg.Wait()
-			s.Stop()
-			if counter != workers*iters {
-				t.Fatalf("gs=%d: counter = %d, want %d", gs, counter, workers*iters)
-			}
-		})
+		}()
+	}
+	wg.Wait()
+	s.Stop()
+	if counter != workers*iters {
+		t.Fatalf("counter = %d, want %d", counter, workers*iters)
+	}
+	// Every sweep passes over at least the last group's empty slots.
+	if st := s.Stats(); st.SlotsSkipped < st.Sweeps*(GroupSize-3) {
+		t.Fatalf("SlotsSkipped = %d over %d sweeps, want >= %d per sweep", st.SlotsSkipped, st.Sweeps, GroupSize-3)
 	}
 }
 

@@ -178,9 +178,9 @@ func TestDelegateNilTracerAllocFree(t *testing.T) {
 }
 
 // TestDelegateTracedAllocFree is TestDelegateNilTracerAllocFree's live-
-// sink twin: with a batch-capable sink attached, the whole traced round
-// trip — client-side event buffering, the server's per-sweep batch, and
-// both EventBatch appends — must still allocate nothing.
+// sink twin: with a sink attached, the whole traced round trip —
+// client-side event buffering, the server's per-sweep batch, and both
+// EventBatch appends — must still allocate nothing.
 func TestDelegateTracedAllocFree(t *testing.T) {
 	sink := obs.NewTraceSink(obs.SinkConfig{Clients: 2, ServerCap: 1 << 20, ClientCap: 1 << 20})
 	s := startServer(t, Config{MaxClients: 2, Trace: sink})

@@ -130,27 +130,21 @@ func KindByName(name string) (Kind, bool) {
 
 // Tracer receives delegation lifecycle events. Instrumented packages hold
 // a Tracer in a nil-by-default configuration field; nil disables tracing
-// at the cost of one predictable branch per event site. Event must be
-// safe for concurrent use, but events for one client slot must come from
-// one goroutine at a time (the instrumented packages' existing contract).
+// at the cost of one predictable branch per event site.
+//
+// Hot paths buffer a run of events stamped with Now and hand them over in
+// one EventBatch call, which appends them to the destination ring with a
+// single cursor publication. The events of one EventBatch call must all
+// come from the same writer goroutine and route to the same ring: either
+// client kinds for one slot, or server kinds. Their timestamps must come
+// from Now and be non-decreasing within the batch.
+//
+// Event records one event directly. It serves the rare kinds, including
+// the control-ring kinds (KindRestart, KindFailover), which must never
+// appear in a batch. Event must be safe for concurrent use, but events for
+// one client slot must come from one goroutine at a time.
 type Tracer interface {
 	Event(k Kind, slot int32, arg uint64)
-}
-
-// BatchTracer is the amortized fast path a Tracer may additionally
-// implement: callers on a hot path buffer a run of pre-stamped events
-// locally and hand them over in one EventBatch call, which appends them
-// to the destination ring with a single cursor publication instead of one
-// per event. The instrumented packages detect the interface once, at
-// configuration time, and fall back to per-event Event calls otherwise.
-//
-// Contract: the events of one EventBatch call must all come from the same
-// writer goroutine and route to the same ring — either client kinds for
-// one slot, or server kinds (the control-ring kinds, e.g. KindRestart,
-// must not appear in a batch). Timestamps must come from Now() so they
-// share the sink's clock base, and must be non-decreasing within a batch.
-type BatchTracer interface {
-	Tracer
 	// Now returns the tracer's current timestamp in its internal clock
 	// units, for stamping events that will be appended later by
 	// EventBatch. The units are opaque to callers (raw TSC ticks on
@@ -166,7 +160,7 @@ type Event struct {
 	// TS is the event's timestamp relative to the sink's start. Events
 	// returned by Snapshot (and everything downstream: Attribute, Chrome
 	// export) carry nanoseconds. Inside the sink's rings — and in the
-	// pre-stamped batches BatchTracer callers build — TS is in the sink's
+	// pre-stamped batches Tracer callers build — TS is in the sink's
 	// raw clock units (TSC ticks on amd64, where reading the counter
 	// costs about half a vDSO clock call); Snapshot calibrates the
 	// tick-to-nanosecond ratio against the monotonic clock over the
@@ -274,9 +268,6 @@ type TraceSink struct {
 	misrouted atomic.Uint64
 }
 
-// TraceSink implements the amortized batch-append fast path.
-var _ BatchTracer = (*TraceSink)(nil)
-
 // NewTraceSink allocates a sink: all ring memory is committed up front —
 // allocated and pre-faulted — so recording never allocates and never
 // stalls on a fresh page. Without the pre-fault, the OS hands ring pages
@@ -337,11 +328,10 @@ func (t *TraceSink) Event(k Kind, slot int32, arg uint64) {
 	}
 }
 
-// EventBatch appends a run of pre-stamped events in one ring append — the
-// BatchTracer fast path. All events in one call must come from the same
-// writer goroutine and route to the same ring (see BatchTracer); the ring
-// is chosen by the first event's kind. It never blocks and never
-// allocates.
+// EventBatch appends a run of pre-stamped events in one ring append. All
+// events in one call must come from the same writer goroutine and route to
+// the same ring (see Tracer); the ring is chosen by the first event's
+// kind. It never blocks and never allocates.
 func (t *TraceSink) EventBatch(evs []Event) {
 	if len(evs) == 0 {
 		return
@@ -361,7 +351,7 @@ func (t *TraceSink) EventBatch(evs []Event) {
 
 // Now returns the sink's current relative timestamp in its internal
 // clock units (raw TSC ticks on amd64) — the stamp source for
-// BatchTracer callers. Snapshot converts recorded stamps to nanoseconds.
+// EventBatch callers. Snapshot converts recorded stamps to nanoseconds.
 func (t *TraceSink) Now() int64 { return cputicks() - t.startTicks }
 
 // nsPerTick calibrates the sink clock against the monotonic clock over

@@ -78,13 +78,10 @@ type Server struct {
 	// trace receives delegation lifecycle events (see internal/obs) under
 	// the same vocabulary as the ffwd core, so one analysis pipeline
 	// compares both designs. nil — the default — disables tracing for one
-	// branch per event site.
+	// branch per event site. Events are buffered locally and appended to
+	// the sink with one cursor publication per run instead of one per
+	// event — the same discipline as the ffwd core's write-combined sweep.
 	trace obs.Tracer
-	// traceBatch is trace's amortized fast path, detected once at
-	// SetTrace: events are buffered locally and appended to the sink with
-	// one cursor publication per run instead of one per event — the same
-	// discipline as the ffwd core's write-combined sweep.
-	traceBatch obs.BatchTracer
 }
 
 // NewServer returns a stopped RCL server with capacity for maxClients.
@@ -102,7 +99,6 @@ func (s *Server) NewLock() *Lock { return &Lock{} }
 // server loop reads the field without synchronization.
 func (s *Server) SetTrace(tr obs.Tracer) {
 	s.trace = tr
-	s.traceBatch, _ = tr.(obs.BatchTracer)
 }
 
 // ErrNoSlots is returned when every client slot is taken.
@@ -116,9 +112,9 @@ type Client struct {
 	// seq numbers this client's operations for lifecycle tracing,
 	// mirroring the ffwd core's per-slot sequence word.
 	seq uint64
-	// evBuf holds one operation's lifecycle events for the batched trace
-	// path; it lives on the (heap-allocated) Client so handing a slice of
-	// it to EventBatch does not allocate per operation.
+	// evBuf holds one operation's lifecycle events; it lives on the
+	// (heap-allocated) Client so handing a slice of it to EventBatch does
+	// not allocate per operation.
 	evBuf [3]obs.Event
 }
 
@@ -167,7 +163,6 @@ func (s *Server) Served() uint64 { return s.served.Load() }
 func (s *Server) run() {
 	defer close(s.done)
 	tr := s.trace
-	bt := s.traceBatch
 	// evBuf collects this goroutine's execute/respond events across a
 	// slot-scan pass; one EventBatch per pass (or per 16 operations)
 	// replaces two ring publications per operation.
@@ -183,15 +178,13 @@ func (s *Server) run() {
 				continue
 			}
 			any = true
-			if bt != nil {
+			if tr != nil {
 				if evn+2 > len(evBuf) {
-					bt.EventBatch(evBuf[:evn])
+					tr.EventBatch(evBuf[:evn])
 					evn = 0
 				}
-				evBuf[evn] = obs.Event{TS: bt.Now(), Kind: obs.KindExecute, Slot: req.slot, Arg: req.seq}
+				evBuf[evn] = obs.Event{TS: tr.Now(), Kind: obs.KindExecute, Slot: req.slot, Arg: req.seq}
 				evn++
-			} else if tr != nil {
-				tr.Event(obs.KindExecute, req.slot, req.seq)
 			}
 			// RCL protocol: acquire the request's lock, execute,
 			// release. The context dereference inside fn(ctx) is
@@ -202,15 +195,13 @@ func (s *Server) run() {
 			sl.req.Store(nil)
 			sl.resp.Store(&response{ret: ret})
 			s.served.Add(1)
-			if bt != nil {
-				evBuf[evn] = obs.Event{TS: bt.Now(), Kind: obs.KindRespond, Slot: req.slot, Arg: req.seq}
+			if tr != nil {
+				evBuf[evn] = obs.Event{TS: tr.Now(), Kind: obs.KindRespond, Slot: req.slot, Arg: req.seq}
 				evn++
-			} else if tr != nil {
-				tr.Event(obs.KindRespond, req.slot, req.seq)
 			}
 		}
 		if evn > 0 {
-			bt.EventBatch(evBuf[:evn])
+			tr.EventBatch(evBuf[:evn])
 			evn = 0
 		}
 		if stop {
@@ -224,49 +215,29 @@ func (s *Server) run() {
 
 // Execute delegates fn(ctx) to the server, which runs it holding l, and
 // returns fn's result. It must not be called concurrently on one Client.
+//
+// Traced, the operation's three client events land on the slot ring in
+// one cursor publication at completion. The wait-start stamp shares the
+// issue stamp — the gap between them is two instructions and attribution
+// never reads it — so the path pays two clock reads per operation, not
+// three.
 func (c *Client) Execute(l *Lock, fn CriticalSection, ctx any) uint64 {
-	if bt := c.s.traceBatch; bt != nil {
-		return c.executeBatchTraced(bt, l, fn, ctx)
-	}
 	tr := c.s.trace
 	c.seq++
 	c.slot.resp.Store(nil)
 	if tr != nil {
-		tr.Event(obs.KindClientIssue, c.idx, c.seq)
+		ts := tr.Now()
+		c.evBuf[0] = obs.Event{TS: ts, Kind: obs.KindClientIssue, Slot: c.idx, Arg: c.seq}
+		c.evBuf[1] = obs.Event{TS: ts, Kind: obs.KindClientWaitStart, Slot: c.idx, Arg: c.seq}
 	}
 	c.slot.req.Store(&request{lock: l, fn: fn, ctx: ctx, slot: c.idx, seq: c.seq})
-	if tr != nil {
-		tr.Event(obs.KindClientWaitStart, c.idx, c.seq)
-	}
 	var w spin.Waiter
 	for {
 		if r := c.slot.resp.Load(); r != nil {
 			if tr != nil {
-				tr.Event(obs.KindClientComplete, c.idx, c.seq)
+				c.evBuf[2] = obs.Event{TS: tr.Now(), Kind: obs.KindClientComplete, Slot: c.idx, Arg: c.seq}
+				tr.EventBatch(c.evBuf[:])
 			}
-			return r.ret
-		}
-		w.Wait()
-	}
-}
-
-// executeBatchTraced is Execute against a batch-capable sink: the
-// operation's three client events land on the slot ring in one cursor
-// publication at completion. The wait-start stamp shares the issue
-// stamp — the gap between them is two instructions and attribution never
-// reads it — so the path pays two clock reads per operation, not three.
-func (c *Client) executeBatchTraced(bt obs.BatchTracer, l *Lock, fn CriticalSection, ctx any) uint64 {
-	c.seq++
-	c.slot.resp.Store(nil)
-	ts := bt.Now()
-	c.evBuf[0] = obs.Event{TS: ts, Kind: obs.KindClientIssue, Slot: c.idx, Arg: c.seq}
-	c.slot.req.Store(&request{lock: l, fn: fn, ctx: ctx, slot: c.idx, seq: c.seq})
-	c.evBuf[1] = obs.Event{TS: ts, Kind: obs.KindClientWaitStart, Slot: c.idx, Arg: c.seq}
-	var w spin.Waiter
-	for {
-		if r := c.slot.resp.Load(); r != nil {
-			c.evBuf[2] = obs.Event{TS: bt.Now(), Kind: obs.KindClientComplete, Slot: c.idx, Arg: c.seq}
-			bt.EventBatch(c.evBuf[:])
 			return r.ret
 		}
 		w.Wait()

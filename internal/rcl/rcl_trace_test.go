@@ -6,10 +6,10 @@ import (
 	"ffwd/internal/obs"
 )
 
-// TestBatchedTraceLifecycle: against a batch-capable sink the RCL paths
-// buffer events locally and publish them in combined ring appends; the
-// snapshot must still hold one complete, ordered lifecycle per
-// operation, attributable by the shared pipeline.
+// TestBatchedTraceLifecycle: against a live sink the RCL paths buffer
+// events locally and publish them in combined ring appends; the snapshot
+// must still hold one complete, ordered lifecycle per operation,
+// attributable by the shared pipeline.
 func TestBatchedTraceLifecycle(t *testing.T) {
 	const ops = 200
 	sink := obs.NewTraceSink(obs.SinkConfig{Clients: 2})
