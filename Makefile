@@ -16,7 +16,7 @@ all: build vet test
 check: linear expiry replica-chaos proc-chaos trace loadtest bench-e2e-smoke
 	$(GO) vet ./...
 	$(GO) build ./...
-	$(GO) test -race ./internal/core/... ./internal/delegated/... ./cmd/ffwdserve/ ./internal/rcl/ ./internal/obs/
+	$(GO) test -race ./internal/core/... ./internal/delegated/... ./cmd/ffwdserve/ ./internal/rcl/ ./internal/obs/ ./internal/reptrans/
 	$(MAKE) bench-hot
 
 build:
@@ -187,7 +187,7 @@ loc:
 # The ratchet on that number: the total may not exceed LOC_BUDGET. A PR
 # that shrinks the code lowers the budget to its own total; one that must
 # grow it edits this one number and says why.
-LOC_BUDGET = 17426
+LOC_BUDGET = 17479
 loc-check:
 	@$(MAKE) --no-print-directory loc | awk -v budget=$(LOC_BUDGET) ' \
 		{ print } / total / { total = $$1 } \

@@ -123,10 +123,12 @@ func NewKVMachine(capacity int) replica.StateMachine {
 
 // Response sentinels for the replicated delegated functions. They share
 // the top of the value space with kvMissSentinel, so replicated stores
-// confine values to < ^uint64(2).
+// confine values to < ^uint64(2). repPending is only ever a write's
+// answer, whose applied results are 0 and 1.
 const (
 	repNotLeaderSentinel = ^uint64(1)
 	repNoQuorumSentinel  = ^uint64(2)
+	repPending           = ^uint64(3)
 )
 
 // ErrReplicatedDown reports that a replicated op exhausted its retries
@@ -140,6 +142,7 @@ const (
 	rfidGet core.FuncID = iota
 	rfidWrite
 	rfidLen
+	rfidCommit
 )
 
 // ReplicatedConfig parameterizes a ReplicatedKV.
@@ -215,11 +218,14 @@ type ReplicatedKV struct {
 	runs  map[uint64]*writeRun
 }
 
-// writeRun is one handle's batch buffer. The handle fills it before it
+// writeRun is one handle's batch buffer. The handle fills ws before it
 // delegates and leaves it alone until that delegation is answered, so
-// the server goroutine reads it race-free in between.
+// the server goroutine reads it race-free in between. The write call
+// leaves the run's Pending in p for the handle's quorum wait and the
+// commit call that follows it.
 type writeRun struct {
 	ws []replica.Write
+	p  replica.Pending
 }
 
 func (r *ReplicatedKV) run(clientID uint64) *writeRun {
@@ -341,9 +347,10 @@ func (r *ReplicatedKV) Start() error {
 
 // buildLeaderLocked constructs a delegation server + supervisor bound to
 // the given leader replica and publishes it as generation epoch. The
-// delegated functions capture the replica; a run of writes proposes
-// through the group as one batch, every read is leader-local through
-// Peek.
+// delegated functions capture the replica; a run of writes appends
+// through the group as one batch and, once its handle has waited out the
+// remote quorum, commits in a second call; every read is leader-local
+// through Peek. None of them waits on a remote.
 func (r *ReplicatedKV) buildLeaderLocked(rep *replica.Replica, epoch uint64) error {
 	g := r.g
 	srv := core.NewServer(r.cfg.Core)
@@ -357,7 +364,7 @@ func (r *ReplicatedKV) buildLeaderLocked(rep *replica.Replica, epoch uint64) err
 		}
 		return v
 	})
-	// (clientID, firstSeq, n): commit the first n writes of the client's
+	// (clientID, firstSeq, n): append the first n writes of the client's
 	// run buffer as one batch. A missing buffer means the handle gave up
 	// on this request; nobody is waiting for the answer.
 	fidWrite := srv.Register(func(a *[core.MaxArgs]uint64) uint64 {
@@ -365,7 +372,12 @@ func (r *ReplicatedKV) buildLeaderLocked(rep *replica.Replica, epoch uint64) err
 		if run == nil {
 			return repNotLeaderSentinel
 		}
-		return proposeRet(g.ProposeBatch(rep, a[0], a[1], run.ws[:a[2]]))
+		ret, p, err := g.Append(rep, a[0], a[1], run.ws[:a[2]])
+		if err == nil && p.Need > 0 {
+			run.p = p
+			return repPending
+		}
+		return proposeRet(ret, err)
 	})
 	fidLen := srv.Register(func(*[core.MaxArgs]uint64) uint64 {
 		if !g.IsLeader(rep) {
@@ -373,7 +385,16 @@ func (r *ReplicatedKV) buildLeaderLocked(rep *replica.Replica, epoch uint64) err
 		}
 		return uint64(rep.SM().(*kvMachine).s.Len())
 	})
-	if fidGet != rfidGet || fidWrite != rfidWrite || fidLen != rfidLen {
+	// (clientID): commit the run the client's last write call left
+	// pending.
+	fidCommit := srv.Register(func(a *[core.MaxArgs]uint64) uint64 {
+		run := r.run(a[0])
+		if run == nil {
+			return repNotLeaderSentinel
+		}
+		return proposeRet(g.Commit(rep, run.p))
+	})
+	if fidGet != rfidGet || fidWrite != rfidWrite || fidLen != rfidLen || fidCommit != rfidCommit {
 		panic("apps: replicated FuncID registration order drifted")
 	}
 	if err := srv.Start(); err != nil {
@@ -563,6 +584,7 @@ type RKVClient struct {
 	epoch  uint64
 	c      *core.Client
 	policy RKVPolicy
+	w      replica.AckWaiter // the quorum wait of this handle's writes
 
 	// cancel interrupts a retry backoff in flight when the handle is
 	// closed from another goroutine.
@@ -638,10 +660,13 @@ func (k *RKVClient) ensure() error {
 
 // do drives one op to a committed answer: bind to the leader, delegate
 // with a bounded wait, and retry across timeouts, crashes, failovers,
-// and leadership sentinels with capped backoff. The backoff sleep is
-// interruptible: closing the handle or stopping the shard returns
-// ErrReplicatedDown immediately instead of sleeping out the remaining
-// retry budget (at default policy, up to ~0.8s per stuck op).
+// quorum failures and leadership sentinels with capped backoff. A write
+// the server answers pending is one attempt of three steps: the append
+// call, the remote quorum wait on this goroutine, the commit call. The
+// backoff sleep is interruptible: closing the handle or stopping the
+// shard returns ErrReplicatedDown immediately instead of sleeping out
+// the remaining retry budget (at default policy, up to ~0.8s per stuck
+// op).
 func (k *RKVClient) do(fid core.FuncID, a0, a1, a2, a3 uint64, nargs int) (uint64, error) {
 	var lastErr error = ErrReplicatedDown
 	d := k.policy.BaseDelay
@@ -677,6 +702,9 @@ func (k *RKVClient) do(fid core.FuncID, a0, a1, a2, a3 uint64, nargs int) (uint6
 		default:
 			ret, err = k.c.DelegateTimeout(k.policy.PerTry, fid, a0, a1, a2, a3)
 		}
+		if err == nil && fid == rfidWrite && ret == repPending {
+			ret, err = k.commit()
+		}
 		if err != nil {
 			lastErr = err
 			continue
@@ -692,6 +720,17 @@ func (k *RKVClient) do(fid core.FuncID, a0, a1, a2, a3 uint64, nargs int) (uint6
 		return ret, nil
 	}
 	return 0, lastErr
+}
+
+// commit finishes a write the server answered pending: wait for the
+// remote quorum here, off the server goroutine, then commit the run. A
+// failed wait is ErrNoQuorum; the retry reuses the run's seqs, and the
+// ledger and the apply-time fence keep it exactly-once.
+func (k *RKVClient) commit() (uint64, error) {
+	if err := k.r.g.Await(&k.w, k.run.p); err != nil {
+		return 0, err
+	}
+	return k.c.DelegateTimeout(k.policy.PerTry, rfidCommit, k.id)
 }
 
 // Get reads key from the leader (leader-local, not logged: promotion
@@ -710,12 +749,13 @@ func (k *RKVClient) Get(key uint64) (uint64, bool, error) {
 
 // WriteBatch commits ws in order through the replicated log, as few
 // quorum round trips as exactly-once allows: each run of writes up to and
-// including the next OpDel is one delegated call and one group commit
-// (one leader WAL write, one append frame per follower, one quorum
-// wait). rets[i] receives ws[i]'s applied result — 0 for a set, 1/0 for
-// a delete that did/did not find its key. It returns how many writes
-// committed; on error the rest were not attempted, and the fate of the
-// run that failed is unknown, exactly like a single failed write.
+// including the next OpDel is one group commit (one leader WAL write,
+// one append frame per follower, one quorum wait) and, with remote
+// followers, two delegated calls around the quorum wait. rets[i]
+// receives ws[i]'s applied result — 0 for a set, 1/0 for a delete that
+// did/did not find its key. It returns how many writes committed; on
+// error the rest were not attempted, and the fate of the run that failed
+// is unknown, exactly like a single failed write.
 //
 // A run ends at a delete because the replicated ledger keeps one result
 // per client: a retried run can recover its last write's result from the

@@ -6,6 +6,7 @@ import (
 	"net"
 	"path/filepath"
 	"strconv"
+	"sync"
 	"testing"
 	"time"
 
@@ -315,5 +316,108 @@ func TestDurableReplicatedKVRecovery(t *testing.T) {
 		if got := f.member.SM().(*kvMachine).s.EncodeState(); !bytes.Equal(got, leadState) {
 			t.Fatal("follower state image diverged from the leader's")
 		}
+	}
+}
+
+// gatedStore holds a follower's durable appends while its gate is set,
+// so the leader's writes wait on the remote quorum for as long as a
+// test likes.
+type gatedStore struct {
+	replica.Storage
+	mu   sync.Mutex
+	gate chan struct{}
+}
+
+func (s *gatedStore) AppendEntries(ents []replica.Entry) error {
+	s.mu.Lock()
+	gate := s.gate
+	s.mu.Unlock()
+	if gate != nil {
+		<-gate
+	}
+	return s.Storage.AppendEntries(ents)
+}
+
+func (s *gatedStore) setGate(gate chan struct{}) {
+	s.mu.Lock()
+	s.gate = gate
+	s.mu.Unlock()
+}
+
+// While handle A's Set waits for its follower's ack, the leader's
+// delegation server keeps serving: handle B's Get completes, well inside
+// its bounded retry budget, and A's Set is still waiting when it does.
+func TestReplicatedReadServedDuringQuorumWait(t *testing.T) {
+	base := t.TempDir()
+	st, rec, err := replog.Open(filepath.Join(base, "f"), replog.Options{Sync: replog.SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	gs := &gatedStore{Storage: st}
+	m := replica.NewMember(NewKVMachine(64), 0, gs)
+	if err := m.Recover(rec.Snap, rec.Entries); err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fsrv := reptrans.NewServer(ln, reptrans.ServerConfig{Member: m, Store: st, Logf: t.Logf})
+	defer fsrv.Close()
+	r, err := NewReplicatedKV(64, ReplicatedConfig{
+		DataDir: filepath.Join(base, "leader"),
+		Fsync:   "none",
+		Peers:   []string{fsrv.Addr().String()},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer r.Stop()
+	rkvWaitFor(t, "peer connected", r.Peers()[0].Healthy)
+
+	a := r.NewClient()
+	defer a.Close()
+	b := r.NewClientPolicy(RKVPolicy{MaxAttempts: 4, PerTry: 100 * time.Millisecond})
+	defer b.Close()
+	if err := b.Set(7, 70); err != nil {
+		t.Fatal(err)
+	}
+	gate := make(chan struct{})
+	gs.setGate(gate)
+	setA := make(chan error, 1)
+	go func() { setA <- a.Set(1, 10) }()
+	// finish releases the follower and collects A's result; it runs
+	// before the handles close, whichever way the test ends.
+	var finishOnce sync.Once
+	var errA error
+	finish := func() error {
+		finishOnce.Do(func() {
+			gs.setGate(nil)
+			close(gate)
+			errA = <-setA
+		})
+		return errA
+	}
+	defer finish()
+	rkvWaitFor(t, "A's run appended", func() bool { return r.Group().Stats().Proposals == 2 })
+
+	if v, ok, err := b.Get(7); err != nil || !ok || v != 70 {
+		t.Fatalf("B's Get during A's quorum wait = %d, %v, %v; want 70, true, nil", v, ok, err)
+	}
+	select {
+	case err := <-setA:
+		setA <- err
+		t.Fatalf("A's Set returned (%v) while its follower held the append", err)
+	default:
+	}
+	if err := finish(); err != nil {
+		t.Fatalf("A's Set: %v", err)
+	}
+	if v, ok, err := b.Get(1); err != nil || !ok || v != 10 {
+		t.Fatalf("Get(1) after the release = %d, %v, %v; want 10", v, ok, err)
 	}
 }

@@ -79,17 +79,56 @@ func TestIdleLoneClientParksAtOnce(t *testing.T) {
 	checkLone(t, n, parks, yields)
 }
 
+// ladderGap drives l through one gap as the server loop sees it: serve
+// one request, then run empty sweeps until the next request arrives
+// after sweeps of them, or the ladder parks and that request wakes the
+// server. It reports whether the server parked.
+func ladderGap(l *idleLadder, sweeps int) bool {
+	l.served(1)
+	for i := 0; i < sweeps; i++ {
+		if l.empty() {
+			l.blocked()
+			return true
+		}
+	}
+	return false
+}
+
 // TestIdleBusyClientsRarelyPark: a zero-think sync client and a 16-deep
 // AsyncGroup stream keep the server spinning; neither a lone request
 // nor a gap inside a pipelined window predicts a park.
+//
+// The sync case drives the ladder itself through a fixed gap sequence:
+// a zero-think client's gaps of 1 … loneGap sweeps, and every so often
+// a run of up to loneRun-1 gaps that outlast the whole ladder (the
+// client descheduled). Each of those parks once, as it must; no other
+// gap parks, and the short gaps in between keep the lone prediction
+// off. Against a live server the count of long gaps is the host's
+// schedule, so a bound on parks there fails whenever something else
+// wants the CPU.
 func TestIdleBusyClientsRarelyPark(t *testing.T) {
 	t.Run("sync", func(t *testing.T) {
-		s, inc := idleServer(t)
-		c := s.MustNewClient()
-		req := func() { c.Delegate1(inc, 1) }
-		idleDelta(s, idleWarm, req)
-		if parks, _ := idleDelta(s, idleN, req); parks > busyParkBound(idleN) {
-			t.Fatalf("%d parks over %d zero-think requests, want <= %d", parks, idleN, busyParkBound(idleN))
+		l := idleLadder{parkAfter: defaultIdleParkAfter, predict: true}
+		parks, long := 0, 0
+		for i := 0; i < idleN; i++ {
+			sweeps := 1 + i%loneGap
+			if i%100 == 99 {
+				// A descheduled stretch: 1 … loneRun-1 full ladders.
+				for j := 0; j < 1+(i/100)%(loneRun-1); j++ {
+					long++
+					if !ladderGap(&l, math.MaxInt) {
+						t.Fatalf("gap %d outlasted the ladder without a park", i)
+					}
+					parks++
+				}
+			}
+			if ladderGap(&l, sweeps) {
+				parks++
+			}
+		}
+		if parks != long {
+			t.Fatalf("%d parks over %d zero-think requests with %d descheduled gaps, want one park per descheduled gap",
+				parks, idleN, long)
 		}
 	})
 	t.Run("async16", func(t *testing.T) {
@@ -119,19 +158,7 @@ func TestIdleBusyClientsRarelyPark(t *testing.T) {
 // legitimately: its gaps really were long.)
 func TestIdleLoneModeNotSticky(t *testing.T) {
 	l := idleLadder{parkAfter: defaultIdleParkAfter, predict: true}
-	// gap serves one request, then runs empty sweeps until the next
-	// request arrives after sweeps of them, or the ladder parks and that
-	// request wakes the server. It reports whether the server parked.
-	gap := func(sweeps int) bool {
-		l.served(1)
-		for i := 0; i < sweeps; i++ {
-			if l.empty() {
-				l.blocked()
-				return true
-			}
-		}
-		return false
-	}
+	gap := func(sweeps int) bool { return ladderGap(&l, sweeps) }
 	for i := 0; i < idleWarm; i++ {
 		if !gap(math.MaxInt) {
 			t.Fatalf("think gap %d ended without a park", i)

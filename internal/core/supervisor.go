@@ -96,12 +96,14 @@ func (sv *Supervisor) loop() {
 			return
 		case <-t.C:
 		}
-		if sv.cfg.OnCrash != nil && s.Crashed() {
-			if sv.cfg.OnCrash() {
-				return
-			}
+		// One reading of the crash state decides this tick: a crash found
+		// still unwinding is neither handed off nor restarted until the
+		// next check sees it whole, so OnCrash is always asked first.
+		crashed := s.Crashed()
+		if crashed && sv.cfg.OnCrash != nil && sv.cfg.OnCrash() {
+			return
 		}
-		if s.RestartIfCrashed() {
+		if crashed && s.RestartIfCrashed() {
 			stalled, parkedChecks = 0, 0
 			continue
 		}

@@ -3,10 +3,12 @@ package core
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"ffwd/internal/fault"
+	"ffwd/internal/obs"
 )
 
 // TestSupervisorIgnoresDeliberateStop: supervision repairs crashes, not
@@ -124,5 +126,63 @@ func TestCloseVsRestartRetiredSlotAccounting(t *testing.T) {
 				iter, n, st.AbandonedSlots, maxClients)
 		}
 		s.Stop()
+	}
+}
+
+// holdCrash is a tracer that holds the dying server goroutine inside its
+// crash event, between the crash record and the close of its done
+// channel: the window in which Crashed answers false.
+type holdCrash struct {
+	seen    chan struct{}
+	release chan struct{}
+}
+
+func (h *holdCrash) Event(k obs.Kind, _ int32, _ uint64) {
+	if k == obs.KindCrash {
+		close(h.seen)
+		<-h.release
+	}
+}
+func (h *holdCrash) Now() int64             { return 0 }
+func (h *holdCrash) EventBatch([]obs.Event) {}
+
+// TestSupervisorHandsOffCrashSeenUnwinding: checks that land while the
+// crashed goroutine is still unwinding neither hand the crash off nor
+// restart the server; once it is down, OnCrash gets it and the server
+// is never restarted behind its back.
+func TestSupervisorHandsOffCrashSeenUnwinding(t *testing.T) {
+	h := &holdCrash{seen: make(chan struct{}), release: make(chan struct{})}
+	s := NewServer(Config{MaxClients: 1, Hooks: fault.New(fault.Plan{KillAtOp: 1}), Trace: h})
+	inc := s.Register(func(*[MaxArgs]uint64) uint64 { return 1 })
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Stop()
+	var handoffs atomic.Int32
+	sv := NewSupervisor(s, SupervisorConfig{
+		Interval: 100 * time.Microsecond,
+		OnCrash:  func() bool { handoffs.Add(1); return true },
+	})
+	sv.Start()
+	defer sv.Stop()
+
+	c := s.MustNewClient()
+	c.Issue(inc) // the kill point fires on this op; its answer never comes
+	<-h.seen
+	time.Sleep(10 * time.Millisecond) // many checks inside the window
+	if n, r := handoffs.Load(), s.Stats().Restarts; n != 0 || r != 0 {
+		t.Fatalf("while unwinding: %d hand-offs, %d restarts; want none", n, r)
+	}
+	close(h.release)
+	deadline := time.Now().Add(5 * time.Second)
+	for handoffs.Load() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the crash was never handed off")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(10 * time.Millisecond)
+	if n, r := handoffs.Load(), s.Stats().Restarts; n != 1 || r != 0 {
+		t.Fatalf("after unwinding: %d hand-offs, %d restarts; want 1 and 0", n, r)
 	}
 }

@@ -21,8 +21,9 @@ type Remote interface {
 	// index, carrying the current commit cursor. Exactly one RemoteAck is
 	// delivered to done — OK when the remote durably matched at least
 	// index, not-OK when it definitively cannot right now (disconnected,
-	// timed out). The send must not block: done always has room for one
-	// ack per remote.
+	// timed out). Replicate runs on the waiting caller's goroutine and
+	// may block while the link is busy; the ack send must not: done
+	// always has room for one ack per remote.
 	Replicate(index, commit uint64, done chan<- RemoteAck)
 	// Healthy reports whether the link is currently usable (connected
 	// and inside its heartbeat window). Stats only; Replicate is the
@@ -82,10 +83,10 @@ type GroupConfig struct {
 	Term uint64
 	// Remotes are cross-process followers counted toward quorum.
 	Remotes []Remote
-	// AckTimeout bounds how long a propose waits for remote quorum acks
-	// (default 2s). On expiry the propose fails with ErrNoQuorum; the
-	// batch stays in the log and may commit later, exactly like an
-	// in-process quorum failure.
+	// AckTimeout bounds how long Await waits for remote quorum acks
+	// (default 2s). On expiry it fails with ErrNoQuorum; the batch stays
+	// in the log and may commit later, exactly like an in-process quorum
+	// failure.
 	AckTimeout time.Duration
 }
 
@@ -101,7 +102,7 @@ type Stats struct {
 	LogBase       uint64
 	LogLast       uint64
 
-	Proposals        uint64 // ops entering Propose
+	Proposals        uint64 // ops entering Append
 	Commits          uint64 // ops acknowledged after quorum commit
 	LedgerHits       uint64 // retries answered from the replicated ledger
 	ApplyDups        uint64 // duplicate entries fenced at apply time
@@ -141,9 +142,11 @@ func (s Stats) Rows() []obs.Row {
 }
 
 // Group is a replica set for one delegation shard. One mutex guards all
-// member state; it is held only inside proposes (which are already
-// serialized by the leader's server goroutine) and failover-time
-// operations, so it sees essentially no contention in steady state.
+// member state; it is held only inside Append and Commit (which are
+// already serialized by the leader's server goroutine), while remote
+// transports build frames, and in failover-time operations, so it sees
+// little contention in steady state. The quorum wait between Append and
+// Commit holds no lock.
 type Group struct {
 	cfg        GroupConfig
 	ackTimeout time.Duration
@@ -160,19 +163,16 @@ type Group struct {
 
 	appendAttempts atomic.Uint64
 
-	// Propose scratch, reused so a committed batch allocates nothing that
-	// grows with its size: the entries being appended, the remote ack
-	// channel with the count of acks still owed to it, and the quorum
-	// wait's timer.
-	ents     []Entry
-	acks     chan RemoteAck
-	acksOwed int
-	ackTimer *time.Timer
+	// ents is Append's scratch, reused so a committed batch allocates
+	// nothing that grows with its size; w is the quorum wait of the
+	// blocking ProposeBatch.
+	ents []Entry
+	w    AckWaiter
 
 	nProposals   uint64
 	nCommits     uint64
 	nLedgerHits  uint64
-	nNoQuorum    uint64
+	nNoQuorum    atomic.Uint64
 	nAppendDrops uint64
 	nFailovers   uint64
 	nRestarts    uint64
@@ -283,16 +283,47 @@ func (g *Group) Propose(r *Replica, clientID, seq uint64, kind Op, key, val uint
 	return g.ProposeBatch(r, clientID, seq, ws[:])
 }
 
-// ProposeBatch commits ws — one client's writes carrying the consecutive
-// seqs firstSeq, firstSeq+1, … — as one unit on behalf of leader r:
-// dedup against the replicated ledger, one durable append of the whole
-// batch, one replication round (in-process appends synchronously, remote
-// members by one Replicate through the batch's last index), one quorum
-// wait, one apply pass. It must be called from the delegated function
-// executing on r's server goroutine, so proposals are naturally
-// serialized.
+// ProposeBatch is the blocking composition of Append, Await and Commit
+// for callers that may wait on the quorum themselves: it commits ws in
+// one call. It waits on the group's own AckWaiter, so ProposeBatch
+// callers must not overlap one another; Append and Commit calls from a
+// server goroutine may interleave with it freely.
+func (g *Group) ProposeBatch(r *Replica, clientID, firstSeq uint64, ws []Write) (uint64, error) {
+	ret, p, err := g.Append(r, clientID, firstSeq, ws)
+	if err != nil || p.Need == 0 {
+		return ret, err
+	}
+	if err := g.Await(&g.w, p); err != nil {
+		return 0, err
+	}
+	return g.Commit(r, p)
+}
+
+// Pending is a run that Append logged and shipped to the in-process
+// members but that still needs remote acks to commit: Await collects
+// them, then Commit commits it. Need is 0 when Append's result was
+// final.
+type Pending struct {
+	Index uint64 // the run's last log index
+	Need  int    // remote acks still needed for quorum
+
+	term, commit      uint64 // the run's term; the commit cursor at append
+	clientID, lastSeq uint64
+	n                 uint64 // writes the run logged (its ledger hits excluded)
+}
+
+// Append logs ws — one client's writes carrying the consecutive seqs
+// firstSeq, firstSeq+1, … — as one unit on behalf of leader r: dedup
+// against the replicated ledger, one durable append of the whole batch,
+// and the in-process appends. It must be called from the delegated
+// function executing on r's server goroutine, so appends are serialized,
+// and it never waits on a remote follower. Its result is final — a
+// ledger hit, or an in-process quorum that committed inside Append —
+// unless the returned Pending's Need is positive: then the caller waits
+// for the quorum with Await on its own goroutine and finishes the run
+// with Commit.
 //
-// It returns the applied result of the batch's last write — the one
+// The result is the applied result of the batch's last write — the one
 // result the ledger (a single Applied cell per client) can reproduce
 // when the batch is retried. A caller that needs every write's original
 // result across retries must therefore end a batch at the first write
@@ -304,15 +335,15 @@ func (g *Group) Propose(r *Replica, clientID, seq uint64, kind Op, key, val uint
 // answered without re-execution, and one the ledger is inside of (a
 // crash tore the batch on disk, and recovery committed the surviving
 // prefix) skips exactly that applied prefix and proposes the rest.
-func (g *Group) ProposeBatch(r *Replica, clientID, firstSeq uint64, ws []Write) (uint64, error) {
+func (g *Group) Append(r *Replica, clientID, firstSeq uint64, ws []Write) (uint64, Pending, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if r.dead || g.members[g.leaderID.Load()] != r {
-		return 0, ErrNotLeader
+		return 0, Pending{}, ErrNotLeader
 	}
 	n := uint64(len(ws))
 	if n == 0 {
-		return 0, nil
+		return 0, Pending{}, nil
 	}
 	g.nProposals += n
 	lastSeq := firstSeq + n - 1
@@ -320,7 +351,7 @@ func (g *Group) ProposeBatch(r *Replica, clientID, firstSeq uint64, ws []Write) 
 	if a, ok := r.ledger[clientID]; ok && a.Seq >= firstSeq {
 		if a.Seq >= lastSeq {
 			g.nLedgerHits += n
-			return a.Ret, nil
+			return a.Ret, Pending{}, nil
 		}
 		skip = a.Seq - firstSeq + 1
 		g.nLedgerHits += skip
@@ -343,120 +374,140 @@ func (g *Group) ProposeBatch(r *Replica, clientID, firstSeq uint64, ws []Write) 
 	// the leader's durable log, which is what lets a recovered pinned
 	// leader treat its WAL as authoritative.
 	if err := r.AppendLeader(g.ents); err != nil {
-		return 0, err
+		return 0, Pending{}, err
 	}
-	last := r.log.Last()
 	acks := 1 // the leader's own append
 	for _, f := range g.members {
-		if f == r || f.dead {
-			continue
-		}
-		if g.appendTo(r, f) {
+		if f != r && !f.dead && g.appendTo(r, f) {
 			acks++
 		}
 	}
-	needed := g.Quorum()
-	if acks < needed && len(g.cfg.Remotes) > 0 {
-		acks += g.awaitRemotes(r, last, needed-acks)
+	p := Pending{
+		Index: r.log.Last(), Need: g.Quorum() - acks,
+		term: term, commit: r.commitIndex,
+		clientID: clientID, lastSeq: lastSeq, n: n - skip,
 	}
-	if acks < needed {
+	if p.Need > len(g.cfg.Remotes) {
 		// The batch stays in the log and may commit once a quorum heals;
 		// the client retries, and apply-time fencing plus the ledger
 		// keep the retry exactly-once either way.
-		g.nNoQuorum++
-		return 0, ErrNoQuorum
+		g.nNoQuorum.Add(1)
+		return 0, Pending{}, ErrNoQuorum
 	}
-	r.commitIndex = last
-	if err := r.applyCommitted(); err != nil {
-		return 0, err
+	if p.Need > 0 {
+		return 0, p, nil
 	}
-	// Push the new commit index to fully caught-up in-process followers
-	// right away so a promoted follower has already applied every
-	// acknowledged write — promotion then never needs a catch-up round of
-	// its own. Remote followers get no frame of their own for this: the
-	// cursor rides their next append frame (FrameFor re-reads it) or, on
-	// an idle link, the transport's heartbeat.
-	for _, f := range g.members {
-		if f == r || f.dead {
-			continue
-		}
-		if g.nextIndex[f.id] == last+1 {
-			if lc := minU64(r.commitIndex, f.log.Last()); lc > f.commitIndex {
-				f.commitIndex = lc
-				if err := f.applyCommitted(); err != nil {
-					return 0, err
-				}
-			}
-		}
-	}
-	a, ok := r.ledger[clientID]
-	if !ok || a.Seq < lastSeq {
-		return 0, fmt.Errorf("replica: committed batch through %d not applied", last)
-	}
-	g.nCommits += n - skip
-	return a.Ret, nil
+	ret, err := g.commit(r, p)
+	return ret, Pending{}, err
 }
 
-// awaitRemotes asks every remote follower to durably hold the log
-// through index and waits — with the group lock released, since remotes
-// pull log suffixes through FrameFor — until `need` of them ack or the
-// ack timeout expires. It returns the number of acks received in time.
+// AckWaiter is one waiting caller's quorum-wait state: the channel its
+// remote acks land on, the count of acks still owed to that channel,
+// and the wait's timer. The zero value is ready to use; one waiter
+// serves one Await at a time and is reused from wait to wait.
+type AckWaiter struct {
+	acks  chan RemoteAck
+	owed  int
+	timer *time.Timer
+}
+
+// Await asks every remote follower to durably hold the log through
+// p.Index and waits, on the caller's goroutine and holding no lock, until
+// p.Need of them ack or the ack timeout expires. It fails with
+// ErrNoQuorum when they do not; the run stays in the log, as in Append.
 //
-// The ack channel and the timer are the group's own, reused from wait to
-// wait. The channel is reused only once every ack owed to it has come in
-// (a wait that reached quorum early leaves the slower remotes' acks
+// The channel is reused only once every ack owed to it has come in (a
+// wait that reached quorum early leaves the slower remotes' acks
 // outstanding); otherwise it is left to the stragglers and a fresh one
 // made, so a send into it can never block.
-func (g *Group) awaitRemotes(r *Replica, index uint64, need int) int {
+func (g *Group) Await(w *AckWaiter, p Pending) error {
+	if p.Need <= 0 {
+		return nil
+	}
 	remotes := g.cfg.Remotes
-	commit := r.commitIndex
-drain:
-	for g.acksOwed > 0 {
-		select {
-		case <-g.acks:
-			g.acksOwed--
-		default:
-			break drain
-		}
+	for ; w.owed > 0 && len(w.acks) > 0; w.owed-- {
+		<-w.acks // only this waiter receives, so a buffered ack is there
 	}
-	if g.acks == nil || g.acksOwed > 0 {
-		g.acks, g.acksOwed = make(chan RemoteAck, len(remotes)), 0
+	if w.acks == nil || w.owed > 0 {
+		w.acks, w.owed = make(chan RemoteAck, len(remotes)), 0
 	}
-	done := g.acks
-	for _, p := range remotes {
-		p.Replicate(index, commit, done)
+	for _, rm := range remotes {
+		rm.Replicate(p.Index, p.commit, w.acks)
 	}
-	g.mu.Unlock()
-	if g.ackTimer == nil {
-		g.ackTimer = time.NewTimer(g.ackTimeout)
+	if w.timer == nil {
+		w.timer = time.NewTimer(g.ackTimeout)
 	} else {
-		g.ackTimer.Reset(g.ackTimeout)
+		w.timer.Reset(g.ackTimeout)
 	}
 	acks, pending, timedOut := 0, len(remotes), false
-	for acks < need && pending > 0 && !timedOut {
+	for acks < p.Need && pending > 0 && !timedOut {
 		select {
-		case a := <-done:
+		case a := <-w.acks:
 			pending--
-			if a.OK && a.Index >= index {
+			if a.OK && a.Index >= p.Index {
 				acks++
 				g.nRemoteAcks.Add(1)
 			} else {
 				g.nRemoteNacks.Add(1)
 			}
-		case <-g.ackTimer.C:
+		case <-w.timer.C:
 			g.nRemoteNacks.Add(uint64(pending))
 			timedOut = true
 		}
 	}
-	if !timedOut && !g.ackTimer.Stop() {
-		<-g.ackTimer.C
+	w.timer.Stop() // and, since Go 1.23, no stale tick survives it
+	w.owed = pending
+	if acks < p.Need {
+		g.nNoQuorum.Add(1)
+		return ErrNoQuorum
 	}
+	return nil
+}
+
+// Commit finishes a run whose quorum Await collected, on leader r's
+// server goroutine: it moves the commit cursor through the run, applies,
+// and answers the run from the ledger. The cursor only moves forward,
+// and only over an entry of the current term; a run that a later one
+// already committed just reads its answer.
+func (g *Group) Commit(r *Replica, p Pending) (uint64, error) {
 	g.mu.Lock()
-	// Single-writer: no other propose can have run while unlocked, and
-	// pinned leadership cannot have moved (KillReplica in tests is the
-	// only mutator, and a dead leader fails the next propose anyway).
-	g.acksOwed = pending
-	return acks
+	defer g.mu.Unlock()
+	if r.dead || g.members[g.leaderID.Load()] != r {
+		return 0, ErrNotLeader
+	}
+	return g.commit(r, p)
+}
+
+func (g *Group) commit(r *Replica, p Pending) (uint64, error) {
+	if p.Index > r.commitIndex {
+		if t, ok := r.log.TermAt(p.Index); !ok || t != p.term || t != g.term.Load() {
+			return 0, ErrNotLeader
+		}
+		r.commitIndex = p.Index
+		if err := r.applyCommitted(); err != nil {
+			return 0, err
+		}
+		// Push the new commit index to in-process followers that hold
+		// the leader's log through it, so a promoted follower has already
+		// applied every acknowledged write — promotion then never needs a
+		// catch-up round of its own. Remote followers get no frame of
+		// their own for this: the cursor rides their next append frame
+		// (FrameFor re-reads it) or, on an idle link, the transport's
+		// heartbeat.
+		for _, f := range g.members {
+			if f != r && !f.dead && g.nextIndex[f.id] > r.commitIndex {
+				if err := f.CommitTo(r.commitIndex); err != nil {
+					return 0, err
+				}
+			}
+		}
+	}
+	a, ok := r.ledger[p.clientID]
+	if !ok || a.Seq < p.lastSeq {
+		return 0, fmt.Errorf("replica: committed batch through %d not applied", p.Index)
+	}
+	g.nCommits += p.n
+	return a.Ret, nil
 }
 
 // LeaderFrame is one append RPC's worth of leader state for a remote
@@ -727,7 +778,7 @@ func (g *Group) Stats() Stats {
 		Commits:          g.nCommits,
 		LedgerHits:       g.nLedgerHits,
 		ApplyDups:        dups,
-		NoQuorum:         g.nNoQuorum,
+		NoQuorum:         g.nNoQuorum.Load(),
 		AppendAttempts:   g.appendAttempts.Load(),
 		AppendDrops:      g.nAppendDrops,
 		Snapshots:        snaps,

@@ -2,6 +2,7 @@ package replica
 
 import (
 	"errors"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -11,17 +12,48 @@ import (
 // Replicate calls according to its mode, tracking what it saw.
 type fakeRemote struct {
 	id      int
-	mode    atomic.Int32 // 0 = ack, 1 = nack, 2 = never answer
+	mode    atomic.Int32 // 0 = ack, 1 = nack, 2 = never answer, 3 = hold
 	acked   atomic.Uint64
 	commits atomic.Uint64
 	pushes  atomic.Uint64
+
+	mu   sync.Mutex
+	held []heldAck // calls answered later by release
+}
+
+type heldAck struct {
+	index uint64
+	done  chan<- RemoteAck
 }
 
 const (
 	frAck int32 = iota
 	frNack
 	frSilent
+	frHold
 )
+
+// holding reports how many Replicate calls the remote is holding.
+func (f *fakeRemote) holding() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return len(f.held)
+}
+
+// release acks the held calls for index.
+func (f *fakeRemote) release(index uint64) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	kept := f.held[:0]
+	for _, h := range f.held {
+		if h.index == index {
+			h.done <- RemoteAck{ID: f.id, Index: index, OK: true}
+		} else {
+			kept = append(kept, h)
+		}
+	}
+	f.held = kept
+}
 
 func (f *fakeRemote) ID() int       { return f.id }
 func (f *fakeRemote) Healthy() bool { return f.mode.Load() == frAck }
@@ -39,6 +71,10 @@ func (f *fakeRemote) Replicate(index, commit uint64, done chan<- RemoteAck) {
 	case frNack:
 		done <- RemoteAck{ID: f.id, OK: false}
 	case frSilent:
+	case frHold:
+		f.mu.Lock()
+		f.held = append(f.held, heldAck{index, done})
+		f.mu.Unlock()
 	}
 }
 
@@ -179,5 +215,153 @@ func TestFrameForCopiesEntries(t *testing.T) {
 	fr = g.FrameFor(3, nil)
 	if fr.Snap == nil || fr.Snap.LastIndex != 10 {
 		t.Fatalf("expected snapshot frame, got %+v", fr)
+	}
+}
+
+// awaitAsync runs Await on its own goroutine and waiter, as a handle
+// does, and returns where its result lands.
+func awaitAsync(g *Group, p Pending) <-chan error {
+	done := make(chan error, 1)
+	go func() {
+		var w AckWaiter
+		done <- g.Await(&w, p)
+	}()
+	return done
+}
+
+func waitHolding(t *testing.T, n int, rs ...*fakeRemote) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for _, r := range rs {
+		for r.holding() < n {
+			if time.Now().After(deadline) {
+				t.Fatalf("remote %d holds %d calls, want %d", r.id, r.holding(), n)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+}
+
+// Two runs appended before any ack both commit. Their acks come back in
+// reverse order: the younger run's Commit applies both, the older one's
+// is then a no-op that still answers from the ledger, and the state is
+// the serial run's.
+func TestPipelinedAppendsCommitInAnyOrder(t *testing.T) {
+	g, r1, r2 := newRemoteGroup(t, 5*time.Second)
+	r1.mode.Store(frHold)
+	r2.mode.Store(frHold)
+	lead, _ := g.Leader()
+	wsA := sets(1, 10, 2, 20)
+	wsB := append(sets(1, 11), Write{Kind: OpDel, Key: 2})
+	_, pA, err := g.Append(lead, 1, 1, wsA)
+	if err != nil || pA.Need != 1 {
+		t.Fatalf("Append A = %+v, %v; want pending on one remote ack", pA, err)
+	}
+	_, pB, err := g.Append(lead, 2, 1, wsB)
+	if err != nil || pB.Need != 1 || pB.Index != 4 {
+		t.Fatalf("Append B = %+v, %v; want pending through index 4", pB, err)
+	}
+	doneA, doneB := awaitAsync(g, pA), awaitAsync(g, pB)
+	waitHolding(t, 2, r1, r2)
+
+	r1.release(pB.Index)
+	if err := <-doneB; err != nil {
+		t.Fatalf("Await B: %v", err)
+	}
+	if ret, err := g.Commit(lead, pB); err != nil || ret != 1 {
+		t.Fatalf("Commit B = %d, %v; want 1 (the delete found key 2)", ret, err)
+	}
+	r2.release(pA.Index)
+	if err := <-doneA; err != nil {
+		t.Fatalf("Await A: %v", err)
+	}
+	applied := lead.SM().(*mapMachine).applies
+	if ret, err := g.Commit(lead, pA); err != nil || ret != 0 {
+		t.Fatalf("Commit A = %d, %v; want the set's 0 from the ledger", ret, err)
+	}
+	if now := lead.SM().(*mapMachine).applies; now != applied {
+		t.Fatalf("the older Commit applied %d more entries, want none", now-applied)
+	}
+	if st := g.Stats(); st.CommitIndex != 4 || st.Commits != 4 || st.NoQuorum != 0 {
+		t.Fatalf("stats: %+v", st)
+	}
+
+	serial, _, _ := newRemoteGroup(t, time.Second)
+	slead, _ := serial.Leader()
+	if _, err := serial.ProposeBatch(slead, 1, 1, wsA); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := serial.ProposeBatch(slead, 2, 1, wsB); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := lead.SM().Snapshot(), slead.SM().Snapshot(); string(got) != string(want) {
+		t.Fatalf("pipelined state %x, serial state %x", got, want)
+	}
+}
+
+// A run whose quorum wait failed is retried with the same seqs. Whether
+// the retry appends a second copy or a younger run's commit applied the
+// first copy meanwhile, each write is applied once.
+func TestAwaitFailureRetryAppliesOnce(t *testing.T) {
+	var m *onceMachine
+	r1, r2 := &fakeRemote{id: 101}, &fakeRemote{id: 102}
+	g, err := NewGroup(GroupConfig{
+		Replicas:   1,
+		Remotes:    []Remote{r1, r2},
+		AckTimeout: 20 * time.Millisecond,
+		NewMachine: func() StateMachine { m = newOnceMachine(); return m },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lead, _ := g.Leader()
+	retry := func(client uint64, ws []Write) {
+		t.Helper()
+		ret, p, err := g.Append(lead, client, 1, ws)
+		if err == nil && p.Need > 0 {
+			if err = g.Await(&g.w, p); err == nil {
+				ret, err = g.Commit(lead, p)
+			}
+		}
+		if err != nil || ret != 0 {
+			t.Fatalf("client %d retry = %d, %v", client, ret, err)
+		}
+	}
+
+	// Client 1: the wait times out, then the retry appends a second copy.
+	r1.mode.Store(frSilent)
+	r2.mode.Store(frSilent)
+	_, p1, err := g.Append(lead, 1, 1, sets(1, 10, 2, 20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-awaitAsync(g, p1); !errors.Is(err, ErrNoQuorum) {
+		t.Fatalf("silent remotes: Await = %v, want ErrNoQuorum", err)
+	}
+	r1.mode.Store(frAck)
+	retry(1, sets(1, 10, 2, 20))
+	if st := g.Stats(); st.ApplyDups != 2 || st.LogLast != 4 {
+		t.Fatalf("second copy: %+v", st)
+	}
+
+	// Client 2: the wait fails, a younger run commits past it, and the
+	// retry is a ledger hit.
+	r1.mode.Store(frNack)
+	_, p2, err := g.Append(lead, 2, 1, sets(3, 30))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-awaitAsync(g, p2); !errors.Is(err, ErrNoQuorum) {
+		t.Fatalf("refused: Await = %v, want ErrNoQuorum", err)
+	}
+	r1.mode.Store(frAck)
+	retry(3, sets(4, 40))
+	hits := g.Stats().LedgerHits
+	retry(2, sets(3, 30))
+	if st := g.Stats(); st.LedgerHits != hits+1 || st.LogLast != 6 || st.NoQuorum != 2 {
+		t.Fatalf("ledger-hit retry: %+v", st)
+	}
+	if m.dups != 0 || m.m[1] != 10 || m.m[3] != 30 || m.m[4] != 40 {
+		t.Fatalf("dups=%d state=%v", m.dups, m.m)
 	}
 }

@@ -18,8 +18,9 @@
 //   - Appends become durable per the configured SyncPolicy: SyncAlways
 //     fsyncs every append batch, SyncBatch fsyncs on the explicit Sync
 //     call a caller makes before acknowledging (one fsync per append
-//     frame or propose), SyncNone leaves it to the OS (fast, and honest
-//     about what it no longer guarantees).
+//     frame or propose), SyncNone leaves appends to the OS (fast, and
+//     honest about what it no longer guarantees; the file-ordering
+//     fsyncs below still run).
 //   - Snapshots and meta are written to a temp file, fsynced, renamed
 //     into place, and the directory fsynced — a crash leaves either the
 //     old file or the new one, never a torn hybrid.
@@ -56,8 +57,12 @@ const (
 	// once per append frame / propose, just before acknowledging, so a
 	// multi-entry batch costs one fsync.
 	SyncBatch
-	// SyncNone never fsyncs; a machine crash may lose acknowledged
-	// writes (a process crash alone does not — the page cache survives).
+	// SyncNone skips the per-append fsync and the Sync before an ack; a
+	// machine crash may lose acknowledged writes (a process crash alone
+	// does not — the page cache survives). It does not skip the fsyncs
+	// that order the files themselves: a snapshot still syncs its temp
+	// file and the directory, and sealing, truncating or compacting a
+	// segment still syncs the segment and the directory.
 	SyncNone
 )
 

@@ -104,13 +104,18 @@ type Peer struct {
 	// Manager-owned state; no lock, only the run goroutine touches it.
 	conn      net.Conn
 	epoch     uint64 // session epoch, bumped on every dial
-	nextIndex uint64
-	seq       uint64
-	pending   map[uint64]inflight
-	attempt   int // consecutive failed dials, drives backoff
-	rng       uint64
-	ents      []replica.Entry // FrameFor's suffix copy, reused frame to frame
-	wbuf      []byte          // frame encode buffer, likewise
+	nextIndex uint64 // first index the follower has not acked
+	// sent is the first index not yet shipped on this session: frames go
+	// out from max(nextIndex, sent), so a Replicate made while an earlier
+	// frame is in flight ships only what that frame did not. A
+	// consistency nack and a reconnect reset it to nextIndex.
+	sent    uint64
+	seq     uint64
+	pending map[uint64]inflight
+	attempt int // consecutive failed dials, drives backoff
+	rng     uint64
+	ents    []replica.Entry // FrameFor's suffix copy, reused frame to frame
+	wbuf    []byte          // frame encode buffer, likewise
 
 	nDials    atomic.Uint64
 	nSessions atomic.Uint64
@@ -180,10 +185,11 @@ func (p *Peer) Healthy() bool {
 	return time.Since(last) <= p.cfg.HeartbeatTimeout
 }
 
-// Replicate implements replica.Remote. It never blocks: when the link
-// is down (or the queue is saturated) an ack-wanted call is answered
-// with an immediate nack, so a dead follower costs the leader a channel
-// send rather than a timeout.
+// Replicate implements replica.Remote. When the link is down an
+// ack-wanted call is answered with an immediate nack, so a dead follower
+// costs the caller a channel send rather than a timeout. While it is
+// up, a full queue blocks the caller until the manager takes the request
+// or the peer closes: a busy healthy link is not a refusal.
 func (p *Peer) Replicate(index, commit uint64, done chan<- replica.RemoteAck) {
 	_ = commit // the frame re-reads the live commit cursor via FrameFor
 	if !p.connected.Load() {
@@ -193,8 +199,6 @@ func (p *Peer) Replicate(index, commit uint64, done chan<- replica.RemoteAck) {
 	select {
 	case p.reqCh <- request{index: index, done: done}:
 	case <-p.closeCh:
-		p.nack(done)
-	default:
 		p.nack(done)
 	}
 }
@@ -360,6 +364,7 @@ func (p *Peer) connect() bool {
 	c.SetReadDeadline(time.Time{})
 	p.conn = c
 	p.nextIndex = f.helloAck.LastIndex + 1
+	p.sent = p.nextIndex
 	p.attempt = 0
 	p.lastContact.Store(time.Now().UnixNano())
 	p.connected.Store(true)
@@ -398,12 +403,14 @@ func (p *Peer) readLoop(mr *msgReader, epoch uint64) {
 	}
 }
 
-// send frames the log suffix the follower needs (snapshot first when it
-// is behind truncated history) and registers the pending ack. req.index
-// of 0 is a heartbeat/push. Returns false on a write failure.
+// send frames the log suffix the follower has not been sent (snapshot
+// first when it is behind truncated history) and registers the pending
+// ack. req.index of 0 is a heartbeat/push. Returns false on a write
+// failure.
 func (p *Peer) send(req request, attempts int) bool {
-	fr := p.cfg.Leader.FrameFor(p.nextIndex, p.ents)
+	fr := p.cfg.Leader.FrameFor(max(p.nextIndex, p.sent), p.ents)
 	p.ents = fr.Entries[:0]
+	p.sent = fr.PrevIndex + 1
 	p.seq++
 	p.pending[p.seq] = inflight{req: req, attempts: attempts}
 	if fr.Snap != nil {
@@ -412,6 +419,7 @@ func (p *Peer) send(req request, attempts int) bool {
 		// boundary and the retry path ships the remaining suffix.
 		p.wbuf = encodeSnap(p.wbuf[:0], snapFrame{Seq: p.seq, Term: fr.Term, Data: replog.EncodeSnapshot(fr.Snap)})
 	} else {
+		p.sent += uint64(len(fr.Entries))
 		p.wbuf = encodeAppend(p.wbuf[:0], appendFrame{
 			Seq:       p.seq,
 			Term:      fr.Term,
@@ -473,6 +481,7 @@ func (p *Peer) handleAck(am ackMsg) bool {
 	// from there. The walk is finite (Match strictly below the refused
 	// prev), but bound it against a byzantine follower.
 	p.nextIndex = am.ack.Match + 1
+	p.sent = p.nextIndex
 	if infl.attempts+1 >= maxFrameAttempts {
 		p.nack(infl.req.done)
 		return true
